@@ -40,7 +40,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--toy", action="store_true",
                         help="tiny inputs, for the benchmark's own self-test")

@@ -32,15 +32,20 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 #: Import probes per run: each is a fresh interpreter through ``import repro``.
-PROBES = 3
+PROBES = 5
 #: Daemon spawns per untraced run (spawn until ``GET /jobs`` answers).
-SPAWNS = 3
+SPAWNS = 5
 #: Warm passes per cycle of a study workload.
-WARM_PASSES = 8
+WARM_PASSES = 4
 #: Seconds one cycle of a study workload takes on a 2-core box.
-CYCLE_S = 2.75
+CYCLE_S = 2.6
 #: Cell-scheduler threads in the grid workload (the box has 2 cores).
 GRID_WORKERS = 2
+#: :func:`reference_s` on the box that recorded ``baseline.json`` (2-vCPU
+#: Xeon at 2.1 GHz) in its fast state.  Study-pass times are reported
+#: at this speed: raw time × ``REFERENCE_S`` / the reference time
+#: measured around the pass.
+REFERENCE_S = 0.003
 
 BACKEND_KINDS = (
     ("agent", "sequential"),
@@ -123,6 +128,29 @@ def node_rounds(records) -> float:
     return work
 
 
+def reference_s() -> float:
+    """Best of three timings of fixed interpreter and small-array work.
+
+    No repro code runs in it, so only the box's speed moves it.  That
+    speed shifts by up to half between states that last from seconds to
+    minutes, and every CPU-bound timing shifts with it; see
+    :meth:`Run.at_reference_speed`.
+    """
+    import numpy
+
+    best = float("inf")
+    for _ in range(3):
+        rng = numpy.random.default_rng(0)
+        start = time.perf_counter()
+        total = 0
+        for i in range(30000):
+            total += i * i % 7
+        for _ in range(200):
+            numpy.bincount(rng.integers(0, 8, 128), minlength=8)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def peak_rss_mb() -> float:
     """This process's peak resident set so far, in MB (Linux reports kB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -186,6 +214,20 @@ class Run:
             return 1
         return max(2, round(self.args.seconds / CYCLE_S))
 
+    def at_reference_speed(self, measure):
+        """Call ``measure()`` between two :func:`reference_s` timings.
+
+        Returns ``(result, scale)``: ``scale`` is ``REFERENCE_S`` over the
+        mean of the two timings, and a CPU-bound time measured inside
+        ``measure`` times ``scale`` is that time at the reference speed.
+        The reference times go to the run's samples.
+        """
+        before = reference_s()
+        result = measure()
+        reference = (before + reference_s()) / 2
+        self.samples["reference_s"].append(reference)
+        return result, REFERENCE_S / reference
+
     # -- the shared steps ---------------------------------------------------
 
     def probe_imports(self, count: int = PROBES) -> dict:
@@ -212,6 +254,7 @@ class Run:
             scipy.add(int(has_scipy))
             imports.append(float(elapsed))
         self.check("import counts repeat across probes", len(modules) == len(scipy) == 1)
+        self.samples["setup_s"] = setups
         return {
             "setup_s": statistics.median(setups),
             "import.s": statistics.median(imports),
@@ -236,16 +279,24 @@ class Run:
         if expected is not None:
             self.check(f"results digest {digest} == {expected}", digest == expected)
 
-    def study_pass(self, spec, *, workers: int, cache, traced: bool):
-        """One ``api.study`` call into a fresh journaled store, timed."""
+    def study_pass(self, spec, *, workers: int, cache, traced: bool, landings=None):
+        """One ``api.study`` call into a fresh journaled store, timed.
+
+        With a ``landings`` list, the time from the call to each record
+        landing in the store (the ``progress`` callback) is appended to it.
+        """
         from repro import api
+
+        def landed(_cell, _record):
+            landings.append(time.perf_counter() - start)
 
         path = self.fresh_path("store.json")
         patch = tracing.LayerPatch(self.tracer).install() if traced else None
         frame = self.tracer.begin("root") if traced else None
         try:
             start = time.perf_counter()
-            store = api.study(spec, store_path=path, workers=workers, cache=cache)
+            store = api.study(spec, store_path=path, workers=workers, cache=cache,
+                              progress=None if landings is None else landed)
             wall = time.perf_counter() - start
         finally:
             if traced:
@@ -319,8 +370,25 @@ def _traced_layers(run: Run, probe: dict, *, workers: int, cold_traced: float,
     metrics.update({"serve.submit_s": 0.0, "serve.queue_s": 0.0,
                     "serve.tail_s": 0.0, "serve.results_s": 0.0})
     metrics["trace.overhead"] = traced_total / untraced_total - 1.0
+    metrics.update(untraced_layers(run, run.samples["cell_s"]))
     run.check_accounting(summary)
     return metrics
+
+
+def untraced_layers(run: Run, cell_s: "list[float]") -> dict:
+    """Per-layer metrics taken from the untraced passes or jobs, raw.
+
+    ``cell_p50_s`` / ``cell_p90_s``: percentiles of the fresh records'
+    ``wall_time_s``, the runner's resolve + execute time per cell.
+    ``reference_s``: the box's speed, the median :func:`reference_s` time
+    around the run's study passes, or of five taken now if it had none.
+    """
+    references = run.samples["reference_s"] or [reference_s() for _ in range(5)]
+    return {
+        "cell_p50_s": percentile(cell_s, 50),
+        "cell_p90_s": percentile(cell_s, 90),
+        "reference_s": statistics.median(references),
+    }
 
 
 # -- the study workloads: scaling and grid ------------------------------------
@@ -374,12 +442,14 @@ def _study_workload(run: Run, spec_for, *, workers: int, cold_cache: bool):
     without, the cold pass runs cache-off and the warm passes replay a
     cache filled from its store outside any timed section (scaling).
     Traced runs repeat every pass traced, right after its untraced twin.
+    Untraced pass times are taken at the reference speed.
     """
     from repro.study import ResultCache
 
-    def cold_pass(spec, traced):
+    def cold_pass(spec, traced, landings=None):
         cache = ResultCache(run.fresh_path("cache")) if cold_cache else False
-        store, wall = run.study_pass(spec, workers=workers, cache=cache, traced=traced)
+        store, wall = run.study_pass(spec, workers=workers, cache=cache, traced=traced,
+                                     landings=landings)
         if not cold_cache:
             cache = ResultCache(run.fresh_path("cache"))
             for record in store.records():
@@ -391,13 +461,17 @@ def _study_workload(run: Run, spec_for, *, workers: int, cold_cache: bool):
     traced_cold = traced_total = untraced_total = 0.0
     for index in range(run.passes()):
         spec = spec_for(sub_seed(run.workload, run.seed, index), run.toy)
-        store, wall, cache = cold_pass(spec, traced=False)
+        landings = []
+        (store, wall, cache), scale = run.at_reference_speed(
+            lambda: cold_pass(spec, traced=False, landings=landings)
+        )
         records = store.records()
         run.count_units(records, expected=spec.num_cells())
         run.check(f"cycle {index}: cold pass simulated every cell",
                   not any(r.cache_hit for r in records))
         run.digest_records += records
-        samples["cold_wall_s"].append(wall)
+        samples["cold_wall_s"].append(wall * scale)
+        samples["landing_s"] += [t * scale for t in landings]
         samples["node_rounds"].append(node_rounds(records))
         samples["cells"].append(len(records))
         samples["cell_s"] += cell_latencies(records)
@@ -409,12 +483,13 @@ def _study_workload(run: Run, spec_for, *, workers: int, cold_cache: bool):
             traced_cold += t_wall
             traced_total += t_wall
         for _ in range(WARM_PASSES):
-            rerun, warm_wall = run.study_pass(spec, workers=workers, cache=cache,
-                                              traced=False)
+            (rerun, warm_wall), scale = run.at_reference_speed(
+                lambda: run.study_pass(spec, workers=workers, cache=cache, traced=False)
+            )
             run.check(f"cycle {index}: warm pass equals the cold pass, all hits",
                       rerun.results_equal(store)
                       and all(r.cache_hit for r in rerun.records()))
-            samples["warm_wall_s"].append(warm_wall)
+            samples["warm_wall_s"].append(warm_wall * scale)
             untraced_total += warm_wall
             if run.traced:
                 _rerun, t_warm = run.study_pass(spec, workers=workers,
@@ -427,12 +502,10 @@ def _study_workload(run: Run, spec_for, *, workers: int, cold_cache: bool):
         "wall_s": cold_total / len(samples["cold_wall_s"]),
         "node_rounds_per_s": sum(samples["node_rounds"]) / cold_total,
         "cells_per_s": sum(samples["cells"]) / cold_total,
-        "cell_p50_s": percentile(samples["cell_s"], 50),
-        "cell_p90_s": percentile(samples["cell_s"], 90),
         "warm_wall_s": statistics.median(samples["warm_wall_s"]),
-        # The job a study user waits for is the whole run_study call.
-        "job_p50_s": percentile(samples["cold_wall_s"], 50),
-        "job_p90_s": percentile(samples["cold_wall_s"], 90),
+        # A study user waits for each cell's result: the call to its landing.
+        "job_p50_s": percentile(samples["landing_s"], 50),
+        "job_p90_s": percentile(samples["landing_s"], 90),
         "peak_rss_mb": peak_rss_mb(),
     }
     layers = None
@@ -460,7 +533,13 @@ def daemon_jobs(run: Run) -> int:
 
 
 def daemon_spec(run: Run, index: int):
-    """Job ``index``; every fifth job is a renamed copy of the one 4 back."""
+    """Job ``index``; every fifth job is a renamed copy of the one 4 back.
+
+    A job's three cells take about 2, 5 and 10 ms, so the median cell
+    lies inside the middle (``2-median``) cluster.  With an even number
+    of cell kinds it would lie in the gap between two clusters and jump
+    between them from run to run.
+    """
     from repro.study import StudySpec
 
     base = index - 4 if index % 5 == 4 else index
@@ -472,8 +551,8 @@ def daemon_spec(run: Run, index: int):
         seed=sub_seed("daemon", run.seed, base),
         repetitions=2 if run.toy else 3,
         axes={
-            "process": ["3-majority", "2-choices"],
-            "n": [16, 32] if run.toy else [64, 128],
+            "process": ["3-majority", "2-median", "2-choices"],
+            "n": [32] if run.toy else [128],
             "rng_mode": ["per-replica"],
         },
     )
@@ -617,14 +696,11 @@ def _daemon_metrics(jobs: list) -> dict:
     wall = max(job["done"] for job in done) - jobs[0]["submitted"]
     cells = sum(len(job["store"]) for job in done)
     work = sum(node_rounds(job["store"].records()) for job in done)
-    per_cell = [t for job in done for t in cell_latencies(job["store"].records())]
     repeats = [job["done"] - job["submitted"] for job in done if job["index"] % 5 == 4]
     return {
         "wall_s": wall,
         "node_rounds_per_s": work / wall,
         "cells_per_s": cells / wall,
-        "cell_p50_s": percentile(per_cell, 50),
-        "cell_p90_s": percentile(per_cell, 90),
         "warm_wall_s": statistics.median(repeats),
         "job_p50_s": percentile(latencies, 50),
         "job_p90_s": percentile(latencies, 90),
@@ -674,8 +750,8 @@ def run_daemon(run: Run) -> "tuple[dict, dict]":
     metrics = _daemon_metrics(jobs)
     run.samples["job_s"] = [j["done"] - j["submitted"] for j in jobs if _complete(j)]
     e2e = {key: metrics[key] for key in (
-        "wall_s", "node_rounds_per_s", "cells_per_s", "cell_p50_s", "cell_p90_s",
-        "warm_wall_s", "job_p50_s", "job_p90_s",
+        "wall_s", "node_rounds_per_s", "cells_per_s", "warm_wall_s", "job_p50_s",
+        "job_p90_s",
     )}
     e2e["setup_s"] = statistics.median(setups)
     e2e["peak_rss_mb"] = rss
@@ -700,6 +776,9 @@ def run_daemon(run: Run) -> "tuple[dict, dict]":
         layers.update({k: v for k, v in probe.items() if k.startswith("import.")})
         layers.update({k: v for k, v in traced_metrics.items() if k.startswith("serve.")})
         layers["trace.overhead"] = traced_metrics["wall_s"] / metrics["wall_s"] - 1.0
+        layers.update(untraced_layers(run, [
+            t for job in jobs if _complete(job) for t in cell_latencies(job["store"].records())
+        ]))
         run.check_accounting(client)
     return e2e, layers
 

@@ -228,6 +228,15 @@ class Run:
         self.samples["reference_s"].append(reference)
         return result, REFERENCE_S / reference
 
+    def setup_at_reference_speed(self, setup: float) -> float:
+        """A raw set-up time at the run's median reference speed.
+
+        Set-up runs once at the start, in child processes, so it is
+        scaled by the whole run's reference times rather than by timings
+        around it: the box's speed state usually lasts the whole run.
+        """
+        return setup * REFERENCE_S / statistics.median(self.samples["reference_s"])
+
     # -- the shared steps ---------------------------------------------------
 
     def probe_imports(self, count: int = PROBES) -> dict:
@@ -380,14 +389,13 @@ def untraced_layers(run: Run, cell_s: "list[float]") -> dict:
 
     ``cell_p50_s`` / ``cell_p90_s``: percentiles of the fresh records'
     ``wall_time_s``, the runner's resolve + execute time per cell.
-    ``reference_s``: the box's speed, the median :func:`reference_s` time
-    around the run's study passes, or of five taken now if it had none.
+    ``reference_s``: the box's speed, the run's median :func:`reference_s`
+    time.
     """
-    references = run.samples["reference_s"] or [reference_s() for _ in range(5)]
     return {
         "cell_p50_s": percentile(cell_s, 50),
         "cell_p90_s": percentile(cell_s, 90),
-        "reference_s": statistics.median(references),
+        "reference_s": statistics.median(run.samples["reference_s"]),
     }
 
 
@@ -498,7 +506,7 @@ def _study_workload(run: Run, spec_for, *, workers: int, cold_cache: bool):
     run.check_digest()
     cold_total = sum(samples["cold_wall_s"])
     e2e = {
-        "setup_s": probe["setup_s"],
+        "setup_s": run.setup_at_reference_speed(probe["setup_s"]),
         "wall_s": cold_total / len(samples["cold_wall_s"]),
         "node_rounds_per_s": sum(samples["node_rounds"]) / cold_total,
         "cells_per_s": sum(samples["cells"]) / cold_total,
@@ -659,6 +667,9 @@ def _run_jobs(run: Run, daemon: Daemon, traced: bool) -> "list[dict]":
                 job["fetched"] = time.perf_counter()
             except (ServeError, OSError, KeyError, ValueError) as exc:
                 print(f"daemon job {index} failed: {exc!r}", file=sys.stderr)
+            if index % 10 == 9:
+                # The box's speed, for setup_s, while the daemon is idle.
+                run.samples["reference_s"].append(reference_s())
     finally:
         if traced:
             run.tracer.end(root)
@@ -753,7 +764,7 @@ def run_daemon(run: Run) -> "tuple[dict, dict]":
         "wall_s", "node_rounds_per_s", "cells_per_s", "warm_wall_s", "job_p50_s",
         "job_p90_s",
     )}
-    e2e["setup_s"] = statistics.median(setups)
+    e2e["setup_s"] = run.setup_at_reference_speed(statistics.median(setups))
     e2e["peak_rss_mb"] = rss
     layers = None
     if run.traced:

@@ -24,27 +24,23 @@ from repro import StudySpec, run_study
 from repro.analysis import three_majority_consensus_upper
 from repro.experiments import sweep_result_from_records
 
-from conftest import emit, env_backend, env_workers
+from conftest import emit, env_backend
 
 N_VALUES = [256, 512, 1024, 2048, 4096, 8192]
 REPETITIONS = 5
 SEED = 20170217  # the paper's arXiv date
 # Execution knobs shared by the sweep benches, validated against the
 # runtime's backend registry: REPRO_BACKEND picks any registered backend
-# or resolution alias (sharded-* spreads each sweep point over
-# REPRO_WORKERS pool workers; unset = all cores), and REPRO_SCHEDULER
-# moves the whole sweep onto the asynchronous one-node-per-tick model
+# or resolution alias, and REPRO_SCHEDULER moves the whole sweep onto the asynchronous one-node-per-tick model
 # (tick counts; predictions are scaled by n to match).
 BACKEND = env_backend("ensemble-auto")
 SCHEDULER = os.environ.get("REPRO_SCHEDULER", "synchronous")
-WORKERS = env_workers(None)
 _ASYNC = SCHEDULER == "asynchronous"
 
 SPEC = StudySpec(
     name="E1  3-Majority consensus time from n distinct colors (Theorem 4)",
     seed=SEED,
     repetitions=REPETITIONS,
-    workers=WORKERS,
     axes={
         "process": ["3-majority"],
         "workload": ["singletons"],

@@ -16,10 +16,7 @@ Since PR 5 each series is a declarative :class:`repro.StudySpec` with a
 ``zip`` expansion — the per-``n`` stopping thresholds
 (``max-support>ℓ'``) and round budgets are parallel axes zipped against
 ``n``, which is exactly the shape the spec layer's ``zip`` rule exists
-for.  ``workers`` keeps the sharded-pool perf experiment reachable via
-``REPRO_WORKERS`` (values > 1 repartition the batched streams per shard,
-so trajectories differ statistically from the committed assertions'
-seeds, though the theorem-level claims still hold).
+for.
 """
 
 import math
@@ -30,19 +27,14 @@ from repro import StudySpec, run_study
 from repro.analysis import fit_power_law_with_log_correction
 from repro.experiments import Table
 
-from conftest import emit, env_workers
+from conftest import emit
 
 GAMMA = 3.0
 N_VALUES = [1024, 2048, 4096, 8192]
 REPLICAS = 5
 SEED = 20170502  # the paper's PODC acceptance season
-# workers=1 (the default) degenerates the sharded backends to the plain
-# in-process ensemble — one fixed execution path, so the seed-sensitive
-# assertions below stay deterministic across worker configurations.
-# (The PR-5 spec port rederives per-cell seeds from (SEED, cell index),
-# so these are fresh sample streams, re-validated against the committed
-# thresholds — not the pre-port trajectories.)
-WORKERS = env_workers(1)
+# Per-cell seeds derive from (SEED, cell index), so these sample streams
+# are the spec layer's own, validated against the committed thresholds.
 
 
 def _thresholds():
@@ -60,7 +52,6 @@ def _budget_spec(process: str, backend: str) -> StudySpec:
         seed=SEED,
         repetitions=REPLICAS,
         expansion="zip",
-        workers=WORKERS,
         raise_on_limit=False,
         axes={
             "process": [process],
@@ -80,14 +71,13 @@ def _scaling_spec() -> StudySpec:
         seed=SEED + 1,
         repetitions=REPLICAS,
         expansion="zip",
-        workers=WORKERS,
         raise_on_limit=False,
         axes={
             "process": ["2-choices"],
             "n": N_VALUES,
             "stop": [f"max-support>{t}" for t in _thresholds()],
             "max_rounds": [50 * n for n in N_VALUES],
-            "backend": ["sharded-auto"],
+            "backend": ["ensemble-auto"],
             "rng_mode": ["batched"],
         },
     )
@@ -101,8 +91,8 @@ def _budget_table():
         ),
         columns=["n", "threshold ℓ'", "budget rounds", "2-choices broke", "3-majority broke"],
     )
-    store_2c = run_study(_budget_spec("2-choices", "sharded-auto"))
-    store_3m = run_study(_budget_spec("3-majority", "sharded-agent"))
+    store_2c = run_study(_budget_spec("2-choices", "ensemble-auto"))
+    store_3m = run_study(_budget_spec("3-majority", "ensemble-agent"))
     outcomes = []
     for rec_2c, rec_3m, threshold in zip(
         store_2c.records(), store_3m.records(), _thresholds()

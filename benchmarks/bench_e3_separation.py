@@ -17,15 +17,13 @@ from repro.engine import Consensus, repeat_first_passage
 from repro.experiments import Table
 from repro.processes import ThreeMajority, TwoChoices
 
-from conftest import emit, env_backend, env_workers
+from conftest import emit, env_backend
 
 N_VALUES = [512, 1024, 2048, 4096, 8192]
 REPLICAS = 3
-# REPRO_BACKEND accepts any runtime-registry backend or alias
-# (sharded-auto + REPRO_WORKERS=4 moves both measurement loops onto the
-# persistent multicore pool); the default stays the in-process ensemble.
+# REPRO_BACKEND accepts any runtime-registry backend or alias; the
+# default is the lock-step ensemble.
 BACKEND = env_backend("ensemble-auto")
-WORKERS = env_workers(None)
 
 
 def _measure():
@@ -39,7 +37,6 @@ def _measure():
             rng=n,
             max_rounds=10**7,
             backend=BACKEND,
-            workers=WORKERS,
         ).mean()
         t3m = repeat_first_passage(
             lambda: ThreeMajority(),
@@ -48,7 +45,6 @@ def _measure():
             REPLICAS,
             rng=n,
             backend=BACKEND,
-            workers=WORKERS,
         ).mean()
         rows.append((n, float(t2c), float(t3m), float(t2c / t3m)))
     return rows

@@ -1,4 +1,4 @@
-"""Engine throughput: sequential vs ensemble vs sharded execution paths.
+"""Engine throughput: sequential vs ensemble vs kernel execution paths.
 
 The reproducible speedup report behind the engine layer, by section:
 
@@ -6,12 +6,6 @@ The reproducible speedup report behind the engine layer, by section:
   sequential and vectorized-ensemble paths (3-Majority counts n=10⁴ k=2
   R=100; 2-Choices agent n=2048).  With ``rng_mode="per-replica"`` the
   ensemble engine must reproduce the sequential samples bit-for-bit.
-* ``sharded`` — the multicore path: the same ensemble split over a
-  ``multiprocessing`` pool (``ShardedEnsembleExecutor``), timed at
-  worker counts 1/2/4 on a heavy counts workload (3-Majority, n=10⁴,
-  k=1024 balanced, R=200).  ``workers=1`` is bit-for-bit the in-process
-  ensemble; the ≥2× multicore target applies on machines with ≥4 cores
-  (the report records ``cpu_count`` so single-core CI stays honest).
 * ``async`` — the one-node-per-tick scheduler: looping the sequential
   :func:`run_asynchronous` vs the lock-step
   :func:`run_asynchronous_ensemble` over a fixed tick budget.
@@ -47,10 +41,8 @@ Run as a script to (re)generate ``BENCH_engine.json`` at the repo root::
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py [--smoke]
 
 ``--smoke`` shrinks every section to a ≤30 s sanity check (used by tier-1
-via ``tests/test_bench_engine_smoke.py`` and ``scripts/check.sh``; the
-sharded smoke runs R=4 over workers=2 so pool plumbing and seed
-derivation are exercised on every run) and does not overwrite the
-committed full-size report unless asked to.
+via ``tests/test_bench_engine_smoke.py`` and ``scripts/check.sh``) and
+does not overwrite the committed full-size report unless asked to.
 """
 
 import argparse
@@ -68,7 +60,6 @@ from repro.core import Configuration
 from repro.engine import (
     Consensus,
     MaxSupportAbove,
-    ShardedEnsembleExecutor,
     SimulationPlan,
     repeat_first_passage,
     resolve_backend,
@@ -122,24 +113,6 @@ SMOKE_SCENARIOS = [
         "ensemble": "ensemble-counts",
     },
 ]
-
-FULL_SHARDED = {
-    "label": "3-majority sharded-counts n=10^4 k=1024 R=200",
-    "factory": ThreeMajority,
-    "initial": lambda: Configuration.balanced(10_000, 1024),
-    "repetitions": 200,
-    "backend": "counts",
-    "workers": (1, 2, 4),
-}
-
-SMOKE_SHARDED = {
-    "label": "3-majority sharded-counts n=2000 k=2 R=4 workers=2 (smoke)",
-    "factory": ThreeMajority,
-    "initial": lambda: Configuration.balanced(2000, 2),
-    "repetitions": 4,
-    "backend": "counts",
-    "workers": (1, 2),
-}
 
 FULL_ASYNC = {
     "label": "3-majority async n=2048 k=2 R=50 T=2n",
@@ -312,7 +285,7 @@ def _agent_exactness_check(scenario) -> bool:
 
 def _best_seconds(fn, repeats: int = 7) -> float:
     """Min-of-N wall time.  The kernel sections are ms-scale, and under
-    load (single-core CI, pool workers from earlier sections) any mean or
+    load (single-core CI, worker threads from earlier sections) any mean or
     median is dominated by interference; the minimum is the run the OS
     left alone, which is the quantity the regression gate can compare
     across sessions."""
@@ -357,63 +330,6 @@ def _measure_scenarios(scenarios) -> list:
             f"ensemble {entry['ensemble_seconds']}s -> {entry['speedup']}x"
         )
     return entries
-
-
-def _measure_sharded(scenario) -> dict:
-    """Shard-scaling: the same ensemble at increasing worker counts."""
-    factory = scenario["factory"]
-    initial = scenario["initial"]()
-    repetitions = scenario["repetitions"]
-    entry = {
-        "label": scenario["label"],
-        "repetitions": repetitions,
-        "backend": scenario["backend"],
-        "resolved_backend": _resolved(
-            process=factory,
-            initial=initial,
-            stop=Consensus(),
-            repetitions=repetitions,
-            rng=SEED,
-            rng_mode="per-replica",
-            workers=max(scenario["workers"]),
-        ),
-        "workers": [],
-    }
-    baseline_seconds = None
-    baseline_times = None
-    for workers in scenario["workers"]:
-        executor = ShardedEnsembleExecutor(workers=workers)
-        start = time.perf_counter()
-        result = executor.run(
-            factory(),
-            initial,
-            repetitions,
-            rng=SEED,
-            backend=scenario["backend"],
-            rng_mode="per-replica",
-        )
-        elapsed = time.perf_counter() - start
-        if baseline_seconds is None:
-            baseline_seconds = elapsed
-            baseline_times = result.times
-        entry["workers"].append(
-            {
-                "workers": workers,
-                "seconds": round(elapsed, 4),
-                "speedup_vs_workers1": round(baseline_seconds / elapsed, 2),
-                "mean_rounds": round(float(result.times.mean()), 2),
-                # Per-replica streams make merged results bit-for-bit
-                # invariant to the worker count — verified on every run.
-                "times_match_workers1": bool(
-                    np.array_equal(result.times, baseline_times)
-                ),
-            }
-        )
-        print(
-            f"{entry['label']} workers={workers}: {elapsed:.3f}s "
-            f"({entry['workers'][-1]['speedup_vs_workers1']}x vs workers=1)"
-        )
-    return entry
 
 
 def _measure_async(scenario) -> dict:
@@ -745,7 +661,6 @@ def run_benchmark(smoke: bool = False, output: "pathlib.Path | None" = None) -> 
         "seed": SEED,
         "cpu_count": os.cpu_count() or 1,
         "scenarios": _measure_scenarios(SMOKE_SCENARIOS if smoke else FULL_SCENARIOS),
-        "sharded": _measure_sharded(SMOKE_SHARDED if smoke else FULL_SHARDED),
         "async": _measure_async(SMOKE_ASYNC if smoke else FULL_ASYNC),
         "adversary": _measure_adversary(
             SMOKE_ADVERSARY if smoke else FULL_ADVERSARY
@@ -785,9 +700,6 @@ def bench_engine_throughput(benchmark):
     assert study["parallel_results_equal"], study
     assert study["cache_hit_rate"] == 1.0, study
     assert study["warm_speedup"] >= 5.0, study
-    if report["cpu_count"] >= 4:
-        best = max(w["speedup_vs_workers1"] for w in report["sharded"]["workers"])
-        assert best >= 2.0, report["sharded"]
 
 
 def _kernels_check(report_path: "pathlib.Path") -> int:
@@ -871,8 +783,6 @@ def main() -> int:
         )
     if headline.get("per_replica_rng_exact_match") is False:
         failures.append("per-replica ensemble diverged from the sequential samples")
-    if not all(w["times_match_workers1"] for w in report["sharded"]["workers"]):
-        failures.append("sharded per-replica results varied with the worker count")
     async_floor = 1.5 if args.smoke else 5.0
     if report["async"]["speedup"] < async_floor:
         failures.append(
@@ -921,12 +831,6 @@ def main() -> int:
             f"{kernels['async']['speedup_vs_ensemble']}x is slower than the "
             "per-tick ensemble loop"
         )
-    if not args.smoke and report["cpu_count"] >= 4:
-        best = max(w["speedup_vs_workers1"] for w in report["sharded"]["workers"])
-        if best < 2.0:
-            failures.append(
-                f"sharded speedup {best}x below the 2x multicore target"
-            )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")

@@ -32,18 +32,6 @@ def env_backend(default: str) -> str:
     return backend
 
 
-def env_workers(default: "int | None") -> "int | None":
-    """One shared meaning for the ``REPRO_WORKERS`` perf knob.
-
-    A value ≥ 1 requests that many pool workers in every bench that takes
-    the sharded path; ``0`` or unset keeps the bench's own ``default``
-    (``None`` = all cores once a sharded backend is selected, ``1`` =
-    in-process, bit-for-bit the plain ensemble engine).
-    """
-    raw = int(os.environ.get("REPRO_WORKERS", "0"))
-    return raw if raw >= 1 else default
-
-
 def emit(renderable) -> None:
     """Print a table/section with surrounding blank lines (visible via -s)."""
     print()

@@ -6,9 +6,9 @@
 #   1. tier-1    — the full test suite.
 #   2. plan-matrix — the cross-backend equivalence matrix (bench_smoke
 #      marker): per-replica bit-for-bit agreement of sequential vs
-#      ensemble vs sharded(workers=1,2) vs plan-resolved "auto" on
-#      3-Majority / 2-Choices / Voter, plus the async and adversary plan
-#      axes against their sequential runners.
+#      ensemble vs plan-resolved "auto" on 3-Majority / 2-Choices /
+#      Voter, plus the async and adversary plan axes against their
+#      sequential runners.
 #   3. study-smoke — the declarative-study resume contract end-to-end
 #      through the CLI: a 2-cell StudySpec run to completion, the same
 #      spec killed after one cell and resumed, both stores reported, and
@@ -40,10 +40,9 @@
 #      resubmission dedup (attach, no recompute) and a renamed spec
 #      served at 100% cache hits from the state-dir result cache.
 #   8. smoke     — the engine-throughput benchmark in ≤30 s mode
-#      (sequential vs ensemble headline, the persistent sharded pool at
-#      R=4 / workers=2, async / adversary engines, fault-path overhead,
-#      the fused-kernel section, and the runtime's resolved-backend
-#      record per section).
+#      (sequential vs ensemble headline, async / adversary engines,
+#      fault-path overhead, the study-parallel section, the fused-kernel
+#      section, and the runtime's resolved-backend record per section).
 #   9. kernels-smoke — the fused-kernel regression gate: re-measures the
 #      smoke-size kernel scenarios under REPRO_NO_NUMBA=0 and =1 and
 #      fails on a >20% speedup drop vs the baselines recorded in the

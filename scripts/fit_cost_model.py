@@ -2,10 +2,9 @@
 """Fit the runtime cost-model constants from ``BENCH_engine.json``.
 
 The ROADMAP's "keep ``auto`` honest" item: the backend registry ranks
-strategies with three hand-calibrated constants
-(:data:`repro.engine.runtime._SEQ_OVERHEAD`,
-:data:`~repro.engine.runtime._COUNTS_FACTOR`,
-:data:`~repro.engine.runtime._POOL_SPAWN_COST`).  As kernels evolve the
+strategies with hand-calibrated constants, two of which this script
+fits (:data:`repro.engine.runtime._SEQ_OVERHEAD` and
+:data:`~repro.engine.runtime._COUNTS_FACTOR`).  As kernels evolve the
 measured timings drift away from what those constants encode, and
 ``resolve_backend`` starts ranking on stale folklore.  This script closes
 the loop without touching the runtime:
@@ -14,8 +13,8 @@ the loop without touching the runtime:
    every timing ``benchmarks/bench_engine_throughput.py`` recorded
    (scenario definitions are imported from the bench module, so the two
    can never disagree about what was measured);
-2. decompose each backend's ``cost(plan)`` affinely in the three
-   constants — every cost formula is affine in them, so four evaluations
+2. decompose each backend's ``cost(plan)`` affinely in the fitted
+   constants — every cost formula is affine in them, so three evaluations
    with the constants patched to unit vectors recover the exact
    coefficients, whatever the formulas currently are;
 3. least-squares fit ``seconds ≈ scale × cost`` over all observations
@@ -58,24 +57,20 @@ from repro.engine import runtime  # noqa: E402
 from repro.engine.runtime import get_backend  # noqa: E402
 
 #: The constants the fit recovers (module attribute names in runtime.py).
-CONSTANTS = ("_SEQ_OVERHEAD", "_COUNTS_FACTOR", "_POOL_SPAWN_COST")
+CONSTANTS = ("_SEQ_OVERHEAD", "_COUNTS_FACTOR")
 
 
 def _cost_coefficients(backend_name: str, plan: SimulationPlan) -> np.ndarray:
-    """``[base, d/d_SEQ_OVERHEAD, d/d_COUNTS_FACTOR, d/d_POOL_SPAWN_COST]``.
+    """``[base, d/d_SEQ_OVERHEAD, d/d_COUNTS_FACTOR]``.
 
-    Every registered cost formula is affine in the three constants (they
+    Every registered cost formula is affine in the fitted constants (they
     never multiply each other), so evaluating with the constants patched
     to 0 and to unit vectors recovers the exact coefficients without
-    duplicating any formula here.  A cold pool is assumed for sharded
-    plans — that is how the bench measured them (one fresh pool per
-    worker count).
+    duplicating any formula here.
     """
     backend = get_backend(backend_name)
     saved = {name: getattr(runtime, name) for name in CONSTANTS}
-    saved_warm = runtime.pool_is_warm
     try:
-        runtime.pool_is_warm = lambda workers: False
         for name in CONSTANTS:
             setattr(runtime, name, 0.0)
         base = backend.cost(plan)
@@ -87,7 +82,6 @@ def _cost_coefficients(backend_name: str, plan: SimulationPlan) -> np.ndarray:
     finally:
         for name, value in saved.items():
             setattr(runtime, name, value)
-        runtime.pool_is_warm = saved_warm
     return np.asarray(coefficients, dtype=float)
 
 
@@ -113,28 +107,6 @@ def _observations(report: dict) -> "list[tuple[str, str, SimulationPlan, float]]
             observations.append(
                 (entry["label"], backend_name, plan, float(entry[key]))
             )
-
-    sharded = bench.SMOKE_SHARDED if smoke else bench.FULL_SHARDED
-    entry = report["sharded"]
-    for worker_entry in entry["workers"]:
-        workers = worker_entry["workers"]
-        plan = SimulationPlan(
-            process=sharded["factory"],
-            initial=sharded["initial"](),
-            stop=Consensus(),
-            repetitions=sharded["repetitions"],
-            rng=rng,
-            rng_mode="per-replica",
-            workers=workers,
-        )
-        observations.append(
-            (
-                f"{entry['label']} workers={workers}",
-                f"sharded-{sharded['backend']}",
-                plan,
-                float(worker_entry["seconds"]),
-            )
-        )
 
     async_scenario = bench.SMOKE_ASYNC if smoke else bench.FULL_ASYNC
     entry = report["async"]

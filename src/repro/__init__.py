@@ -14,7 +14,7 @@ paper-vs-measured results.
 Quickstart
 ----------
 The public facade is :mod:`repro.api` — three declarative verbs behind
-which every execution strategy (vectorized ensembles, sharded pools,
+which every execution strategy (vectorized ensembles, fused kernels,
 async scheduler, §5 adversaries) is an axis, not an import:
 
 >>> import repro
@@ -45,7 +45,6 @@ from .engine import (
     EnsembleMetricRecorder,
     MaxSupportAbove,
     MetricRecorder,
-    ShardedEnsembleExecutor,
     SimulationResult,
     consensus_time,
     reduction_time,
@@ -114,7 +113,6 @@ __all__ = [
     "HMajorityFunction",
     "MaxSupportAbove",
     "MetricRecorder",
-    "ShardedEnsembleExecutor",
     "SimulationResult",
     "ThreeMajority",
     "ThreeMajorityFunction",

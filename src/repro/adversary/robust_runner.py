@@ -383,9 +383,6 @@ def _adversary_agent_ensemble(
         generators = None
         master = as_generator(rng)
     else:
-        # per_replica_generators honours pre-derived stream lists, so the
-        # runtime's generic sharding hands each worker its replicas'
-        # global stream identities (worker-count-invariant results).
         rng_mode = "per-replica"
         generators = per_replica_generators(rng, repetitions)
         master = None

@@ -110,7 +110,6 @@ def simulate(
     backend: str = "auto",
     rng_mode: str = "batched",
     max_rounds: "int | None" = None,
-    workers: "int | None" = None,
     recorder=None,
     raise_on_limit: bool = True,
     stable_fraction: float = 0.95,
@@ -143,7 +142,6 @@ def simulate(
         max_rounds=max_rounds,
         backend=backend,
         rng_mode=rng_mode,
-        workers=workers,
         scheduler=scheduler,
         adversary=_as_adversary(adversary, initial.num_nodes, initial.num_colors),
         faults=_as_faults(faults),
@@ -169,7 +167,6 @@ def sweep(
     backend: str = "auto",
     rng_mode: str = "batched",
     max_rounds: "int | None" = None,
-    workers: "int | None" = None,
     predicted: "Callable[[int], float] | None" = None,
     name: "str | None" = None,
     param_name: str = "n",
@@ -199,7 +196,6 @@ def sweep(
         seed=seed,
         repetitions=repetitions,
         expansion="grid",
-        workers=workers,
         stable_fraction=stable_fraction,
         stable_rounds=stable_rounds,
         raise_on_limit=raise_on_limit,

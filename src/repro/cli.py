@@ -121,18 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
             "execution strategy, resolved through the runtime's backend "
             "registry (default: ensemble-auto, the lock-step vectorized "
             "family); the *-auto aliases pick within a family by the "
-            "registry's cost model, sharded-* names run on the persistent "
-            "multiprocessing pool (see --workers), and the sequential "
-            "names are the bit-for-bit reference paths"
-        ),
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the sharded-* backends (default: all "
-            "cores; 1 = in-process, bit-for-bit the ensemble-* backend)"
+            "registry's cost model, and the sequential names are the "
+            "bit-for-bit reference paths"
         ),
     )
     sweep.add_argument(
@@ -508,7 +498,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             faults=faults,
             backend=args.backend,
             rng_mode=args.rng_mode,
-            workers=args.workers,
             predicted=lambda n: three_majority_consensus_upper(n) * tick_scale(n),
             name=f"{quantity} of {args.process} from {start}",
             # Adversarial runs can stall (that is the phenomenon under

@@ -383,6 +383,22 @@ class CoupledTrajectory:
         return len(self.upper_states) - 1
 
 
+def _lump_sorted(dist: FiniteDistribution) -> FiniteDistribution:
+    """Merge outcomes that are equal up to relabelling (same sorted vector).
+
+    Majorization and AC dynamics see only the sorted count vector, so the
+    lumped law couples exactly like the raw one, over far fewer outcomes
+    (11 partitions instead of 462 compositions at ``n = k = 6``).
+    """
+    lumped: dict = {}
+    for outcome, prob in zip(dist.support, dist.probabilities):
+        key = tuple(sorted(outcome, reverse=True))
+        lumped[key] = lumped.get(key, 0.0) + prob
+    return FiniteDistribution(
+        support=tuple(lumped), probabilities=tuple(lumped.values())
+    )
+
+
 def run_coupled_chains(
     fast: ACProcessFunction,
     slow: ACProcessFunction,
@@ -393,12 +409,13 @@ def run_coupled_chains(
 ) -> CoupledTrajectory:
     """Execute the Theorem-2 coupling for ``rounds`` steps, explicitly.
 
-    At every round the exact one-step laws of both chains are enumerated,
-    the Strassen transportation LP of Lemma 1 is solved for a joint law
-    supported on majorization-ordered pairs, and the next *pair* of
-    states is drawn from that joint law.  The resulting trajectory
-    satisfies ``fast_state ⪰ slow_state`` with probability one — the
-    paper proves such a coupling exists; this function samples from it.
+    At every round the exact one-step laws of both chains are enumerated
+    and lumped by sorted count vector, the Strassen transportation LP of
+    Lemma 1 is solved for a joint law supported on majorization-ordered
+    pairs, and the next *pair* of states is drawn from that joint law.
+    The resulting trajectory satisfies ``fast_state ⪰ slow_state`` with
+    probability one — the paper proves such a coupling exists; this
+    function samples from it.
 
     Requires ``fast`` to dominate ``slow`` along the trajectory (true for
     3-Majority over Voter by Lemma 2); raises if the LP ever becomes
@@ -422,8 +439,12 @@ def run_coupled_chains(
     upper_states = [tuple(int(v) for v in upper_counts)]
     lower_states = [tuple(int(v) for v in lower_counts)]
     for _ in range(rounds):
-        upper_dist = one_step_distribution(fast, Configuration(upper_counts))
-        lower_dist = one_step_distribution(slow, Configuration(lower_counts))
+        upper_dist = _lump_sorted(
+            one_step_distribution(fast, Configuration(upper_counts))
+        )
+        lower_dist = _lump_sorted(
+            one_step_distribution(slow, Configuration(lower_counts))
+        )
         coupling = strassen_coupling(lower=lower_dist, upper=upper_dist, tol=tol)
         if not coupling.feasible or coupling.joint is None:
             raise RuntimeError(

@@ -10,8 +10,6 @@
 * :mod:`repro.engine.batch` — repetitions, summaries, CDF dominance;
 * :mod:`repro.engine.ensemble` — vectorized lock-step simulation of a
   whole ensemble of replicas (the fast path for repeated measurements);
-* :mod:`repro.engine.sharded` — the persistent multicore worker pool the
-  sharded backends run on;
 * :mod:`repro.engine.asynchronous` — the one-node-per-tick companion
   scheduler, sequential and lock-step ensemble;
 * :mod:`repro.engine.kernels` — fused single-pass kernels: the agent
@@ -40,12 +38,6 @@ from .ensemble import (
     run_counts_ensemble,
     run_ensemble,
 )
-from .sharded import (
-    ShardedEnsembleExecutor,
-    WorkerPoolError,
-    resolve_workers,
-    shard_bounds,
-)
 from .batch import (
     BatchSummary,
     cdf_dominates,
@@ -70,8 +62,6 @@ from .runtime import (
     get_backend,
     register_backend,
     resolve_backend,
-    shared_executor,
-    shutdown_pools,
 )
 from .rng import (
     as_generator,
@@ -121,11 +111,9 @@ __all__ = [
     "RNG_MODES",
     "RoundLimitExceeded",
     "SCHEDULERS",
-    "ShardedEnsembleExecutor",
     "SimulationPlan",
     "SimulationResult",
     "StoppingCondition",
-    "WorkerPoolError",
     "as_generator",
     "backend_choices",
     "backend_names",
@@ -134,8 +122,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "shared_executor",
-    "shutdown_pools",
     "cdf_dominates",
     "consensus_time",
     "default_round_limit",
@@ -145,7 +131,6 @@ __all__ = [
     "per_replica_generators",
     "reduction_time",
     "replica_seed_sequences",
-    "resolve_workers",
     "run_asynchronous",
     "run_asynchronous_ensemble",
     "run_fused_agent_ensemble",
@@ -157,7 +142,6 @@ __all__ = [
     "run_counts",
     "run_counts_ensemble",
     "run_ensemble",
-    "shard_bounds",
     "spawn_generators",
     "summarize",
     "symmetry_breaking_time",

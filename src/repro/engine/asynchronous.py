@@ -35,10 +35,9 @@ Execution paths:
 Results report ticks; :func:`ticks_to_round_equivalents` converts.
 
 Through the unified runtime these paths are the ``async`` and
-``ensemble-async`` backends (plus ``sharded-async`` via generic replica
-sharding), so ``scheduler="asynchronous"`` is a first-class plan axis in
-:func:`~repro.engine.batch.repeat_first_passage`, the sweep harness and
-the CLI.
+``ensemble-async`` backends, so ``scheduler="asynchronous"`` is a
+first-class plan axis in :func:`~repro.engine.batch.repeat_first_passage`,
+the sweep harness and the CLI.
 """
 
 from __future__ import annotations

@@ -92,7 +92,6 @@ def repeat_first_passage(
     max_rounds: "int | None" = None,
     backend: str = "auto",
     rng_mode: str = "batched",
-    workers: "int | None" = None,
     scheduler: str = "synchronous",
     adversary=None,
 ) -> np.ndarray:
@@ -115,12 +114,6 @@ def repeat_first_passage(
     * ``"ensemble-auto"`` / ``"ensemble-agent"`` / ``"ensemble-counts"``
       — the vectorized lock-step path, ~an order of magnitude faster at
       production replica counts.
-    * ``"sharded-auto"`` / ``"sharded-agent"`` / ``"sharded-counts"`` —
-      the ensemble path split over the persistent ``multiprocessing``
-      pool of ``workers`` processes (``None`` = every core; ``workers=1``
-      is bit-for-bit the matching ``ensemble-*`` backend, and
-      ``rng_mode="per-replica"`` results are bit-for-bit invariant to
-      the worker count).
 
     ``scheduler="asynchronous"`` measures first-passage *ticks* of the
     one-node-per-tick companion model (``max_rounds`` then bounds ticks);
@@ -130,7 +123,7 @@ def repeat_first_passage(
 
     On the sequential paths ``process_factory`` builds a fresh process
     per run so that processes with mutable internals stay independent
-    across repetitions; the ensemble and sharded paths build one process
+    across repetitions; the ensemble and kernel paths build one process
     and require it to be safe to share across lock-step replicas (true
     for all built-ins, which keep no per-run state).
     """
@@ -143,7 +136,6 @@ def repeat_first_passage(
         max_rounds=max_rounds,
         backend=backend,
         rng_mode=rng_mode,
-        workers=workers,
         scheduler=scheduler,
         adversary=adversary,
     )
@@ -159,7 +151,6 @@ def first_passage_plan(
     max_rounds: "int | None" = None,
     backend: str = "auto",
     rng_mode: str = "batched",
-    workers: "int | None" = None,
     scheduler: str = "synchronous",
     adversary=None,
     faults=None,
@@ -176,12 +167,19 @@ def first_passage_plan(
     — one place for the historical ``"auto"`` contract, so imperative and
     spec-driven entry points produce byte-identical plans.
     """
-    if backend == "auto" and scheduler == "synchronous" and adversary is None:
+    if (
+        backend == "auto"
+        and scheduler == "synchronous"
+        and adversary is None
+        and (recorder is None or repetitions == 1)
+    ):
         # Historical contract: plain "auto" is the sequential reference
         # path with the simulator's own representation rule, keeping
         # pre-runtime sample streams bit-for-bit intact (the runtime's
         # "sequential-auto" alias is cost-ranked and may legitimately
-        # disagree on exotic wider-than-n slot spaces).
+        # disagree on exotic wider-than-n slot spaces).  The sequential
+        # backends record only single-replica runs, so a recorded
+        # ensemble stays on the runtime's cost decision.
         backend = (
             "counts"
             if prefers_counts_backend(process_factory(), initial, "auto")
@@ -200,7 +198,6 @@ def first_passage_plan(
         recorder=recorder,
         max_rounds=max_rounds,
         check_every=check_every,
-        workers=workers,
         backend=backend,
         stable_fraction=stable_fraction,
         stable_rounds=stable_rounds,

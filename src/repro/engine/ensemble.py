@@ -21,8 +21,8 @@ record each replica's first-passage round, and finished replicas are
 
 Both entry points are registered with the unified runtime as the
 ``ensemble-agent`` / ``ensemble-counts`` backends (see
-:mod:`repro.engine.runtime`), which is how sweeps, the CLI and the
-sharded pool reach them.
+:mod:`repro.engine.runtime`), which is how sweeps, studies and the CLI
+reach them.
 
 RNG regimes
 -----------

@@ -2,7 +2,7 @@
 
 A :class:`SimulationPlan` captures *what* to simulate (process, initial
 configuration, stopping condition, repetitions) and under *which model
-axes* (scheduler, adversary, randomness regime, horizon, worker budget)
+axes* (scheduler, adversary, faults, randomness regime, horizon)
 without committing to *how* — the execution strategy is resolved by
 :func:`repro.engine.runtime.resolve_backend` from the backend registry's
 capability declarations and cost model.
@@ -10,7 +10,7 @@ capability declarations and cost model.
 This is what lets the asynchronous scheduler and the §5 adversaries be
 first-class experiment axes: a sweep or a CLI invocation builds one plan
 per measurement and the runtime picks the fastest registered backend that
-can honour every axis (lock-step ensembles and sharded pools included).
+can honour every axis (lock-step ensembles and fused kernels included).
 """
 
 from __future__ import annotations
@@ -87,14 +87,10 @@ class SimulationPlan:
         generous default.
     check_every:
         Stopping-check stride for asynchronous plans (default: ``n``).
-    workers:
-        Worker-process budget for the sharded backends (``None`` = all
-        cores once a sharded backend is selected; the ``"auto"`` alias
-        only considers sharding when ``workers`` is explicitly > 1).
     backend:
         A registered backend name, or one of the resolution aliases
         (``"auto"``, ``"sequential-auto"``, ``"ensemble-auto"``,
-        ``"sharded-auto"``) — see :func:`repro.engine.runtime.resolve_backend`.
+        ``"kernel-auto"``) — see :func:`repro.engine.runtime.resolve_backend`.
     stable_fraction / stable_rounds:
         The §5 stable-regime thresholds (adversarial plans only).
     raise_on_limit:
@@ -116,7 +112,6 @@ class SimulationPlan:
     recorder: "MetricRecorder | None" = None
     max_rounds: "int | None" = None
     check_every: "int | None" = None
-    workers: "int | None" = None
     backend: str = "auto"
     stable_fraction: float = 0.95
     stable_rounds: int = 3
@@ -156,8 +151,6 @@ class SimulationPlan:
             raise ValueError("stable_fraction must lie in (0.5, 1]")
         if self.stable_rounds < 1:
             raise ValueError("stable_rounds must be positive")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
 
@@ -199,8 +192,6 @@ class SimulationPlan:
             axes.append(f"adversary={self.adversary!r}")
         if self.faults is not None:
             axes.append(f"faults={self.faults!r}")
-        if self.workers is not None:
-            axes.append(f"workers={self.workers}")
         if self.recorder is not None:
             axes.append("recorder=yes")
         return ", ".join(axes)

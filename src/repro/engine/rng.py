@@ -53,10 +53,8 @@ def replica_seed_sequences(source: RandomSource, count: int) -> list:
     """Derive ``count`` independent child :class:`~numpy.random.SeedSequence`\\ s.
 
     This is the derivation underlying :func:`spawn_generators`, exposed so
-    callers that ship streams across process boundaries (the sharded
-    ensemble executor) can hand each worker exactly the sequences the
-    in-process engine would have spawned — replica ``i`` receives the same
-    stream no matter how the ensemble is sharded.
+    per-replica engines can derive replica ``i``'s stream up front, the
+    same one the sequential reference path hands replica ``i``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -86,20 +84,13 @@ def spawn_generators(source: RandomSource, count: int) -> list:
     ]
 
 
-def per_replica_generators(source, count: int) -> list:
-    """One generator per replica, honouring pre-derived stream lists.
+def per_replica_generators(source: RandomSource, count: int) -> list:
+    """One generator per replica: ``count`` children spawned from ``source``.
 
-    ``source`` may be any :data:`RandomSource` (spawn ``count`` children as
-    :func:`spawn_generators` does) or a list/tuple of exactly ``count``
-    sources, one per replica — the hand-off used by the sharded executor so
-    a shard's replicas keep their global stream identities.
+    The per-replica stream contract in one place — the same derivation as
+    :func:`spawn_generators`, so replica ``i`` gets the same stream on
+    every engine.
     """
-    if isinstance(source, (list, tuple)):
-        if len(source) != count:
-            raise ValueError(
-                f"need exactly {count} per-replica rng sources, got {len(source)}"
-            )
-        return [as_generator(item) for item in source]
     return spawn_generators(source, count)
 
 

@@ -1,10 +1,9 @@
 """Unified execution runtime: a backend registry behind every engine.
 
-PR 1–2 grew five execution paths (sequential runs, lock-step ensembles,
-sharded pools, the asynchronous scheduler, the §5 adversary runners)
-selected by string-prefix parsing duplicated across the batch helpers,
-the sweep harness and the CLI — and the async/adversary engines were not
-reachable from sweeps at all.  This module replaces that with one layer:
+The execution paths (sequential runs, lock-step ensembles, fused
+kernels, the asynchronous scheduler, the §5 adversary runners) sit
+behind one layer instead of string-prefix parsing duplicated across the
+batch helpers, the sweep harness and the CLI:
 
 * a :class:`SimulationPlan` (see :mod:`repro.engine.plan`) declares the
   measurement and its model axes;
@@ -19,13 +18,9 @@ reachable from sweeps at all.  This module replaces that with one layer:
   :class:`ExecutionResult` (per-replica first-passage times, stop masks,
   final counts, plus the family's raw result object).
 
-Sharding is generic: a sharded backend splits any plan's replicas into
-per-worker sub-plans, executes each through the matching in-process
-backend on a **persistent** ``multiprocessing`` pool, and merges in
-replica order — so the asynchronous and adversarial ensembles get the
-multicore path for free, with the same seed-derivation guarantee as the
-synchronous one (``rng_mode="per-replica"`` results are bit-for-bit
-invariant to the worker count).
+Every backend runs in the calling process.  Parallelism lives one layer
+up, at cell granularity (:class:`repro.study.scheduler.CellScheduler`),
+where cells are already independent and seeded from their index.
 
 Writing a new backend
 ---------------------
@@ -48,7 +43,7 @@ protocol::
         def supports(self, plan):          # can it run this plan at all?
             return plan.scheduler == "synchronous" and plan.adversary is None
 
-        def eligible(self, plan, family_forced=False):  # may "auto" pick it?
+        def eligible(self, plan):          # may "auto" pick it?
             return self.supports(plan)
 
         def cost(self, plan):              # estimated element-ops, lower wins
@@ -67,9 +62,7 @@ whose ``--backend`` choices are derived from this registry).
 
 from __future__ import annotations
 
-import atexit
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -89,14 +82,8 @@ from .kernels import (
     run_fused_asynchronous_ensemble,
 )
 from .plan import SimulationPlan
-from .rng import per_replica_generators, replica_seed_sequences
-from .sharded import ShardedEnsembleExecutor, resolve_workers, shard_bounds
-from .simulator import (
-    _COUNT_BACKEND_SLOT_LIMIT,
-    RoundLimitExceeded,
-    default_round_limit,
-    run,
-)
+from .rng import per_replica_generators
+from .simulator import _COUNT_BACKEND_SLOT_LIMIT, default_round_limit, run
 
 __all__ = [
     "Backend",
@@ -110,8 +97,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "shared_executor",
-    "shutdown_pools",
 ]
 
 #: Default horizon of the §5 robust runner (kept in sync with
@@ -125,9 +110,8 @@ _ADVERSARY_DEFAULT_HORIZON = 50_000
 # whole run" — they only need to rank strategies, not predict wall time.
 # The constants encode the measured regimes of BENCH_engine.json: python
 # dispatch overhead per interpreter round (what the lock-step ensembles
-# amortise), the multinomial-vs-gather per-element gap (why the counts
-# chain wins at small k), and the one-off pool-spawn price (why sharding
-# needs heavy ensembles or a warm pool to pay).
+# amortise) and the multinomial-vs-gather per-element gap (why the counts
+# chain wins at small k).
 
 #: Interpreter overhead of one per-replica python round, in element units.
 _SEQ_OVERHEAD = 400.0
@@ -143,8 +127,6 @@ _KERNEL_FACTOR = 0.35
 #: Mild edge of the ensemble per-replica loop over the sequential loop
 #: (shared stopping masks + retirement compaction).
 _ENSEMBLE_LOOP_FACTOR = 0.9
-#: Spawning a fresh ``spawn``-method pool costs ~1 s ≈ this many elements.
-_POOL_SPAWN_COST = 2.5e8
 
 
 def _sync_horizon(plan: SimulationPlan) -> float:
@@ -155,9 +137,7 @@ def _sync_horizon(plan: SimulationPlan) -> float:
     with a width-driven ``√k`` term for many-color starts (≈16 rounds at
     ``n = 10⁴, k = 2``; ≈21 at ``n = 2048, k = 8``; ≈110 at
     ``k = 1024``).  The previous ``6√n + 48`` overestimated these by
-    6–40×, which inflated every synchronous cost uniformly — harmless for
-    ranking sync backends against each other, but it distorted the
-    amortisation against one-off costs like pool spawning.
+    6–40×, which inflated every synchronous cost uniformly.
     """
     n = plan.initial.num_nodes
     k = plan.initial.num_slots
@@ -214,8 +194,7 @@ class BackendSpec:
 
     #: Registry key (also the user-facing ``backend=`` name).
     name: str
-    #: Execution family: ``"sequential"`` | ``"ensemble"`` | ``"kernel"``
-    #: | ``"sharded"``.
+    #: Execution family: ``"sequential"`` | ``"ensemble"`` | ``"kernel"``.
     kind: str
     #: Scheduler this backend implements (one of :data:`~repro.engine.plan.SCHEDULERS`).
     scheduler: str
@@ -240,7 +219,7 @@ class Backend(Protocol):
     def supports(self, plan: SimulationPlan) -> bool:
         """Whether this backend can execute ``plan`` at all."""
 
-    def eligible(self, plan: SimulationPlan, family_forced: bool = False) -> bool:
+    def eligible(self, plan: SimulationPlan) -> bool:
         """Whether cost-based resolution may pick this backend for ``plan``."""
 
     def cost(self, plan: SimulationPlan) -> float:
@@ -294,7 +273,6 @@ _ALIAS_FAMILIES = {
     "sequential-auto": "sequential",
     "ensemble-auto": "ensemble",
     "kernel-auto": "kernel",
-    "sharded-auto": "sharded",
 }
 
 
@@ -340,9 +318,7 @@ def resolve_backend(plan: SimulationPlan) -> Backend:
 
     A concrete registry name must support the plan or resolution raises
     with the mismatch; an alias picks the cheapest eligible backend of
-    its family (``"auto"`` across all families — sharded backends only
-    compete there when the plan requests ``workers > 1``, since a pool
-    is never an implicit default).
+    its family (``"auto"`` across all families).
     """
     name = plan.backend
     if name not in _ALIAS_FAMILIES:
@@ -355,7 +331,7 @@ def resolve_backend(plan: SimulationPlan) -> Backend:
         backend
         for backend in _REGISTRY.values()
         if (family is None or backend.spec.kind == family)
-        and backend.eligible(plan, family_forced=family is not None)
+        and backend.eligible(plan)
     ]
     if not candidates:
         raise ValueError(
@@ -371,8 +347,8 @@ def execute(plan: SimulationPlan) -> ExecutionResult:
     return resolve_backend(plan).execute(plan)
 
 
-#: The single-process backend each ensemble family degrades to when even
-#: in-process execution is suspect (e.g. the ensemble path itself OOMs).
+#: The sequential backend each ensemble or kernel backend degrades to
+#: when the vectorized path keeps failing (e.g. it OOMs).
 _SEQUENTIAL_FALLBACKS = {
     "ensemble-agent": "agent",
     "ensemble-counts": "counts",
@@ -387,65 +363,15 @@ _SEQUENTIAL_FALLBACKS = {
 def degradation_ladder(name: str) -> "tuple[str, ...]":
     """Backends to fall back to when ``name`` keeps failing transiently.
 
-    The capability ladder runs ``sharded-* → ensemble-* → sequential``:
-    a sharded backend first sheds its worker pool (its inner ensemble
-    backend computes the identical per-replica streams in-process), then
-    the ensemble path drops to the one-replica-at-a-time sequential
-    engine.  Sequential backends have nothing below them — the ladder is
-    empty — and an unknown name degrades nowhere rather than raising
-    (degradation is best-effort by definition).
+    The capability ladder runs ``ensemble-* → sequential`` and
+    ``kernel-* → sequential``: the vectorized path drops to the
+    one-replica-at-a-time sequential engine.  Sequential backends have
+    nothing below them — the ladder is empty — and an unknown name
+    degrades nowhere rather than raising (degradation is best-effort by
+    definition).
     """
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        return ()
-    inner = getattr(backend, "inner_name", None)
-    if inner is not None:
-        sequential = _SEQUENTIAL_FALLBACKS.get(inner)
-        return (inner,) + ((sequential,) if sequential else ())
     sequential = _SEQUENTIAL_FALLBACKS.get(name)
     return (sequential,) if sequential else ()
-
-
-# ---------------------------------------------------------------------------
-# Shared persistent pool (the sharded backends' substrate).
-
-_SHARED_EXECUTOR: "ShardedEnsembleExecutor | None" = None
-
-#: Guards the module-global executor slot: the study runner's cell
-#: scheduler may reach it from several worker threads at once.
-_SHARED_EXECUTOR_LOCK = threading.Lock()
-
-
-def shared_executor(workers: int) -> ShardedEnsembleExecutor:
-    """The runtime's persistent pool, respawned lazily on count changes."""
-    global _SHARED_EXECUTOR
-    with _SHARED_EXECUTOR_LOCK:
-        if _SHARED_EXECUTOR is None:
-            _SHARED_EXECUTOR = ShardedEnsembleExecutor(workers=workers)
-        else:
-            _SHARED_EXECUTOR.workers = workers
-        return _SHARED_EXECUTOR
-
-
-def pool_is_warm(workers: int) -> bool:
-    """Whether a reusable pool of exactly ``workers`` processes is live."""
-    return (
-        _SHARED_EXECUTOR is not None
-        and _SHARED_EXECUTOR.pool_alive
-        and _SHARED_EXECUTOR.workers == workers
-    )
-
-
-def shutdown_pools() -> None:
-    """Tear the shared pool down (safe to call repeatedly, any thread)."""
-    global _SHARED_EXECUTOR
-    with _SHARED_EXECUTOR_LOCK:
-        executor, _SHARED_EXECUTOR = _SHARED_EXECUTOR, None
-    if executor is not None:
-        executor.close()
-
-
-atexit.register(shutdown_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +409,7 @@ class _BackendBase:
                 return False
         return True
 
-    def eligible(self, plan: SimulationPlan, family_forced: bool = False) -> bool:
+    def eligible(self, plan: SimulationPlan) -> bool:
         if not self.supports(plan):
             return False
         if self.spec.requires_counts_tractable:
@@ -979,160 +905,9 @@ class AdversaryEnsembleBackend(_BackendBase):
         )
 
 
-def _execute_shard(payload: "tuple[str, SimulationPlan]"):
-    """Pool worker: run one sub-plan through its in-process backend."""
-    inner_name, subplan = payload
-    return get_backend(inner_name).execute(subplan)
-
-
-def _merge_raw(raws: list):
-    """Merge per-shard raw results back into one family result object."""
-    first = raws[0]
-    if isinstance(first, EnsembleResult):
-        return EnsembleResult(
-            process_name=first.process_name,
-            times=np.concatenate([r.times for r in raws]),
-            stopped=np.concatenate([r.stopped for r in raws]),
-            final_counts=np.vstack([r.final_counts for r in raws]),
-            backend=first.backend,
-            stop_label=first.stop_label,
-            rng_mode=first.rng_mode,
-        )
-    if isinstance(first, AsyncEnsembleResult):
-        return AsyncEnsembleResult(
-            process_name=first.process_name,
-            num_nodes=first.num_nodes,
-            ticks=np.concatenate([r.ticks for r in raws]),
-            stopped=np.concatenate([r.stopped for r in raws]),
-            final_counts=np.vstack([r.final_counts for r in raws]),
-            stop_label=first.stop_label,
-        )
-    from ..adversary.robust_runner import RobustEnsembleResult
-
-    if isinstance(first, RobustEnsembleResult):
-        return RobustEnsembleResult(
-            process_name=first.process_name,
-            adversary_repr=first.adversary_repr,
-            rounds=np.concatenate([r.rounds for r in raws]),
-            stabilized=np.concatenate([r.stabilized for r in raws]),
-            winning_color=np.concatenate([r.winning_color for r in raws]),
-            winning_fraction=np.concatenate([r.winning_fraction for r in raws]),
-            winner_is_valid=np.concatenate([r.winner_is_valid for r in raws]),
-            valid_colors=first.valid_colors,
-            backend=first.backend,
-            rng_mode=first.rng_mode,
-        )
-    return list(raws)
-
-
-class ShardedBackend(_BackendBase):
-    """Generic replica sharding of any in-process ensemble backend.
-
-    Splits the plan's replicas into per-worker sub-plans (seed sequences
-    derived once, up front, so ``rng_mode="per-replica"`` results are
-    bit-for-bit invariant to the worker count), executes each through the
-    wrapped backend on the shared persistent pool, and merges in replica
-    order.  This is how the asynchronous and adversarial ensembles get
-    the multicore path without bespoke ``sharded-*`` engines.
-    """
-
-    def __init__(self, spec: BackendSpec, inner_name: str):
-        super().__init__(spec)
-        self.inner_name = inner_name
-
-    def _inner(self) -> Backend:
-        return get_backend(self.inner_name)
-
-    def supports(self, plan: SimulationPlan) -> bool:
-        if not self._inner().supports(plan):
-            return False
-        shards = min(resolve_workers(plan.workers), plan.repetitions)
-        return plan.recorder is None or shards == 1
-
-    def eligible(self, plan: SimulationPlan, family_forced: bool = False) -> bool:
-        if not self._inner().eligible(plan, family_forced=family_forced):
-            return False
-        if not self.supports(plan):
-            return False
-        # A multiprocessing pool is never an implicit default: the fully
-        # automatic decision considers sharding only when the plan asks
-        # for workers; "sharded-auto" (family_forced) keeps the legacy
-        # workers=None → all-cores meaning.
-        return family_forced or (plan.workers is not None and plan.workers > 1)
-
-    def cost(self, plan: SimulationPlan) -> float:
-        workers = resolve_workers(plan.workers)
-        shards = min(workers, plan.repetitions)
-        spawn = 0.0 if (shards == 1 or pool_is_warm(workers)) else _POOL_SPAWN_COST
-        return self._inner().cost(plan) / shards + spawn
-
-    def execute(self, plan: SimulationPlan) -> ExecutionResult:
-        workers = resolve_workers(plan.workers)
-        shards = min(workers, plan.repetitions)
-        if shards == 1:
-            inner_result = self._inner().execute(plan)
-            return replace(inner_result, backend=self.spec.name)
-        if plan.recorder is not None:
-            raise ValueError(
-                "metric recording requires a single shard (recorders cannot "
-                "be merged across pool workers)"
-            )
-        process = plan.spawn_process()
-        sequences = replica_seed_sequences(plan.rng, plan.repetitions)
-        payloads = []
-        for lo, hi in shard_bounds(plan.repetitions, shards):
-            shard_rng = (
-                sequences[lo:hi] if plan.rng_mode == "per-replica" else sequences[lo]
-            )
-            payloads.append(
-                (
-                    self.inner_name,
-                    replace(
-                        plan,
-                        process=process,
-                        repetitions=hi - lo,
-                        rng=shard_rng,
-                        workers=1,
-                        backend=self.inner_name,
-                        raise_on_limit=False,
-                    ),
-                )
-            )
-        shard_results = shared_executor(workers).map(_execute_shard, payloads)
-        times = np.concatenate([r.times for r in shard_results])
-        stopped = np.concatenate([r.stopped for r in shard_results])
-        if shard_results[0].final_counts is None:
-            final_counts = None
-        else:
-            final_counts = np.vstack([r.final_counts for r in shard_results])
-        raw = _merge_raw([r.raw for r in shard_results])
-        if (
-            plan.raise_on_limit
-            and self.spec.scheduler == "synchronous"
-            and not self.spec.adversary
-            and not np.all(stopped)
-        ):
-            limit = (
-                plan.max_rounds
-                if plan.max_rounds is not None
-                else default_round_limit(plan.initial.num_nodes)
-            )
-            raise RoundLimitExceeded(process.name, limit, raw.stop_label)
-        return ExecutionResult(
-            plan=plan,
-            backend=self.spec.name,
-            unit=shard_results[0].unit,
-            times=times,
-            stopped=stopped,
-            final_counts=final_counts,
-            raw=raw,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Default registry.  Registration order is the resolution tie-break:
-# sequential reference paths first, then the in-process ensembles, then
-# the sharded wrappers.
+# sequential reference paths first, then the ensembles, then the kernels.
 
 
 def _spec(
@@ -1200,20 +975,5 @@ def _register_default_backends() -> None:
         "kernel-async", "kernel", "asynchronous", False, "agent", False,
         "fused async ticks: conflict-free dependency wavefronts",
     )))
-    for inner, name in [
-        ("ensemble-agent", "sharded-agent"),
-        ("ensemble-counts", "sharded-counts"),
-        ("ensemble-async", "sharded-async"),
-        ("ensemble-adversary-agent", "sharded-adversary-agent"),
-        ("ensemble-adversary-counts", "sharded-adversary-counts"),
-    ]:
-        inner_spec = _REGISTRY[inner].spec
-        register_backend(ShardedBackend(_spec(
-            name, "sharded", inner_spec.scheduler, inner_spec.adversary,
-            inner_spec.representation, inner_spec.requires_counts_tractable,
-            f"{inner} sharded over the persistent worker pool",
-            faults=inner_spec.faults,
-        ), inner))
-
 
 _register_default_backends()

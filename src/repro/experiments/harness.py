@@ -153,7 +153,6 @@ def sweep_first_passage(
     backend: str = "auto",
     rng_mode: str = "batched",
     param_name: str = "n",
-    workers: "int | None" = None,
     scheduler: str = "synchronous",
     adversary=None,
 ) -> SweepResult:
@@ -166,8 +165,8 @@ def sweep_first_passage(
     scale.  Seeds derive deterministically from ``seed`` per sweep point.
 
     Every execution knob of the unified runtime threads through
-    (``backend``, ``rng_mode``, ``workers``, ``scheduler``,
-    ``adversary`` — an instance or a callable of ``n``); see
+    (``backend``, ``rng_mode``, ``scheduler``, ``adversary`` — an
+    instance or a callable of ``n``); see
     :func:`repro.engine.batch.repeat_first_passage` for their meanings.
 
     .. deprecated:: 1.1
@@ -194,7 +193,6 @@ def sweep_first_passage(
             max_rounds=max_rounds(n) if max_rounds is not None else None,
             backend=backend,
             rng_mode=rng_mode,
-            workers=workers,
             scheduler=scheduler,
             adversary=adversary(n) if callable(adversary) else adversary,
         )

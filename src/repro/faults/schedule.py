@@ -25,8 +25,7 @@ Two runtimes, one per chain representation:
 
 Round indices are 0-based completed-round counters — the same
 convention :class:`~repro.adversary.AdversarySchedule` uses — so a
-window behaves identically in the sequential, ensemble and sharded
-engines.
+window behaves identically in the sequential and ensemble engines.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ This package makes the set itself a first-class artifact:
   result store with full provenance (spec hash, per-cell seed entropy,
   resolved backend, wall time, package version).
 * :func:`run_study` (``runner.py``) — executes the cells through the
-  unified runtime (:func:`repro.engine.runtime.execute`, shared pool and
-  all) under an :class:`ExecutionPolicy` (``policy.py``: per-cell
-  deadlines, classified backoff retries, backend degradation), isolates
+  unified runtime (:func:`repro.engine.runtime.execute`) under an
+  :class:`ExecutionPolicy` (``policy.py``: per-cell deadlines,
+  classified backoff retries, backend degradation), isolates
   per-cell failures as ``status="failed"`` / ``"timeout"`` records,
   journals each record crash-safely, and supports bit-for-bit
   ``resume=`` of interrupted runs (broken cells are re-attempted).

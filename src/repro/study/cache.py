@@ -109,7 +109,9 @@ def canonical_cache_value(value) -> "dict | None":
         directory = None
     if directory is not None:
         directory = str(directory)
-    enabled = bool(items.get("enabled", directory is not None))
+    enabled = items.get("enabled", directory is not None)
+    if not isinstance(enabled, bool):
+        raise TypeError(f"cache.enabled must be a bool, got {enabled!r}")
     out = {"enabled": enabled, "dir": directory}
     if out == dict(CACHE_KEYS):
         return None

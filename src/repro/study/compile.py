@@ -245,6 +245,8 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             **assignment,
             "adversary": adversary_value,
             "repetitions": spec.repetitions,
+            # Accepted and ignored (see StudySpec.workers); kept in
+            # params so existing cell_ids (and resumes) hold.
             "workers": spec.workers,
             "check_every": spec.check_every,
             "stable_fraction": spec.stable_fraction,
@@ -267,7 +269,6 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             max_rounds=assignment["max_rounds"],
             backend=assignment["backend"],
             rng_mode=assignment["rng_mode"],
-            workers=spec.workers,
             scheduler=assignment["scheduler"],
             adversary=adversary,
             faults=faults,

@@ -2,11 +2,10 @@
 
 A study cell can fail three ways, and each deserves different handling:
 
-* **transient** faults of the execution substrate — a pool worker
-  OOM-killed (:class:`~repro.engine.sharded.WorkerPoolError`), a
-  ``MemoryError``, an ``OSError`` — recover on retry (with backoff,
-  so a struggling machine gets air) and, failing that, on a *degraded*
-  backend further down the capability ladder;
+* **transient** faults of the execution substrate — a ``MemoryError``,
+  an ``OSError`` — recover on retry (with backoff, so a struggling
+  machine gets air) and, failing that, on a *degraded* backend further
+  down the capability ladder;
 * **fatal** configuration errors — ``ValueError`` and friends raised at
   plan-compile or backend-resolution time — are deterministic, so every
   retry would waste the same wall time and fail the same way: fail fast;
@@ -35,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from ..engine.rng import derive_seed
-from ..engine.sharded import WorkerPoolError
 
 __all__ = [
     "POLICY_KEYS",
@@ -61,7 +59,7 @@ POLICY_KEYS = (
 
 #: Exception types whose failures are infrastructure, not model, errors:
 #: a retry (or a degraded backend) can genuinely succeed.
-TRANSIENT_ERRORS = (WorkerPoolError, MemoryError, OSError)
+TRANSIENT_ERRORS = (MemoryError, OSError)
 
 #: Deterministic configuration errors: retrying replays the same failure.
 FATAL_ERRORS = (
@@ -113,7 +111,7 @@ class ExecutionPolicy:
     #: Multiplicative jitter half-width in ``[0, 1]``: the delay is
     #: scaled into ``[1-jitter, 1+jitter]`` deterministically.
     jitter: float = 0.5
-    #: Re-resolve down the capability ladder (sharded → ensemble →
+    #: Re-resolve down the capability ladder (ensemble/kernel →
     #: sequential) when transient retries exhaust.
     degrade: bool = True
 
@@ -166,9 +164,15 @@ def canonical_policy_value(value) -> "dict | None":
             if raw is not None:
                 raw = float(raw)
         elif key == "max_attempts":
-            raw = int(raw)
+            if isinstance(raw, bool) or not isinstance(raw, int):
+                raise TypeError(
+                    f"execution.max_attempts must be an int, got {raw!r}"
+                )
         elif key == "degrade":
-            raw = bool(raw)
+            if not isinstance(raw, bool):
+                raise TypeError(
+                    f"execution.degrade must be a bool, got {raw!r}"
+                )
         else:
             raw = float(raw)
         out[key] = raw
@@ -225,10 +229,10 @@ def classify_error(exc: BaseException) -> str:
     """``"transient"`` | ``"fatal"`` | ``"unknown"`` (see module docstring).
 
     An exception type can opt into transience by setting a ``transient``
-    class attribute (the way :class:`WorkerPoolError` does) — useful for
-    exceptions that are also ``ValueError`` subclasses.  The transient
-    check runs first so, e.g., an ``OSError`` subclass used as a config
-    error would need explicit ``transient = False``.
+    class attribute — useful for exceptions that are also ``ValueError``
+    subclasses.  The transient check runs first so, e.g., an ``OSError``
+    subclass used as a config error would need explicit
+    ``transient = False``.
     """
     if getattr(exc, "transient", False):
         return "transient"

@@ -2,28 +2,30 @@
 
 ``run_study`` is the one loop every experiment suite now goes through:
 compile the spec, skip cells an existing store already covers, execute
-the rest via :func:`repro.engine.runtime.execute` (which shares the
-persistent sharded pool across cells), and journal each record the
-moment it exists so an interrupted run loses at most the cell in flight.
+the rest via :func:`repro.engine.runtime.execute`, and journal each
+record the moment it exists so an interrupted run loses at most the cell
+in flight.
 
 Supervision (the :class:`~repro.study.policy.ExecutionPolicy`):
 
-* **Deadlines** — a watchdog (:class:`_CellDeadline`) kills any attempt
-  that runs past ``deadline_s``: sequential cells via ``SIGALRM``
-  (interrupting even a tight numpy loop), pool cells by tearing the
-  shared pool down so the blocked ``map`` raises.  The cell lands as
+* **Deadlines** — on the main thread a watchdog (:class:`_CellDeadline`)
+  kills any attempt that runs past ``deadline_s`` via ``SIGALRM``
+  (interrupting even a tight numpy loop); under ``workers > 1`` the
+  :class:`~repro.study.scheduler.CellScheduler` watchdog abandons a cell
+  past its total budget instead.  The cell lands as
   ``status="timeout"`` and the run moves on; ``resume`` re-attempts it.
 * **Classified retries** — a raising cell is retried only when retrying
-  can help: *transient* substrate faults (dead pool worker, OOM, OSError)
-  back off deterministically (:func:`~repro.study.policy.backoff_delay`)
+  can help: *transient* substrate faults (OOM, OSError) back off
+  deterministically (:func:`~repro.study.policy.backoff_delay`)
   and retry on a jittered sub-seed; deterministic *fatal* config errors
   fail fast with a single attempt; everything else keeps the historical
   retry behaviour.
-* **Degradation** — when transient retries exhaust on a pool-based
-  backend, the plan re-resolves down the capability ladder
-  (``sharded-* → ensemble-* → sequential``); the per-replica rng
-  contract makes the degraded result bit-for-bit identical, and the
-  record's ``degraded_from`` field keeps the provenance honest.
+* **Degradation** — when transient retries exhaust on an ensemble or
+  kernel backend, the plan re-resolves down the capability ladder
+  (``ensemble-* → sequential``, ``kernel-* → sequential``); the
+  per-replica rng contract makes the degraded result bit-for-bit
+  identical, and the record's ``degraded_from`` field keeps the
+  provenance honest.
 
 Failure isolation: with the default ``on_error="record"`` a cell that
 still fails after all that lands in the store as a ``status="failed"``
@@ -64,10 +66,10 @@ loop: records are journaled in completion order the moment each future
 lands (the main thread stays the store's single writer), and the store
 still satisfies ``results_equal`` bit-for-bit against a sequential run
 because record identity is ``cell_id``, not order.  Supervision
-survives: each worker thread runs the same ``_record_cell`` loop, whose
-deadline automatically takes the timer/pool-teardown path off the main
-thread, and the scheduler's watchdog abandons the one shape that path
-cannot interrupt (a pure in-process hang).  With a cache enabled
+survives: each worker thread runs the same ``_record_cell`` loop
+(retries and degradation included), and since ``SIGALRM`` cannot reach
+a worker thread, the scheduler's watchdog enforces the deadline by
+abandoning a cell past its total budget.  With a cache enabled
 (:mod:`repro.study.cache`), every pending cell is looked up before it is
 scheduled — a hit is journaled immediately with ``cache_hit=True`` and
 never simulates — and every fresh clean record is memoized for the next
@@ -92,7 +94,6 @@ from ..engine.runtime import (
     execute,
     get_backend,
     resolve_backend,
-    shutdown_pools,
 )
 from .cache import resolve_cache
 from .compile import StudyCell, compile_study
@@ -155,25 +156,17 @@ class _GracefulStop:
 class _CellDeadline:
     """Context manager enforcing one attempt's wall-clock budget.
 
-    On the main thread (the common case) it arms ``SIGALRM`` via
-    ``setitimer``, which interrupts *anything* — a numpy inner loop, a
-    blocked pool ``map`` — by raising :class:`CellDeadlineExceeded`
-    right in the cell's frame.  Off the main thread (studies driven from
-    worker threads), signals are unavailable, so a daemon timer tears
-    the shared pool down instead: a pool-based cell's ``map`` then dies
-    with a pool error, which ``__exit__`` converts to the deadline
-    exception.  (A pure-Python sequential cell on a non-main thread is
-    the one shape this fallback cannot interrupt mid-attempt.)
-
-    Either way the hung workers are gone afterwards: the caller is
-    expected to ``shutdown_pools()`` on timeout so the next cell starts
-    against a fresh pool.
+    On the main thread it arms ``SIGALRM`` via ``setitimer``, which
+    interrupts *anything* — even a tight numpy inner loop — by raising
+    :class:`CellDeadlineExceeded` right in the cell's frame.  Signals are
+    unavailable off the main thread, so there it does nothing: a study
+    scheduled on worker threads relies on the
+    :class:`~repro.study.scheduler.CellScheduler` watchdog instead.
     """
 
     def __init__(self, deadline_s: "float | None"):
         self.deadline_s = deadline_s
         self.expired = False
-        self._timer = None
         self._previous = None
         self._use_signal = False
 
@@ -181,41 +174,21 @@ class _CellDeadline:
         self.expired = True
         raise CellDeadlineExceeded(self.deadline_s)
 
-    def _expire(self):
-        self.expired = True
-        shutdown_pools()
-
     def __enter__(self):
-        if self.deadline_s is None:
-            return self
-        if threading.current_thread() is threading.main_thread() and hasattr(
-            signal, "SIGALRM"
+        if (
+            self.deadline_s is not None
+            and threading.current_thread() is threading.main_thread()
+            and hasattr(signal, "SIGALRM")
         ):
             self._use_signal = True
             self._previous = signal.signal(signal.SIGALRM, self._alarm)
             signal.setitimer(signal.ITIMER_REAL, self.deadline_s)
-        else:
-            self._timer = threading.Timer(self.deadline_s, self._expire)
-            self._timer.daemon = True
-            self._timer.start()
         return self
 
-    def __exit__(self, exc_type, exc, _tb):
-        if self.deadline_s is None:
-            return False
+    def __exit__(self, _exc_type, _exc, _tb):
         if self._use_signal:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, self._previous)
-        else:
-            self._timer.cancel()
-        if (
-            self.expired
-            and exc is not None
-            and not isinstance(exc, CellDeadlineExceeded)
-        ):
-            # Timer path: the teardown surfaced as a pool error inside
-            # the cell — report the deadline, not the collateral damage.
-            raise CellDeadlineExceeded(self.deadline_s) from exc
         return False
 
 
@@ -324,12 +297,12 @@ def _try_degrade(
 ) -> "RunRecord | None":
     """Walk the capability ladder below ``resolved_name``; None if no rung ran.
 
-    The fallback plan keeps the *pristine* rng (attempt 0) and pins
-    ``workers=1``: under the per-replica contract the degraded result is
-    bit-for-bit the record the original backend would have produced.
+    The fallback plan keeps the *pristine* rng (attempt 0): under the
+    per-replica contract the degraded result is bit-for-bit the record
+    the original backend would have produced.
     """
     for fallback in degradation_ladder(resolved_name):
-        fb_plan = replace(cell.plan, backend=fallback, workers=1)
+        fb_plan = replace(cell.plan, backend=fallback)
         if not get_backend(fallback).supports(fb_plan):
             continue
         start = time.perf_counter()
@@ -368,12 +341,8 @@ def _record_cell(
         policy = ExecutionPolicy()
     if on_error == "raise":
         start = time.perf_counter()
-        with _CellDeadline(policy.deadline_s) as watchdog:
-            try:
-                result = execute(_attempt_plan(cell, 0))
-            except CellDeadlineExceeded:
-                shutdown_pools()
-                raise
+        with _CellDeadline(policy.deadline_s):
+            result = execute(_attempt_plan(cell, 0))
         return _success_record(cell, result, time.perf_counter() - start)
 
     # Resolve the backend up front: a resolution error is a config error
@@ -397,7 +366,6 @@ def _record_cell(
             attempt_walls.append(time.perf_counter() - start)
             # A hang would burn the whole budget again: record the
             # timeout now and let `resume` re-attempt it later.
-            shutdown_pools()
             return _timeout_record(
                 cell, exc, attempts, attempt_walls, sum(attempt_walls)
             )
@@ -635,8 +603,8 @@ def run_study(
                     )
                     finish(cell, record)
             else:
-                # Per-cell total budget before a worker the deadline
-                # fallback cannot interrupt is written off (CellScheduler).
+                # Per-cell total budget before the CellScheduler writes a
+                # worker off (SIGALRM deadlines need the main thread).
                 watchdog_s = None
                 abandon = None
                 if live_policy.deadline_s is not None:

@@ -12,23 +12,18 @@ returns a :class:`concurrent.futures.Future`, :meth:`shutdown` retires
 the workers — but is built on plain *daemon* threads rather than
 :class:`~concurrent.futures.ThreadPoolExecutor` for one supervision
 reason: abandonment.  Off the main thread the runner's ``_CellDeadline``
-cannot use ``SIGALRM`` and falls back to a timer that tears down the
-shared spawn pools — which interrupts pool-*based* cells (the teardown
-surfaces in-attempt as a transient :class:`WorkerPoolError` →
-``CellDeadlineExceeded``), but cannot interrupt a pure in-process cell
-that never returns.  For that shape the scheduler keeps a per-future
-watchdog: a future still running past its budget is *abandoned* — its
-cell is reported timed-out, a replacement worker is spawned to keep the
-level of parallelism, and the wedged daemon thread is left behind where
-it can block neither the study nor interpreter exit.
+cannot use ``SIGALRM``, so nothing can interrupt a cell mid-attempt.
+The scheduler therefore keeps a per-future watchdog: a future still
+running past its budget is *abandoned* — its cell is reported timed-out,
+a replacement worker is spawned to keep the level of parallelism, and
+the wedged daemon thread is left behind where it can block neither the
+study nor interpreter exit.
 
 Threading model: worker threads only ever *execute* cells (the
 ``run_cell`` callable given at construction); the consumer of
 :meth:`run` — the runner's main loop — remains the store's single
 writer, journaling each record the moment its future completes, in
-completion order.  Pool-based cells all ride the one shared spawn pool
-(`repro.engine.runtime.shared_executor`), whose lifecycle is lock-
-guarded for exactly this use.
+completion order.
 
 Like ``[execution]``, the declarative ``[parallel]`` table rides
 :class:`~repro.study.spec.StudySpec` default-elided: a sequential spec
@@ -96,7 +91,8 @@ def canonical_parallel_value(value) -> "dict | None":
         if raw == "none":
             raw = None
         if raw is not None:
-            raw = int(raw)
+            if isinstance(raw, bool) or not isinstance(raw, int):
+                raise TypeError(f"parallel.{key} must be an int, got {raw!r}")
             if raw < 1:
                 raise ValueError(f"parallel.{key} must be positive, got {raw}")
         out[key] = raw

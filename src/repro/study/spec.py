@@ -281,6 +281,9 @@ class StudySpec:
     seed: int = 0
     repetitions: int = 5
     expansion: str = "grid"
+    #: Accepted, validated and ignored.  It stays in the spec and in cell
+    #: params so existing spec hashes and cell ids hold; cell-level
+    #: parallelism is the ``[parallel]`` table.
     workers: "int | None" = None
     check_every: "int | None" = None
     stable_fraction: float = 0.95
@@ -320,6 +323,11 @@ class StudySpec:
             raise ValueError("stable_rounds must be positive")
         self.axes = _normalize_axes(self.axes)
         self.record = _normalize_record(self.record)
+        if self.record is not None and self.record["replica"] >= self.repetitions:
+            raise ValueError(
+                f"record: replica {self.record['replica']} does not exist "
+                f"with {self.repetitions} repetitions"
+            )
         try:
             self.execution = canonical_policy_value(self.execution)
         except (KeyError, TypeError, ValueError) as exc:

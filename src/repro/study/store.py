@@ -5,8 +5,8 @@ serialises to plain JSON in *columnar* layout (one parallel array per
 field) so downstream tooling can slice columns without reassembling
 objects.  Provenance travels with the data: the spec itself and its
 content hash, the per-cell seed entropy, the backend the runtime's cost
-model actually resolved (and, for cells that survived a pool failure by
-degrading, the backend originally resolved in ``degraded_from``), wall
+model actually resolved (and, for cells that survived a transient failure
+by degrading, the backend originally resolved in ``degraded_from``), wall
 time, and the package version — which is what makes
 ``run_study(spec, resume=...)`` able to *prove* a resumed store
 completes the same study rather than guessing from file names.
@@ -151,11 +151,11 @@ class RunRecord:
         Failure *outcomes* must match (status), but the error detail —
         tracebacks carry memory addresses and line numbers — is
         execution-environment noise, not a result.  ``degraded_from`` is
-        likewise environment history (which pool happened to die), not a
-        result: the per-replica rng contract makes the degraded samples
-        identical, and this predicate is what proves it.  ``cache_hit``
-        is ignored for the same reason — where a result came from is not
-        what it is.
+        likewise environment history (which backend happened to fail),
+        not a result: the per-replica rng contract makes the degraded
+        samples identical, and this predicate is what proves it.
+        ``cache_hit`` is ignored for the same reason — where a result came
+        from is not what it is.
         """
         return (
             self.cell_id == other.cell_id

@@ -32,15 +32,9 @@ def test_engine_throughput_smoke(tmp_path):
         report = run_benchmark(smoke=True, output=tmp_path / "BENCH_engine.json")
         assert report["mode"] == "smoke"
         headline = report["scenarios"][0]
-        # Correctness gates (deterministic): per-replica rng must reproduce
-        # the sequential samples exactly, and the sharded smoke (R=4 over
-        # workers=2) must merge bit-for-bit the same results as workers=1 —
-        # this exercises pool plumbing and seed derivation on every run.
+        # Correctness gate (deterministic): per-replica rng must reproduce
+        # the sequential samples exactly.
         assert headline["per_replica_rng_exact_match"] is True
-        assert all(
-            w["times_match_workers1"] for w in report["sharded"]["workers"]
-        ), report["sharded"]
-        assert {w["workers"] for w in report["sharded"]["workers"]} == {1, 2}
         if (
             headline["speedup"] > 1.0
             and report["async"]["speedup"] > 1.0
@@ -59,7 +53,6 @@ def test_engine_throughput_smoke(tmp_path):
     assert study["cache_hit_rate"] == 1.0, study
     # Every section records the runtime cost model's backend decision.
     assert headline["resolved_backend"] == "ensemble-counts"
-    assert report["sharded"]["resolved_backend"].startswith(("ensemble-", "sharded-"))
     assert report["async"]["resolved_backend"] == "kernel-async"
     assert report["adversary"]["resolved_backend"] == "ensemble-adversary-counts"
     assert (tmp_path / "BENCH_engine.json").exists()

@@ -54,7 +54,7 @@ class TestExamples:
         assert "Conjecture 1" in out
 
     def test_coupling_lemma2_reduced(self):
-        # The full example solves ~12 transportation LPs at n=6 (~15 s);
+        # The full example couples 12 rounds at n=6 plus 4 replays;
         # exercise the same code path at n=5 to keep the suite fast.
         from repro.core import Configuration, run_coupled_chains
         from repro.core.ac_process import ThreeMajorityFunction, VoterFunction

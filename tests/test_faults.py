@@ -485,11 +485,10 @@ class TestFailureIsolation:
                 "process": ["3-majority"],
                 "workload": [{"name": "balanced", "kwargs": {"k": 3}}],
                 "n": [48],
-                "backend": ["auto", "ensemble-auto", "sharded-auto"],
+                "backend": ["auto", "ensemble-auto", "sequential-auto"],
                 "rng_mode": ["per-replica"],
                 "faults": [{"crash": 0.02, "recover": 0.3}],
             },
-            workers=2,
         )
         store = run_study(spec, on_error="raise")
         records = store.records()
@@ -499,7 +498,7 @@ class TestFailureIsolation:
         # derive distinct seeds, so sample equality across backends is
         # covered by the runtime matrix, not here).
         assert [r.resolved_backend for r in records] == [
-            "counts", "ensemble-counts", "sharded-counts",
+            "counts", "ensemble-counts", "counts",
         ]
 
 

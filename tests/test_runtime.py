@@ -6,6 +6,9 @@ capability mismatches, the recorder threading rules, and the
 ``rng_mode`` plumbing through :func:`sweep_first_passage`.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,8 +56,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             _plan(stable_fraction=0.4, adversary=PlantInvalid(1, invalid_color=9))
         with pytest.raises(ValueError):
-            _plan(workers=0)
-        with pytest.raises(ValueError):
             _plan(max_rounds=0)
 
     def test_adversary_requires_synchronous_scheduler(self):
@@ -82,9 +83,16 @@ class TestRegistry:
         names = backend_names()
         choices = backend_choices()
         assert set(names) <= set(choices)
-        for alias in ("auto", "sequential-auto", "ensemble-auto", "sharded-auto"):
+        for alias in ("auto", "sequential-auto", "ensemble-auto", "kernel-auto"):
             assert alias in choices
         assert len(backend_specs()) == len(names)
+
+    def test_registry_has_the_eleven_in_process_backends(self):
+        kinds = [spec.kind for spec in backend_specs()]
+        assert len(backend_names()) == 11
+        assert (
+            kinds.count("sequential"), kinds.count("ensemble"), kinds.count("kernel")
+        ) == (4, 5, 2)
 
     def test_unknown_backend_lists_vocabulary(self):
         with pytest.raises(ValueError, match="ensemble-counts"):
@@ -115,7 +123,7 @@ class TestRegistry:
             )
             def supports(self, plan):
                 return inner.supports(plan)
-            def eligible(self, plan, family_forced=False):
+            def eligible(self, plan):
                 return False  # never auto-picked
             def cost(self, plan):
                 return inner.cost(plan)
@@ -147,11 +155,6 @@ class TestResolution:
             initial=Configuration.singletons(8192), rng_mode="per-replica"
         )
         assert resolve_backend(per_replica).spec.name == "ensemble-agent"
-
-    def test_auto_ignores_sharding_without_explicit_workers(self):
-        assert resolve_backend(_plan(repetitions=64)).spec.kind != "sharded"
-        forced = _plan(repetitions=64, backend="sharded-auto")
-        assert resolve_backend(forced).spec.kind == "sharded"
 
     def test_non_ac_process_resolves_to_agent_family(self):
         # 2-Choices is not an AC-process, but its switch-and-redistribute
@@ -209,6 +212,16 @@ class TestExecutionSurface:
             ThreeMajority, initial, Consensus(), 5, rng=13, backend="counts"
         )
         assert np.array_equal(legacy, counts)
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # Every backend runs in-process; nothing on the import path should
+        # pay for (or depend on) a process pool.
+        probe = "import sys, repro; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
     def test_execution_result_metadata(self):
         result = execute(_plan(backend="ensemble-counts"))

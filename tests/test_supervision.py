@@ -9,8 +9,8 @@ The four pillars of the execution policy layer:
 * classified retries in ``_record_cell`` — fatal errors fail fast,
   transient errors retry with backoff, unknown errors keep the
   historical retry;
-* the degradation ladder — transient exhaustion on a sharded backend
-  re-resolves down ``sharded-* → ensemble-* → sequential``, stamps
+* the degradation ladder — transient exhaustion on an ensemble or
+  kernel backend re-resolves down to the sequential engine, stamps
   ``degraded_from``, and the per-replica rng contract keeps the result
   bit-for-bit;
 * the crash-safe journal — fsync'd per-record checkpoint lines, torn
@@ -19,15 +19,12 @@ The four pillars of the execution policy layer:
 """
 
 import os
-import signal
-import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro import StudySpec
-from repro.engine import WorkerPoolError, shared_executor, shutdown_pools
 from repro.engine.runtime import degradation_ladder, execute as real_execute
 from repro.engine.simulator import RoundLimitExceeded
 from repro.study import (
@@ -52,12 +49,11 @@ from repro.study.policy import backoff_delay, classify_error
 from repro.study.runner import _CellDeadline, _record_cell
 
 
-def one_cell_spec(backend="auto", *, workers=None, seed=5, **spec_overrides):
+def one_cell_spec(backend="auto", *, seed=5, **spec_overrides):
     defaults = dict(
         name="supervised",
         seed=seed,
         repetitions=3,
-        workers=workers,
         axes={
             "process": ["3-majority"],
             "n": [48],
@@ -153,7 +149,6 @@ class TestPolicyVocabulary:
 
 class TestClassifyAndBackoff:
     def test_classification(self):
-        assert classify_error(WorkerPoolError("dead")) == "transient"
         assert classify_error(MemoryError()) == "transient"
         assert classify_error(OSError("disk")) == "transient"
         assert classify_error(ValueError("bad plan")) == "fatal"
@@ -276,7 +271,7 @@ class TestRetryClassification:
         def flaky(plan):
             calls.append(plan)
             if len(calls) == 1:
-                raise WorkerPoolError("worker 123 died mid-map")
+                raise OSError("resource temporarily unavailable")
             return real_execute(plan)
 
         monkeypatch.setattr(runner_module, "execute", flaky)
@@ -311,10 +306,10 @@ class TestRetryClassification:
 
         def flaky(plan):
             calls.append(plan)
-            raise WorkerPoolError("dead")
+            raise MemoryError("out of memory")
 
         monkeypatch.setattr(runner_module, "execute", flaky)
-        with pytest.raises(WorkerPoolError):
+        with pytest.raises(MemoryError):
             _record_cell(one_cell(), on_error="raise", policy=fast_policy())
         assert len(calls) == 1
 
@@ -326,31 +321,29 @@ class TestRetryClassification:
 
 class TestDegradation:
     def test_ladder_shape(self):
-        assert degradation_ladder("sharded-counts") == (
-            "ensemble-counts", "counts",
-        )
-        assert degradation_ladder("sharded-agent") == (
-            "ensemble-agent", "agent",
-        )
         assert degradation_ladder("ensemble-counts") == ("counts",)
+        assert degradation_ladder("ensemble-agent") == ("agent",)
+        assert degradation_ladder("ensemble-adversary-counts") == ("adversary",)
+        assert degradation_ladder("kernel-agent") == ("agent",)
+        assert degradation_ladder("kernel-async") == ("async",)
         assert degradation_ladder("counts") == ()
         assert degradation_ladder("no-such-backend") == ()
 
     def test_transient_exhaustion_degrades_bit_for_bit(self, monkeypatch):
-        def pool_down(plan):
-            if plan.backend and "sharded" in str(plan.backend):
-                raise WorkerPoolError("pool is gone")
+        def oom(plan):
+            if plan.backend == "ensemble-counts":
+                raise MemoryError("ensemble matrix too large")
             return real_execute(plan)
 
-        monkeypatch.setattr(runner_module, "execute", pool_down)
+        monkeypatch.setattr(runner_module, "execute", oom)
         store = run_study(
-            one_cell_spec("sharded-counts", workers=2),
+            one_cell_spec("ensemble-counts"),
             policy=fast_policy(max_attempts=1),
         )
         (record,) = store.records()
         assert record.ok
-        assert record.degraded_from == "sharded-counts"
-        assert record.resolved_backend == "ensemble-counts"
+        assert record.degraded_from == "ensemble-counts"
+        assert record.resolved_backend == "counts"
         # The per-replica contract: the degraded record carries exactly
         # the samples the sequential reference produces.
         reference = run_study(one_cell_spec("counts"), on_error="raise")
@@ -360,66 +353,21 @@ class TestDegradation:
         # ...and the report marks the degradation honestly.
         text = str(study_report(store))
         assert "DEGRADED" in text
-        assert "sharded-counts" in text
+        assert "ensemble-counts" in text
 
     def test_degradation_disabled_records_failure(self, monkeypatch):
-        def pool_down(plan):
-            raise WorkerPoolError("pool is gone")
+        def disk_full(plan):
+            raise OSError("no space left on device")
 
-        monkeypatch.setattr(runner_module, "execute", pool_down)
+        monkeypatch.setattr(runner_module, "execute", disk_full)
         store = run_study(
-            one_cell_spec("sharded-counts", workers=2),
+            one_cell_spec("ensemble-counts"),
             policy=fast_policy(max_attempts=1, degrade=False),
         )
         (record,) = store.records()
         assert record.status == "failed"
-        assert record.error["type"] == "WorkerPoolError"
+        assert record.error["type"] == "OSError"
         assert record.degraded_from is None
-
-    def test_real_worker_kill_degrades(self):
-        """SIGKILL a live pool worker mid-study: the record must survive.
-
-        The end-to-end story with no monkeypatching: the shared pool is
-        warmed, one worker is killed while the cell's map is in flight,
-        the single allowed attempt dies with ``WorkerPoolError``, and the
-        runner degrades to the ensemble backend — whose samples are
-        bit-for-bit the sequential reference's.
-        """
-        spec = one_cell_spec(
-            "sharded-agent",
-            workers=2,
-            seed=31,
-            repetitions=8,
-            axes={
-                "process": ["voter"],
-                "workload": [{"name": "balanced", "kwargs": {"k": 2}}],
-                "n": [4096],
-                "max_rounds": [200000],
-                "backend": ["sharded-agent"],
-                "rng_mode": ["per-replica"],
-            },
-        )
-        executor = shared_executor(2)
-        pool = executor._ensure_pool()
-        victim = pool._pool[0].pid
-        timer = threading.Timer(0.35, os.kill, (victim, signal.SIGKILL))
-        timer.start()
-        try:
-            store = run_study(spec, policy=fast_policy(max_attempts=1))
-        finally:
-            timer.cancel()
-            shutdown_pools()
-        (record,) = store.records()
-        assert record.ok, record.error
-        assert record.degraded_from == "sharded-agent"
-        assert record.resolved_backend == "ensemble-agent"
-        sequential = one_cell_spec(
-            "agent", seed=31, repetitions=8,
-            axes={**spec.axes, "backend": ["agent"]},
-        )
-        (ref_record,) = run_study(sequential, on_error="raise").records()
-        assert np.array_equal(record.times, ref_record.times)
-        assert np.array_equal(record.stopped, ref_record.stopped)
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +442,6 @@ class TestDeadline:
                 on_error="raise",
                 policy=ExecutionPolicy(deadline_s=0.2),
             )
-
-    def test_thread_fallback_converts_collateral_error(self):
-        """Off the main thread the watchdog kills the pool, not the frame.
-
-        The cell then dies with a pool error — which must surface as the
-        deadline exception, chained to the collateral damage.
-        """
-        outcome = {}
-
-        def body():
-            try:
-                with _CellDeadline(0.05):
-                    time.sleep(0.2)
-                    raise WorkerPoolError("pool torn down by watchdog")
-            except BaseException as exc:
-                outcome["exc"] = exc
-
-        thread = threading.Thread(target=body)
-        thread.start()
-        thread.join()
-        assert isinstance(outcome["exc"], CellDeadlineExceeded)
-        assert isinstance(outcome["exc"].__cause__, WorkerPoolError)
 
     def test_no_deadline_is_a_no_op(self):
         with _CellDeadline(None) as watchdog:

@@ -17,11 +17,11 @@ The reproducible speedup report behind the engine layer, by section:
   active crash/recovery/loss schedule, reporting the wall-time ratio
   (fault-free plans skip the fault path entirely, so the interesting
   number is the cost of a *live* schedule per round).
-* ``study-parallel`` — the study layer's scheduling and caching: the
-  shipped ``studies/consensus_scaling.toml`` run sequentially, then with
-  ``workers=2`` (asserted ``results_equal`` bit-for-bit), then again
-  against the warm content-addressed result cache (asserted 100% hits
-  and, in full mode, a ≥5× wall-time reduction).
+* ``study-cache`` — the study layer's result cache: the shipped
+  ``studies/consensus_scaling.toml`` run cold into a fresh cache
+  directory, then again against the now-warm content-addressed cache
+  (asserted ``results_equal`` to the cold run, 100% hits and, in full
+  mode, a ≥5× wall-time reduction).
 * ``kernels`` — the fused-kernel layer (:mod:`repro.engine.kernels`):
   the switch-and-redistribute agent kernel vs the sequential and
   lock-step agent paths on the 2-Choices headline (n=2048 k=8 R=50,
@@ -173,13 +173,12 @@ STUDY_SPEC_PATH = (
 )
 
 FULL_STUDY = {
-    "label": "consensus-scaling study (9 cells) workers=2 + result cache",
+    "label": "consensus-scaling study (9 cells) cold vs warm result cache",
     "spec": lambda: load_spec(str(STUDY_SPEC_PATH)),
-    "workers": 2,
 }
 
 SMOKE_STUDY = {
-    "label": "study 4 cells workers=2 + result cache (smoke)",
+    "label": "study 4 cells cold vs warm result cache (smoke)",
     "spec": lambda: StudySpec(
         name="bench study smoke",
         seed=13,
@@ -190,7 +189,6 @@ SMOKE_STUDY = {
             "rng_mode": ["per-replica"],
         },
     ),
-    "workers": 2,
 }
 
 FULL_KERNELS = {
@@ -488,27 +486,22 @@ def _measure_faults(scenario) -> dict:
     return entry
 
 
-def _measure_study_parallel(scenario) -> dict:
-    """Study scheduling and caching: sequential vs workers=N vs warm cache.
+def _measure_study_cache(scenario) -> dict:
+    """Study result cache: a cold run into a fresh cache, then a warm one.
 
-    Three runs of the same spec.  The sequential run is the reference;
-    the parallel run (which also fills a throwaway cache directory) must
-    be ``results_equal`` bit-for-bit; the final run replays entirely
-    from the cache, so its wall time is the cache's lookup cost.
+    The cold run simulates every cell and memoizes it; the warm run must
+    replay every cell from the cache (``results_equal`` to the cold run),
+    so its wall time is the cache's lookup cost.
     """
     spec = scenario["spec"]()
-    workers = scenario["workers"]
     cells = spec.num_cells()
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         start = time.perf_counter()
-        sequential = run_study(spec)
-        seq_seconds = time.perf_counter() - start
+        cold = run_study(spec, cache=cache_dir)
+        cold_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        parallel = run_study(spec, workers=workers, cache=cache_dir)
-        par_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = run_study(spec, workers=workers, cache=cache_dir)
+        warm = run_study(spec, cache=cache_dir)
         warm_seconds = time.perf_counter() - start
         hits = sum(record.cache_hit for record in warm.records())
     finally:
@@ -516,21 +509,17 @@ def _measure_study_parallel(scenario) -> dict:
     entry = {
         "label": scenario["label"],
         "cells": cells,
-        "workers": workers,
-        "sequential_seconds": round(seq_seconds, 4),
-        "parallel_seconds": round(par_seconds, 4),
-        "cells_per_second_sequential": round(cells / seq_seconds, 2),
-        "cells_per_second_parallel": round(cells / par_seconds, 2),
-        "parallel_results_equal": bool(parallel.results_equal(sequential)),
+        "cold_seconds": round(cold_seconds, 4),
+        "cells_per_second_cold": round(cells / cold_seconds, 2),
         "warm_cache_seconds": round(warm_seconds, 4),
+        "warm_results_equal": bool(warm.results_equal(cold)),
         "cache_hit_rate": round(hits / cells, 4),
-        "warm_speedup": round(seq_seconds / warm_seconds, 2),
+        "warm_speedup": round(cold_seconds / warm_seconds, 2),
     }
     print(
-        f"{entry['label']}: sequential {entry['sequential_seconds']}s, "
-        f"workers={workers} {entry['parallel_seconds']}s "
-        f"(results_equal={entry['parallel_results_equal']}), "
-        f"warm cache {entry['warm_cache_seconds']}s -> "
+        f"{entry['label']}: cold {entry['cold_seconds']}s, "
+        f"warm cache {entry['warm_cache_seconds']}s "
+        f"(results_equal={entry['warm_results_equal']}) -> "
         f"{entry['warm_speedup']}x at {entry['cache_hit_rate']:.0%} hits"
     )
     return entry
@@ -666,9 +655,7 @@ def run_benchmark(smoke: bool = False, output: "pathlib.Path | None" = None) -> 
             SMOKE_ADVERSARY if smoke else FULL_ADVERSARY
         ),
         "faults": _measure_faults(SMOKE_FAULTS if smoke else FULL_FAULTS),
-        "study-parallel": _measure_study_parallel(
-            SMOKE_STUDY if smoke else FULL_STUDY
-        ),
+        "study-cache": _measure_study_cache(SMOKE_STUDY if smoke else FULL_STUDY),
         "kernels": _measure_kernels(
             SMOKE_KERNELS if smoke else FULL_KERNELS, smoke_reference=not smoke
         ),
@@ -696,8 +683,8 @@ def bench_engine_throughput(benchmark):
     kernels = report["kernels"]
     assert kernels["sync"]["speedup_vs_sequential"] >= 5.0, kernels["sync"]
     assert kernels["async"]["speedup_vs_ensemble"] >= 1.0, kernels["async"]
-    study = report["study-parallel"]
-    assert study["parallel_results_equal"], study
+    study = report["study-cache"]
+    assert study["warm_results_equal"], study
     assert study["cache_hit_rate"] == 1.0, study
     assert study["warm_speedup"] >= 5.0, study
 
@@ -805,11 +792,9 @@ def main() -> int:
             f"adversary agent-ensemble {report['adversary']['agent_speedup']}x "
             "is far below sequential (fused colors kernel regression)"
         )
-    study = report["study-parallel"]
-    if not study["parallel_results_equal"]:
-        failures.append(
-            f"workers={study['workers']} study diverged from the sequential run"
-        )
+    study = report["study-cache"]
+    if not study["warm_results_equal"]:
+        failures.append("warm-cache study diverged from the cold run")
     if study["cache_hit_rate"] < 1.0:
         failures.append(
             f"warm cache hit rate {study['cache_hit_rate']:.0%} below 100%"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 + plan-matrix + study-smoke +
-# faults-smoke + supervision-smoke + throughput.
+# faults-smoke + supervision-smoke + serve-smoke + throughput.
 #
 # Steps:
 #   1. tier-1    — the full test suite.
@@ -26,24 +26,20 @@
 #      SIGKILL'd mid-run, its journal truncated at a random byte offset,
 #      then resumed — the resumed store must be bit-for-bit identical to
 #      an uninterrupted run.
-#   6. parallel-smoke — the concurrent-study contract: the same spec run
-#      sequentially and with workers=2 (bit-for-bit results_equal), a
-#      parallel subprocess SIGKILL'd mid-run and resumed to the identical
-#      store, and a second run over the warm result cache replaying every
-#      cell (100% hits) — plus the committed BENCH_engine.json carrying a
-#      study-parallel section with positive parallel throughput.
-#   7. serve-smoke — the service contract end-to-end: a daemon
+#   6. serve-smoke — the service contract end-to-end: a daemon
 #      subprocess accepts studies/consensus_scaling.toml over HTTP,
 #      streams ndjson progress, is SIGKILL'd mid-run, and a second
 #      daemon on the same state dir resumes the job to a store
 #      bit-for-bit equal to an uninterrupted foreground run; then
 #      resubmission dedup (attach, no recompute) and a renamed spec
 #      served at 100% cache hits from the state-dir result cache.
-#   8. smoke     — the engine-throughput benchmark in ≤30 s mode
+#   7. smoke     — the engine-throughput benchmark in ≤30 s mode
 #      (sequential vs ensemble headline, async / adversary engines,
-#      fault-path overhead, the study-parallel section, the fused-kernel
-#      section, and the runtime's resolved-backend record per section).
-#   9. kernels-smoke — the fused-kernel regression gate: re-measures the
+#      fault-path overhead, the study-cache section — a cold study run,
+#      then a warm rerun that must replay every cell and equal it — the
+#      fused-kernel section, and the runtime's resolved-backend record
+#      per section).
+#   8. kernels-smoke — the fused-kernel regression gate: re-measures the
 #      smoke-size kernel scenarios under REPRO_NO_NUMBA=0 and =1 and
 #      fails on a >20% speedup drop vs the baselines recorded in the
 #      committed BENCH_engine.json (kernels.smoke_reference).  Both env
@@ -132,8 +128,6 @@ print("faults-smoke OK: failure recorded with traceback; healthy cell untouched"
 EOF
 echo "== supervision-smoke: deadline kill + torn-journal resume =="
 python scripts/supervision_smoke.py
-echo "== parallel-smoke: workers=2 bit-for-bit + SIGKILL resume + warm cache =="
-python scripts/parallel_smoke.py
 echo "== serve-smoke: daemon SIGKILL -> restart resume + dedup + cache =="
 python scripts/serve_smoke.py
 python benchmarks/bench_engine_throughput.py --smoke

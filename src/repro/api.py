@@ -48,6 +48,7 @@ from .processes.base import AgentProcess
 from .processes.registry import make_process
 from .study.compile import build_adversary, parse_stop, validate_study
 from .study.runner import run_study
+from .study.scheduler import canonical_parallel_value
 from .study.spec import StudySpec
 from .study.store import StudyStore
 from .study.toml_io import load_spec
@@ -262,7 +263,6 @@ def study(
     policy=None,
     deadline_s: "float | None" = None,
     workers: "int | None" = None,
-    max_inflight: "int | None" = None,
     cache=None,
     stop_event=None,
 ) -> StudyStore:
@@ -272,16 +272,20 @@ def study(
     the on-disk spec forms: a path to a ``.toml`` file or a plain dict
     (e.g. parsed JSON).  See :func:`repro.study.runner.run_study` for
     ``store_path`` / ``resume`` / ``max_cells``, the supervision knobs
-    ``on_error`` / ``policy`` / ``max_attempts`` / ``deadline_s``, the
-    concurrency knobs ``workers`` / ``max_inflight`` (parallel cell
-    scheduling, bit-for-bit equal to sequential), and ``cache`` (the
-    shared content-addressed result cache; ``True`` / ``False`` / a
-    directory) — in particular, resumed runs complete interrupted
-    stores (journal and all) bit-for-bit and re-attempt failed or
-    timed-out cells.  ``stop_event`` is the cooperative stop flag of
-    :func:`~repro.study.runner.run_study`: setting it checkpoints the
-    cell in flight and returns a store with ``interrupted=True``.
+    ``on_error`` / ``policy`` / ``max_attempts`` / ``deadline_s``, and
+    ``cache`` (the shared content-addressed result cache; ``True`` /
+    ``False`` / a directory) — in particular, resumed runs complete
+    interrupted stores (journal and all) bit-for-bit and re-attempt
+    failed or timed-out cells.  ``stop_event`` is the cooperative stop
+    flag of :func:`~repro.study.runner.run_study`: setting it
+    checkpoints the cell in flight and returns a store with
+    ``interrupted=True``.
+
+    ``workers`` is accepted for existing callers, checked like a
+    ``[parallel]`` worker count (a positive int), and ignored: cells
+    always run one after another on the calling thread.
     """
+    canonical_parallel_value(workers)
     return run_study(
         _as_spec(spec),
         store_path=store_path,
@@ -292,8 +296,6 @@ def study(
         max_attempts=max_attempts,
         policy=policy,
         deadline_s=deadline_s,
-        workers=workers,
-        max_inflight=max_inflight,
         cache=cache,
         stop_event=stop_event,
     )

@@ -21,9 +21,9 @@ facade (everything they do is a few lines of library calls, shown in
 
 ``study``
     The declarative suite runner: ``study run spec.toml`` executes a
-    :class:`~repro.study.StudySpec` and checkpoints a provenance-carrying
-    result store after every cell — ``--workers N`` schedules cells
-    concurrently (bit-for-bit equal to sequential) and ``--cache`` /
+    :class:`~repro.study.StudySpec` one cell after another and
+    checkpoints a provenance-carrying result store after every cell (a
+    spec's ``[parallel]`` table is accepted and ignored); ``--cache`` /
     ``--no-cache`` controls the shared content-addressed result cache;
     ``study resume`` completes an interrupted store bit-for-bit;
     ``study validate`` compiles a spec's whole grid without running it;
@@ -228,21 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help=(
-            "schedule up to N cells concurrently (default: the spec's "
-            "[parallel] table, else sequential); results are bit-for-bit "
-            "identical to a sequential run"
-        ),
-    )
-    run.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help=(
-            "cap on cells in flight at once under --workers "
-            "(default: 2 x workers)"
-        ),
-    )
-    run.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None,
         help=(
             "consult/populate the shared content-addressed result cache "
@@ -270,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--max-cells", type=int, default=None)
     resume.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
     resume.add_argument("--max-attempts", type=int, default=None, metavar="N")
-    resume.add_argument("--workers", type=int, default=None, metavar="N")
-    resume.add_argument("--max-inflight", type=int, default=None, metavar="N")
     resume.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None
     )
@@ -373,11 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
             "bit-for-bit"
         ),
     )
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="schedule up to N cells of the running job concurrently",
-    )
-    serve.add_argument("--max-inflight", type=int, default=None, metavar="N")
     serve.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=True,
         help=(
@@ -640,7 +618,7 @@ def _cmd_study_serve_verb(args: argparse.Namespace) -> int:
         if args.study_command == "submit":
             try:
                 spec = load_spec(args.spec)
-            except (OSError, ValueError) as exc:
+            except (OSError, TypeError, ValueError) as exc:
                 raise SystemExit(f"cannot load spec: {exc}") from exc
             view = client.submit(spec)
             verb = "attached to" if view["attached"] else "submitted"
@@ -686,8 +664,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         state_dir=args.state_dir,
-        workers=args.workers,
-        max_inflight=args.max_inflight,
         cache=cache,
         verbose=args.verbose,
     )
@@ -709,7 +685,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         return 0
     try:
         spec = load_spec(args.spec)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"cannot load spec: {exc}") from exc
     store_path = args.store or _default_store_path(args.spec)
     resume = args.study_command == "resume" or args.resume
@@ -733,8 +709,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
             progress=_progress_printer(spec.num_cells()),
             max_attempts=args.max_attempts,
             deadline_s=args.deadline,
-            workers=args.workers,
-            max_inflight=args.max_inflight,
             cache=cache,
         )
     except (KeyError, TypeError, ValueError) as exc:

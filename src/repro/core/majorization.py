@@ -315,13 +315,16 @@ def dalton_transfer_preserves(
         surplus_idx = np.flatnonzero(diff > tol)
         deficit_idx = np.flatnonzero(diff < -tol)
         if surplus_idx.size == 0 or deficit_idx.size == 0:
-            return False
+            # What is left on one side lies within tol (rounding from the
+            # transfers so far): no transfer remains, so let the prefix sums
+            # decide.
+            return majorizes(a, b, tol=tol)
         i = int(surplus_idx[0])
         j = int(deficit_idx[0])
         if i > j:
             # A deficit before any surplus means some top-j sum of y exceeds
-            # x's: majorization fails.
-            return False
+            # x's, unless sub-tol surpluses ahead of it make up the gap.
+            return majorizes(a, b, tol=tol)
         amount = min(a[i] - b[i], b[j] - a[j], (a[i] - a[j]) / 2 if a[i] > a[j] else 0.0)
         if amount <= tol:
             # Direct transfer blocked; fall back to the prefix-sum criterion.

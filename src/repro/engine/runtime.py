@@ -18,9 +18,10 @@ batch helpers, the sweep harness and the CLI:
   :class:`ExecutionResult` (per-replica first-passage times, stop masks,
   final counts, plus the family's raw result object).
 
-Every backend runs in the calling process.  Parallelism lives one layer
-up, at cell granularity (:class:`repro.study.scheduler.CellScheduler`),
-where cells are already independent and seeded from their index.
+Every backend runs in the calling process, and the study layer above
+runs its cells one after another
+(:class:`repro.study.scheduler.CellScheduler`).  Cells are seeded from
+their index, never from execution order.
 
 Writing a new backend
 ---------------------

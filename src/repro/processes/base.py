@@ -178,7 +178,7 @@ class AgentProcess(abc.ABC):
         ``x = c / n``:
 
         * ``sigma`` — ``(R, k)`` per-class *switch* probability: each node
-          of class ``i`` abandons its color independently with probability
+          of class ``i`` drops its color independently with probability
           ``sigma[r, i]``.  ``None`` means every node redraws (``σ ≡ 1``).
         * ``q`` — ``(R, k)`` *destination* law: every switching node picks
           its new color iid from ``q[r]`` (rows sum to 1).

@@ -6,9 +6,9 @@
   submission is idempotent and dedup is content-addressed;
 * a FIFO queue drained by ONE executor thread — the store layer's
   single-writer discipline, lifted to the service: however many HTTP
-  threads accept submissions, exactly one ``run_study`` runs at a time
-  (cells still parallelise *inside* it via the ``[parallel]`` table or
-  the daemon's ``--workers``);
+  threads accept submissions, exactly one ``run_study`` runs at a time,
+  its cells one after another (a spec's ``[execution] deadline_s``
+  holds here too, off the main thread);
 * the state directory::
 
       <state_dir>/jobs.jsonl             # the job journal (CRC lines)
@@ -89,8 +89,6 @@ class JobManager:
         self,
         state_dir: str,
         *,
-        workers: "int | None" = None,
-        max_inflight: "int | None" = None,
         cache=True,
         deadline_s: "float | None" = None,
         max_attempts: "int | None" = None,
@@ -105,8 +103,6 @@ class JobManager:
         if cache is True:
             cache = os.path.join(state_dir, "cache")
         self._cache = cache
-        self._workers = workers
-        self._max_inflight = max_inflight
         self._deadline_s = deadline_s
         self._max_attempts = max_attempts
 
@@ -354,8 +350,6 @@ class JobManager:
                 resume=True,
                 progress=progress,
                 on_error="record",
-                workers=self._workers,
-                max_inflight=self._max_inflight,
                 cache=self._cache,
                 deadline_s=self._deadline_s,
                 max_attempts=self._max_attempts,

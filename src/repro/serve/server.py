@@ -228,8 +228,6 @@ def serve(
     port: int = 0,
     state_dir: str = "repro-serve",
     *,
-    workers: "int | None" = None,
-    max_inflight: "int | None" = None,
     cache=True,
     verbose: bool = False,
     ready=None,
@@ -240,16 +238,13 @@ def serve(
     on stdout (``listening on http://host:port``) so wrappers — the
     smoke script, tests — can parse it.  ``ready`` is an optional
     callback receiving the :class:`StudyServer` once it is listening
-    (for in-process embedding).  Shutdown is graceful: the running
-    job's cell in flight is checkpointed and the job re-enqueues on the
-    next daemon started on the same ``state_dir``.
+    (for in-process embedding).  Jobs run one at a time, their cells
+    one after another, and a spec's ``[execution] deadline_s`` holds on
+    the executor thread.  Shutdown is graceful: the running job's cell
+    in flight is checkpointed and the job re-enqueues on the next daemon
+    started on the same ``state_dir``.
     """
-    manager = JobManager(
-        state_dir,
-        workers=workers,
-        max_inflight=max_inflight,
-        cache=cache,
-    )
+    manager = JobManager(state_dir, cache=cache)
     server = StudyServer((host, port), manager, verbose=verbose)
     manager.start()
 

@@ -24,10 +24,10 @@ This package makes the set itself a first-class artifact:
   per-cell failures as ``status="failed"`` / ``"timeout"`` records,
   journals each record crash-safely, and supports bit-for-bit
   ``resume=`` of interrupted runs (broken cells are re-attempted).
-* :class:`CellScheduler` (``scheduler.py``) — concurrent cell dispatch
-  (``workers`` / ``max_inflight``, the ``[parallel]`` spec table):
-  independent cells run on a bounded worker set while the store keeps a
-  single writer and ``results_equal`` stays bit-for-bit vs sequential.
+* :class:`CellScheduler` (``scheduler.py``) — the runner's one dispatch
+  loop: cells run one after another on the calling thread, which stays
+  the store's single writer.  The ``[parallel]`` spec table is accepted
+  and ignored, so older specs keep their hashes.
 * :class:`ResultCache` (``cache.py``) — the shared content-addressed
   result cache (the ``[cache]`` spec table, ``$REPRO_CACHE_DIR``):
   overlapping studies replay clean records (``cache_hit=True``) instead
@@ -70,7 +70,6 @@ from .scheduler import (
     CellScheduler,
     canonical_parallel_value,
     encode_parallel_value,
-    resolve_parallel,
 )
 from .spec import AXIS_NAMES, StudySpec, spec_hash
 from .store import (
@@ -119,7 +118,6 @@ __all__ = [
     "loads_spec",
     "parse_stop",
     "resolve_cache",
-    "resolve_parallel",
     "resolve_policy",
     "run_study",
     "save_spec",

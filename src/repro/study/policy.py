@@ -74,9 +74,9 @@ FATAL_ERRORS = (
 
 
 class CellDeadlineExceeded(RuntimeError):
-    """A cell ran past its :attr:`ExecutionPolicy.deadline_s` and was killed.
+    """A cell attempt ran past its :attr:`ExecutionPolicy.deadline_s`.
 
-    Raised by the runner's watchdog (never by the engines themselves);
+    Raised by the runner's deadline helper (never by the engines themselves);
     the cell lands in the store as ``status="timeout"`` and ``resume``
     re-attempts it like any other non-ok cell.
     """

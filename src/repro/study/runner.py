@@ -8,12 +8,12 @@ in flight.
 
 Supervision (the :class:`~repro.study.policy.ExecutionPolicy`):
 
-* **Deadlines** — on the main thread a watchdog (:class:`_CellDeadline`)
-  kills any attempt that runs past ``deadline_s`` via ``SIGALRM``
-  (interrupting even a tight numpy loop); under ``workers > 1`` the
-  :class:`~repro.study.scheduler.CellScheduler` watchdog abandons a cell
-  past its total budget instead.  The cell lands as
-  ``status="timeout"`` and the run moves on; ``resume`` re-attempts it.
+* **Deadlines** — :func:`_execute_within` stops waiting for any attempt
+  that runs past ``deadline_s``.  On the main thread ``SIGALRM``
+  interrupts the attempt itself (even a tight numpy loop); off it (every
+  ``repro serve`` job) the attempt runs on a daemon thread that is
+  written off at the deadline.  The cell lands as ``status="timeout"``
+  and the run moves on; ``resume`` re-attempts it.
 * **Classified retries** — a raising cell is retried only when retrying
   can help: *transient* substrate faults (OOM, OSError) back off
   deterministically (:func:`~repro.study.policy.backoff_delay`)
@@ -51,27 +51,18 @@ finishes and its journal record is checkpointed, no new cell starts, the
 journal compacts as usual, and the returned store carries
 ``interrupted=True`` so callers can exit 0 with a "resume to continue"
 message instead of relying on crash-safety for an ordinary Ctrl-C.  A
-*second* signal abandons the courtesy and raises ``KeyboardInterrupt``
+*second* signal skips the courtesy and raises ``KeyboardInterrupt``
 (the historical behaviour — crash-safety still bounds the damage to the
 record in flight).
 
-Parallel scheduling and the result cache
-----------------------------------------
+The result cache
+----------------
 
-Cells are independent by construction (seeds never depend on execution
-order, each compiled cell carries its own recorder), so with
-``workers > 1`` the pending cells dispatch onto a
-:class:`~repro.study.scheduler.CellScheduler` instead of the sequential
-loop: records are journaled in completion order the moment each future
-lands (the main thread stays the store's single writer), and the store
-still satisfies ``results_equal`` bit-for-bit against a sequential run
-because record identity is ``cell_id``, not order.  Supervision
-survives: each worker thread runs the same ``_record_cell`` loop
-(retries and degradation included), and since ``SIGALRM`` cannot reach
-a worker thread, the scheduler's watchdog enforces the deadline by
-abandoning a cell past its total budget.  With a cache enabled
+Cells run one after another through the
+:class:`~repro.study.scheduler.CellScheduler` loop on the calling
+thread, which is the store's single writer.  With a cache enabled
 (:mod:`repro.study.cache`), every pending cell is looked up before it is
-scheduled — a hit is journaled immediately with ``cache_hit=True`` and
+dispatched — a hit is journaled immediately with ``cache_hit=True`` and
 never simulates — and every fresh clean record is memoized for the next
 overlapping study.
 """
@@ -84,6 +75,7 @@ import threading
 import time
 import traceback
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -104,7 +96,7 @@ from .policy import (
     classify_error,
     resolve_policy,
 )
-from .scheduler import CellScheduler, resolve_parallel
+from .scheduler import CellScheduler
 from .spec import StudySpec, spec_hash
 from .store import RunRecord, StudyStore, journal_path, load_study_store
 
@@ -153,43 +145,49 @@ class _GracefulStop:
         return False
 
 
-class _CellDeadline:
-    """Context manager enforcing one attempt's wall-clock budget.
+def _execute_within(plan, deadline_s: "float | None"):
+    """``execute(plan)``, raising :class:`CellDeadlineExceeded` past the budget.
 
-    On the main thread it arms ``SIGALRM`` via ``setitimer``, which
-    interrupts *anything* — even a tight numpy inner loop — by raising
-    :class:`CellDeadlineExceeded` right in the cell's frame.  Signals are
-    unavailable off the main thread, so there it does nothing: a study
-    scheduled on worker threads relies on the
-    :class:`~repro.study.scheduler.CellScheduler` watchdog instead.
+    On the main thread ``SIGALRM`` (via ``setitimer``) interrupts
+    *anything* — even a tight numpy inner loop — by raising right in the
+    cell's frame.  Signals are unavailable off the main thread, so there
+    the attempt runs on a daemon thread that is joined for at most
+    ``deadline_s``; past it the attempt is written off — left running
+    where it can block neither the study nor interpreter exit.
     """
+    if deadline_s is None:
+        return execute(plan)
+    if (
+        threading.current_thread() is threading.main_thread()
+        and hasattr(signal, "SIGALRM")
+    ):
+        def alarm(_signum, _frame):
+            raise CellDeadlineExceeded(deadline_s)
 
-    def __init__(self, deadline_s: "float | None"):
-        self.deadline_s = deadline_s
-        self.expired = False
-        self._previous = None
-        self._use_signal = False
-
-    def _alarm(self, _signum, _frame):
-        self.expired = True
-        raise CellDeadlineExceeded(self.deadline_s)
-
-    def __enter__(self):
-        if (
-            self.deadline_s is not None
-            and threading.current_thread() is threading.main_thread()
-            and hasattr(signal, "SIGALRM")
-        ):
-            self._use_signal = True
-            self._previous = signal.signal(signal.SIGALRM, self._alarm)
-            signal.setitimer(signal.ITIMER_REAL, self.deadline_s)
-        return self
-
-    def __exit__(self, _exc_type, _exc, _tb):
-        if self._use_signal:
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.setitimer(signal.ITIMER_REAL, deadline_s)
+        try:
+            return execute(plan)
+        finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, self._previous)
-        return False
+            signal.signal(signal.SIGALRM, previous)
+
+    outcome: dict = {}
+
+    def attempt():
+        try:
+            outcome["result"] = execute(plan)
+        except BaseException as exc:  # re-raised on the caller's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=attempt, name="repro-cell-attempt", daemon=True)
+    thread.start()
+    thread.join(deadline_s)
+    if thread.is_alive():
+        raise CellDeadlineExceeded(deadline_s)
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 def _attempt_plan(cell: StudyCell, attempt: int):
@@ -307,8 +305,7 @@ def _try_degrade(
             continue
         start = time.perf_counter()
         try:
-            with _CellDeadline(policy.deadline_s):
-                result = execute(fb_plan)
+            result = _execute_within(fb_plan, policy.deadline_s)
         except Exception:
             attempt_walls.append(time.perf_counter() - start)
             continue
@@ -341,8 +338,7 @@ def _record_cell(
         policy = ExecutionPolicy()
     if on_error == "raise":
         start = time.perf_counter()
-        with _CellDeadline(policy.deadline_s):
-            result = execute(_attempt_plan(cell, 0))
+        result = _execute_within(_attempt_plan(cell, 0), policy.deadline_s)
         return _success_record(cell, result, time.perf_counter() - start)
 
     # Resolve the backend up front: a resolution error is a config error
@@ -360,8 +356,9 @@ def _record_cell(
         attempts = attempt + 1
         start = time.perf_counter()
         try:
-            with _CellDeadline(policy.deadline_s):
-                result = execute(_attempt_plan(cell, attempt))
+            result = _execute_within(
+                _attempt_plan(cell, attempt), policy.deadline_s
+            )
         except CellDeadlineExceeded as exc:
             attempt_walls.append(time.perf_counter() - start)
             # A hang would burn the whole budget again: record the
@@ -430,8 +427,6 @@ def run_study(
     max_attempts: "int | None" = None,
     policy: "ExecutionPolicy | None" = None,
     deadline_s: "float | None" = None,
-    workers: "int | None" = None,
-    max_inflight: "int | None" = None,
     cache=None,
     stop_event: "threading.Event | None" = None,
 ) -> StudyStore:
@@ -477,16 +472,6 @@ def run_study(
         An explicit :class:`ExecutionPolicy`.  Precedence: this argument,
         else the spec's ``[execution]`` table, else the defaults — then
         the ``max_attempts`` / ``deadline_s`` overrides.
-    workers, max_inflight:
-        Concurrent cell scheduling (the ``--workers`` CLI knob).
-        Precedence: these arguments, else the spec's ``[parallel]``
-        table, else sequential.  ``workers > 1`` dispatches pending
-        cells onto a :class:`~repro.study.scheduler.CellScheduler` with
-        at most ``max_inflight`` (default ``2 * workers``) cells in
-        flight; results are identical to the sequential run, bit for
-        bit.  Passed as arguments (rather than spec edits) they leave
-        the ``spec_hash`` — and therefore resume and ``results_equal``
-        against sequential stores — untouched.
     cache:
         The content-addressed result cache
         (:mod:`repro.study.cache`).  ``None`` defers to the spec's
@@ -516,9 +501,6 @@ def run_study(
         spec.execution,
         max_attempts=max_attempts,
         deadline_s=deadline_s,
-    )
-    run_workers, run_inflight = resolve_parallel(
-        spec.parallel, workers=workers, max_inflight=max_inflight
     )
     result_cache = resolve_cache(cache, spec.cache)
     resume_path = resume if isinstance(resume, str) else store_path
@@ -553,8 +535,8 @@ def run_study(
     def finish(cell: StudyCell, record: RunRecord) -> None:
         """Land one record: store, journal, memoize, report.
 
-        Called only on the main thread — whatever the worker count, the
-        store (and its journal) has exactly one writer.
+        Called only on the thread running the study, so the store (and
+        its journal) has exactly one writer.
         """
         store.add(record)
         if store_path is not None:
@@ -596,41 +578,9 @@ def run_study(
 
     try:
         with _GracefulStop(stop):
-            if run_workers <= 1:
-                for cell in pending_cells():
-                    record = _record_cell(
-                        cell, on_error=on_error, policy=live_policy
-                    )
-                    finish(cell, record)
-            else:
-                # Per-cell total budget before the CellScheduler writes a
-                # worker off (SIGALRM deadlines need the main thread).
-                watchdog_s = None
-                abandon = None
-                if live_policy.deadline_s is not None:
-                    watchdog_s = (
-                        live_policy.deadline_s * live_policy.max_attempts + 1.0
-                    )
-
-                    def abandon(cell, elapsed):
-                        exc = CellDeadlineExceeded(live_policy.deadline_s)
-                        return _timeout_record(cell, exc, 1, [elapsed], elapsed)
-
-                scheduler = CellScheduler(
-                    lambda cell: _record_cell(
-                        cell, on_error=on_error, policy=live_policy
-                    ),
-                    run_workers,
-                    max_inflight=run_inflight,
-                    watchdog_s=watchdog_s,
-                )
-                try:
-                    for cell, record in scheduler.run(
-                        pending_cells(), abandon=abandon
-                    ):
-                        finish(cell, record)
-                finally:
-                    scheduler.shutdown()
+            run_cell = partial(_record_cell, on_error=on_error, policy=live_policy)
+            for cell, record in CellScheduler(run_cell).run(pending_cells()):
+                finish(cell, record)
         if stop.is_set():
             # Interrupted *and unfinished*: a stop landing after the last
             # cell checkpointed is a completed run, not an interruption.

@@ -55,8 +55,9 @@ never entering cell params (so cell ids stay independent of them):
   :class:`~repro.study.policy.ExecutionPolicy` (``deadline_s``,
   ``max_attempts``, ``backoff_s``, ``backoff_max_s``, ``jitter``,
   ``degrade``): how cells are supervised;
-* ``[parallel]`` — the :mod:`~repro.study.scheduler` knobs
-  (``workers``, ``max_inflight``): how cells are scheduled;
+* ``[parallel]`` — ``workers``, ``max_inflight``: accepted, validated
+  and ignored (cells always run one after another), kept so specs
+  written while it scheduled cells keep their hashes;
 * ``[cache]`` — the :mod:`~repro.study.cache` knobs (``enabled``,
   ``dir``): where completed results may be replayed from.
 """
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -282,8 +284,7 @@ class StudySpec:
     repetitions: int = 5
     expansion: str = "grid"
     #: Accepted, validated and ignored.  It stays in the spec and in cell
-    #: params so existing spec hashes and cell ids hold; cell-level
-    #: parallelism is the ``[parallel]`` table.
+    #: params so existing spec hashes and cell ids hold.
     workers: "int | None" = None
     check_every: "int | None" = None
     stable_fraction: float = 0.95
@@ -295,9 +296,9 @@ class StudySpec:
     #: ``None`` = the all-defaults policy.  Supervision only — elided
     #: when default, never part of cell params or cell ids.
     execution: "dict | None" = None
-    #: Declarative scheduling (the ``[parallel]`` TOML table:
-    #: ``workers``, ``max_inflight``); ``None`` = sequential.  Same
-    #: elision contract as ``execution``.
+    #: The ``[parallel]`` TOML table (``workers``, ``max_inflight``):
+    #: accepted, validated and ignored at run time.  Same elision
+    #: contract as ``execution``, so its hashes hold.
     parallel: "dict | None" = None
     #: Declarative result caching (the ``[cache]`` TOML table:
     #: ``enabled``, ``dir``); ``None`` = caching off.  Same elision
@@ -307,6 +308,20 @@ class StudySpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError("spec needs a non-empty name")
+        # Checked, not coerced: to_dict hashes int(...) / bool(...), so a
+        # coercible stand-in ("3", 2.5, "false") would hash as one study
+        # and compile as another.
+        for key in ("seed", "repetitions", "stable_rounds", "workers", "check_every"):
+            value = getattr(self, key)
+            if value is None and key in ("workers", "check_every"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{key} must be an int, got {value!r}")
+            setattr(self, key, int(value))
+        if not isinstance(self.raise_on_limit, bool):
+            raise TypeError(
+                f"raise_on_limit must be a bool, got {self.raise_on_limit!r}"
+            )
         if self.expansion not in _EXPANSIONS:
             raise ValueError(
                 f"unknown expansion {self.expansion!r}; pick one of {_EXPANSIONS}"
@@ -315,7 +330,7 @@ class StudySpec:
             raise ValueError("seed must be non-negative")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        if self.workers is not None and int(self.workers) < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
         if not 0.5 < self.stable_fraction <= 1.0:
             raise ValueError("stable_fraction must lie in (0.5, 1]")

@@ -329,3 +329,7 @@ rng_mode = ["per-replica"]
         path.write_text('name = "x"\n[axes]\nprocess = ["warp-dynamics"]\n')
         with pytest.raises(SystemExit, match="cannot"):
             main(["study", "run", str(path)])
+        # A mistyped scalar is a TypeError from the spec, not a traceback.
+        path.write_text(self.SPEC_TOML.replace("repetitions = 2", "repetitions = 2.5"))
+        with pytest.raises(SystemExit, match="cannot load spec"):
+            main(["study", "run", str(path)])

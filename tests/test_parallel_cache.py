@@ -1,10 +1,13 @@
-"""Tests for parallel cell scheduling and the content-addressed cache.
+"""Tests for cell dispatch, the ``[parallel]`` table and the result cache.
 
-The two contracts the parallel layer must keep:
+The contracts under test:
 
-* **bit-for-bit** — a study run with ``workers > 1`` produces a store
-  ``results_equal`` to the sequential run, whatever the completion
-  order, and a SIGKILL mid-run resumes to the same store;
+* **accepted and ignored** — ``workers=`` and the ``[parallel]`` spec
+  table keep their validation and their hashes, and change no result;
+  cells run one after another on the calling thread, and a SIGKILL
+  mid-run resumes to the same store bit-for-bit;
+* **deadlines off the main thread** — a study driven from another
+  thread (every ``repro serve`` job) still times a hung cell out;
 * **provenance-clean caching** — the result cache replays only clean
   records, keyed by cell identity (spec name is *not* part of it, so
   overlapping studies share entries), stamps ``cache_hit`` without
@@ -15,11 +18,13 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from repro import StudySpec
+from repro import StudySpec, api
+from repro.cli import main
 from repro.engine.runtime import execute as real_execute
 from repro.study import (
     ResultCache,
@@ -29,7 +34,6 @@ from repro.study import (
     dumps_spec,
     journal_path,
     loads_spec,
-    resolve_parallel,
     run_study,
     save_spec,
     spec_hash,
@@ -71,13 +75,6 @@ class TestVocabulary:
         with pytest.raises(TypeError):
             canonical_parallel_value(True)
 
-    def test_resolve_parallel_precedence_and_clamp(self):
-        assert resolve_parallel(None) == (1, 2)
-        assert resolve_parallel({"workers": 4}) == (4, 8)
-        # Explicit args beat the spec table; max_inflight never below workers.
-        assert resolve_parallel({"workers": 4}, workers=2) == (2, 4)
-        assert resolve_parallel(None, workers=4, max_inflight=2) == (4, 4)
-
     def test_cache_canonicalisation(self):
         assert canonical_cache_value(None) is None
         assert canonical_cache_value(False) is None
@@ -105,32 +102,83 @@ class TestVocabulary:
 
 
 # ---------------------------------------------------------------------------
-# Parallel execution: bit-for-bit vs sequential
+# Dispatch: workers= and [parallel] are ignored, cells run in order
 # ---------------------------------------------------------------------------
+
+
+def hang_small(plan):
+    """Hang the n=24 cell for 3 s; run every other cell for real."""
+    if plan.initial.num_nodes == 24:
+        time.sleep(3.0)
+    return real_execute(plan)
+
+
+def hang_spec():
+    return grid_spec(axes={
+        "process": ["3-majority"],
+        "n": [24, 48],
+        "rng_mode": ["per-replica"],
+    })
 
 
 class TestParallelEquality:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_parallel_matches_sequential(self, workers):
         sequential = run_study(grid_spec())
-        parallel = run_study(grid_spec(), workers=workers)
+        parallel = api.study(grid_spec(), workers=workers)
         assert parallel.results_equal(sequential)
         assert [r.status for r in parallel.records()] == ["ok"] * 4
 
-    def test_scheduler_completion_order_and_bounds(self):
-        """run() yields every cell exactly once, in completion order."""
-        seen = []
+    def test_parallel_table_keeps_its_hash_and_changes_no_result(self):
+        spec = grid_spec(
+            name="parallel-pin",
+            seed=5,
+            parallel={"workers": 2, "max_inflight": 6},
+            axes={
+                "process": ["3-majority"],
+                "n": [16, 24],
+                "rng_mode": ["per-replica"],
+            },
+        )
+        # The table still enters the spec hash, never the cell ids...
+        assert spec_hash(spec) == "74edb5f1b8a4fbcd"
+        assert [c.cell_id for c in compile_study(spec)] == [
+            "9bf9ff09ec8514d8", "f98be754c37a8abb",
+        ]
+        # ...and neither it nor workers= changes a result.
+        reference = run_study(spec)
+        assert api.study(spec, workers=2).results_equal(reference)
+        plain = run_study(StudySpec.from_dict(
+            {k: v for k, v in spec.to_dict().items() if k != "parallel"}
+        ))
+        assert spec_hash(plain.spec) != spec_hash(spec)
+        for with_table, without in zip(reference.records(), plain.records()):
+            assert with_table.same_results(without)
+        assert [r.status for r in reference.records()] == ["ok"] * 2
 
-        def slow_even(cell):
-            time.sleep(0.15 if cell % 2 == 0 else 0.0)
+    @pytest.mark.parametrize("workers", [0, True])
+    def test_api_study_still_checks_workers(self, workers):
+        with pytest.raises((TypeError, ValueError)):
+            api.study(grid_spec(), workers=workers)
+
+    def test_removed_workers_flag_is_a_usage_error(self, tmp_path):
+        spec_path = str(tmp_path / "spec.toml")
+        save_spec(grid_spec(), spec_path)
+        with pytest.raises(SystemExit) as info:
+            main(["study", "run", spec_path, "--workers", "2"])
+        assert info.value.code == 2
+        assert not os.path.exists(str(tmp_path / "spec.store.json"))
+
+    def test_scheduler_runs_cells_in_order_on_the_calling_thread(self):
+        threads = []
+
+        def run_cell(cell):
+            threads.append(threading.get_ident())
             return cell * 10
 
-        with CellScheduler(slow_even, workers=2) as scheduler:
-            for cell, record in scheduler.run(range(4)):
-                seen.append((cell, record))
-        assert sorted(seen) == [(0, 0), (1, 10), (2, 20), (3, 30)]
-        # The odd (fast) cells overtake the even (slow) ones.
-        assert seen[0][0] % 2 == 1
+        pairs = list(CellScheduler(run_cell).run(iter(range(4))))
+        assert pairs == [(0, 0), (1, 10), (2, 20), (3, 30)]
+        assert threads == [threading.get_ident()] * 4
 
     def test_sigkill_mid_parallel_run_resumes_bitwise(self, tmp_path):
         spec = grid_spec(
@@ -151,7 +199,7 @@ class TestParallelEquality:
         child_src = (
             "import sys, time\n"
             "from repro import api\n"
-            "api.study(sys.argv[1], store_path=sys.argv[2], workers=2,\n"
+            "api.study(sys.argv[1], store_path=sys.argv[2],\n"
             "          progress=lambda cell, record: time.sleep(0.2))\n"
         )
         env = {
@@ -190,28 +238,38 @@ class TestParallelEquality:
             raise AssertionError("could not SIGKILL the parallel study mid-run")
 
         assert not os.path.exists(store_path), "SIGKILL must skip compaction"
-        resumed = run_study(spec, store_path=store_path, resume=True, workers=2)
+        resumed = run_study(spec, store_path=store_path, resume=True)
         assert resumed.is_complete()
         assert resumed.results_equal(reference)
         assert not os.path.exists(jpath), "journal not compacted after resume"
 
     def test_timeout_of_one_inflight_cell_spares_siblings(self, monkeypatch):
-        def hang_small(plan):
-            if plan.initial.num_nodes == 24:
-                time.sleep(8.0)
-            return real_execute(plan)
-
         monkeypatch.setattr(runner_module, "execute", hang_small)
-        spec = grid_spec(axes={
-            "process": ["3-majority"],
-            "n": [24, 48],
-            "rng_mode": ["per-replica"],
-        })
-        store = run_study(spec, workers=2, deadline_s=0.2)
+        store = run_study(hang_spec(), deadline_s=0.2)
         hung, healthy = store.records()
         assert hung.status == "timeout"
         assert hung.error["deadline_s"] == 0.2
-        assert healthy.ok, "the sibling cell must survive the abandonment"
+        assert healthy.ok, "the sibling cell must survive the timeout"
+
+    def test_deadline_holds_off_the_main_thread(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "execute", hang_small)
+        outcome = {}
+
+        def drive():
+            start = time.perf_counter()
+            outcome["store"] = run_study(hang_spec(), deadline_s=0.2)
+            outcome["wall"] = time.perf_counter() - start
+
+        study_thread = threading.Thread(target=drive)
+        study_thread.start()
+        study_thread.join(30.0)
+        assert not study_thread.is_alive()
+        hung, healthy = outcome["store"].records()
+        assert hung.status == "timeout"
+        assert hung.error["deadline_s"] == 0.2
+        assert hung.error["attempts"] == 1
+        assert healthy.ok, "the sibling cell must survive the timeout"
+        assert outcome["wall"] < 1.5, outcome["wall"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ The service contract under test, end to end:
   this endpoint does not speak, light record events;
 * **job lifecycle** — content-addressed dedup (resubmitting an active
   or finished spec attaches; broken states re-enqueue), validation at
-  the door, cancellation;
+  the door, cancellation, and a spec's deadline held on the executor
+  thread;
 * **durability** — a killed manager restarted on the same state dir
   replays its CRC-journaled job table (torn tail truncated), re-enqueues
   in-flight jobs, and finishes them **bit-for-bit** equal to an
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.engine.runtime import execute as real_execute
 from repro.serve import (
     JOB_STATES,
     PROTOCOL_VERSION,
@@ -52,6 +54,7 @@ from repro.study import (
     save_spec,
     spec_hash,
 )
+from repro.study import runner as runner_module
 from repro.study.store import RunRecord, StudyStore, _journal_line
 
 
@@ -180,6 +183,30 @@ class TestJobManager:
             assert manager.views() == []
         finally:
             manager.close()
+
+    def test_spec_deadline_holds_on_the_executor_thread(
+        self, tmp_path, monkeypatch
+    ):
+        def hang_small(plan):
+            if plan.initial.num_nodes == 24:
+                time.sleep(3.0)
+            return real_execute(plan)
+
+        monkeypatch.setattr(runner_module, "execute", hang_small)
+        spec = tiny_spec(name="serve deadline", execution={"deadline_s": 0.2})
+        manager = JobManager(str(tmp_path / "state"), cache=False)
+        manager.start()
+        try:
+            view = manager.submit(spec.to_dict())
+            final = finish(manager, view["id"])
+        finally:
+            manager.close()
+        hung, *healthy = manager.load_store(view["id"]).records()
+        assert hung.params["n"] == 24
+        assert hung.status == "timeout"
+        assert hung.error["deadline_s"] == 0.2
+        assert all(record.ok for record in healthy)
+        assert final["state"] == "failed" and final["counts"]["timeout"] == 1
 
     def test_cancel_queued_job(self, tmp_path):
         manager = JobManager(str(tmp_path / "state"), cache=False)
@@ -378,7 +405,15 @@ class TestHTTP:
             **tiny_spec().to_dict(),
             "record": {"metrics": ["bias"], "replica": 99},
         }
-        for payload in (removed, mistyped, bad_replica):
+        coerced = [
+            {**tiny_spec().to_dict(), key: value}
+            for key, value in (
+                ("repetitions", 2.5),
+                ("workers", "3"),
+                ("raise_on_limit", "false"),
+            )
+        ]
+        for payload in (removed, mistyped, bad_replica, *coerced):
             with pytest.raises(ServeError) as info:
                 client.submit(payload)
             assert info.value.status == 400, payload

@@ -47,6 +47,19 @@ MISTYPED_TABLES = [
     {"parallel": {"max_inflight": "4"}},
 ]
 
+#: Scalars the hash would coerce with int(...) / bool(...) while the
+#: cells used them raw: rejected instead, so hash and cells agree.
+MISTYPED_SCALARS = [
+    {"workers": "3"},
+    {"workers": 3.7},
+    {"repetitions": 2.5},
+    {"stable_rounds": 3.5},
+    {"check_every": True},
+    {"seed": True},
+    {"raise_on_limit": "false"},
+    {"raise_on_limit": 1},
+]
+
 
 def tiny_spec(**overrides):
     defaults = dict(
@@ -149,6 +162,12 @@ class TestSpec:
         with pytest.raises(ValueError) as info:
             StudySpec.from_dict(payload)
         assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("scalar", MISTYPED_SCALARS)
+    def test_spec_scalar_types_are_checked_not_coerced(self, scalar):
+        payload = {**tiny_spec().to_dict(), **scalar}
+        with pytest.raises(TypeError):
+            StudySpec.from_dict(payload)
 
     def test_real_bools_in_spec_tables_still_parse(self):
         spec = tiny_spec(

@@ -19,6 +19,8 @@ The four pillars of the execution policy layer:
 """
 
 import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -46,7 +48,7 @@ from repro.study import (
 )
 from repro.study import runner as runner_module
 from repro.study.policy import backoff_delay, classify_error
-from repro.study.runner import _CellDeadline, _record_cell
+from repro.study.runner import _execute_within, _record_cell
 
 
 def one_cell_spec(backend="auto", *, seed=5, **spec_overrides):
@@ -443,10 +445,19 @@ class TestDeadline:
                 policy=ExecutionPolicy(deadline_s=0.2),
             )
 
-    def test_no_deadline_is_a_no_op(self):
-        with _CellDeadline(None) as watchdog:
-            pass
-        assert not watchdog.expired
+    def test_no_deadline_is_a_no_op(self, monkeypatch):
+        """No deadline: the attempt runs inline — no alarm, no thread."""
+        seen = []
+
+        def record(plan):
+            seen.append((plan, threading.get_ident()))
+            return "result"
+
+        monkeypatch.setattr(runner_module, "execute", record)
+        before = signal.getitimer(signal.ITIMER_REAL)
+        assert _execute_within("plan", None) == "result"
+        assert seen == [("plan", threading.get_ident())]
+        assert signal.getitimer(signal.ITIMER_REAL) == before
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@
 #      streams ndjson progress, is SIGKILL'd mid-run, and a second
 #      daemon on the same state dir resumes the job to a store
 #      bit-for-bit equal to an uninterrupted foreground run; then
-#      resubmission dedup (attach, no recompute) and a renamed spec
-#      served at 100% cache hits from the state-dir result cache.
+#      resubmission dedup (attach, no recompute) and 5 renamed copies
+#      served at 100% cache hits from the state-dir result cache, whose
+#      median submit→done time must stay under 0.08 s (the event stream
+#      wakes on each checkpoint, so a cached job waits on no timer).
 #   7. smoke     — the engine-throughput benchmark in ≤30 s mode
 #      (sequential vs ensemble headline, async / adversary engines,
 #      fault-path overhead, the study-cache section — a cold study run,

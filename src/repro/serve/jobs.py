@@ -8,7 +8,14 @@
   single-writer discipline, lifted to the service: however many HTTP
   threads accept submissions, exactly one ``run_study`` runs at a time,
   its cells one after another (a spec's ``[execution] deadline_s``
-  holds here too, off the main thread);
+  holds here too, off the main thread).  The executor blocks on the
+  queue with no timeout;
+* a change counter guarded by a :class:`threading.Condition` on the
+  manager's lock.  It goes up after every journaled state change and
+  after every checkpointed record, and :meth:`JobManager.wait_for_change`
+  blocks until it moves — so ``/events`` streams wake on the change
+  they report instead of on a timer.  The counter carries no data:
+  watchers still read records from the store journal;
 * the state directory::
 
       <state_dir>/jobs.jsonl             # the job journal (CRC lines)
@@ -23,9 +30,11 @@ was ``queued`` / ``running`` / ``interrupted`` — in original submission
 order.  The *result* durability is the store journal's: ``run_study``
 with ``resume=True`` completes each re-enqueued job bit-for-bit.
 
-Graceful shutdown sets the running job's stop event; ``run_study``
+Graceful shutdown puts a ``None`` sentinel on the queue (waking an
+idle executor) and sets the running job's stop event; ``run_study``
 checkpoints the cell in flight, the job lands as ``interrupted``, and
-the next daemon on this state dir picks it back up.
+the next daemon on this state dir picks it back up along with every
+job still queued.
 """
 
 from __future__ import annotations
@@ -107,9 +116,11 @@ class JobManager:
         self._max_attempts = max_attempts
 
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
+        self._changes = 0  # bumped by _notify; see wait_for_change
         self._jobs: "dict[str, Job]" = {}
         self._order: "list[str]" = []  # submission order, for replay
-        self._queue: "queue.Queue[str]" = queue.Queue()
+        self._queue: "queue.Queue[str | None]" = queue.Queue()
         self._shutdown = threading.Event()
         self._thread: "threading.Thread | None" = None
         self._handle = None
@@ -147,6 +158,7 @@ class JobManager:
         job lands as ``interrupted`` and a restarted daemon resumes it.
         """
         self._shutdown.set()
+        self._queue.put(None)  # wake an idle executor
         with self._lock:
             for job in self._jobs.values():
                 if job.state == "running":
@@ -223,6 +235,35 @@ class JobManager:
         job.state = state
         job.error = error
         self._append({"event": "state", "id": job.id, "state": state, "error": error})
+        self._notify()
+
+    # -- change notification ----------------------------------------------
+
+    def _notify(self) -> None:
+        """Count one change and wake every :meth:`wait_for_change` caller.
+
+        Takes the lock itself: ``__init__`` re-enqueues replayed jobs
+        without holding it, and ``notify_all`` needs it held.
+        """
+        with self._changed:
+            self._changes += 1
+            self._changed.notify_all()
+
+    def changes(self) -> int:
+        """The change counter's current value (read it before polling)."""
+        with self._lock:
+            return self._changes
+
+    def wait_for_change(self, seen: int, timeout: float) -> int:
+        """Block until the counter moves off ``seen``; return its value.
+
+        Returns after ``timeout`` seconds when nothing changed.  Pass
+        the value read *before* the poll just made: a change that landed
+        between that poll and this call returns at once.
+        """
+        with self._changed:
+            self._changed.wait_for(lambda: self._changes != seen, timeout)
+            return self._changes
 
     # -- paths and derived views ------------------------------------------
 
@@ -321,10 +362,9 @@ class JobManager:
 
     def _drain(self) -> None:
         while not self._shutdown.is_set():
-            try:
-                job_id = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
+            job_id = self._queue.get()
+            if job_id is None:
+                return  # close()'s wake-up; queued jobs replay next start
             with self._lock:
                 job = self._jobs[job_id]
                 if job.cancelled or job.state != "queued":
@@ -340,8 +380,11 @@ class JobManager:
 
     def _run(self, job: Job) -> None:
         def progress(cell, record) -> None:
+            # run_study calls this after the record's journal line is
+            # fsync'd, so a woken /events reader finds it on disk.
             with self._lock:
                 self._tally(job.counts, record)
+                self._notify()
 
         try:
             store = run_study(

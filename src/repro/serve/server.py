@@ -16,7 +16,9 @@ Endpoints (all bodies protocol-stamped JSON, see ``protocol.py``):
     stream *tails the job store's crash-safe journal* through
     :class:`~repro.study.store.JournalReader`, so attaching mid-run
     replays the valid prefix first — a watcher reconnecting after a
-    network blip sees every record exactly once.
+    network blip sees every record exactly once.  Records stream as
+    their journal lines are fsync'd, with no poll interval: the handler
+    sleeps on the manager's change counter, not on a timer.
 ``GET /jobs/<id>/results``
     The checkpointed columnar store (``StudyStore.to_dict`` under
     ``"store"``); 409 while nothing is checkpointed yet.
@@ -58,8 +60,6 @@ __all__ = ["StudyServer", "serve"]
 
 _JOB_ROUTE = re.compile(r"^/jobs/([0-9a-f]{16})(/events|/results|/cancel)?$")
 
-#: Seconds between journal polls while streaming events.
-_POLL_S = 0.1
 #: Idle seconds between heartbeat pings on the event stream.
 _PING_S = 5.0
 
@@ -96,6 +96,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client closes.
+            raise ProtocolError(f"Content-Length must be >= 0, got {length}")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
@@ -170,9 +173,15 @@ class _Handler(BaseHTTPRequestHandler):
 
         The source of truth is the job store's sidecar journal: the
         reader replays its valid prefix on attach (mid-run watchers see
-        history first) and then follows appends.  When the job ends the
-        journal has been compacted away, so the final catch-up reads
-        the columnar store for any record the tail never surfaced.
+        history first) and then follows appends, so each record streams
+        as soon as its journal line is fsync'd — there is no poll
+        interval.  Between polls the handler blocks in
+        :meth:`JobManager.wait_for_change`, passing the counter value it
+        read *before* the poll it just made, so a change landing in
+        between returns at once; an idle wait ends when the next
+        ``ping`` is due.  When the job ends the journal has been
+        compacted away, so the final catch-up reads the columnar store
+        for any record the tail never surfaced.
         """
         manager = self.server.manager
         view = manager.view(job_id)  # KeyError → caller's 404
@@ -184,6 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             self._emit(hello_event(view))
             last_line = time.monotonic()
+            seen = manager.changes()
             while True:
                 wrote = False
                 for record in reader.poll():
@@ -208,7 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
                 elif now - last_line >= _PING_S:
                     self._emit(ping_event())
                     last_line = now
-                time.sleep(_POLL_S)
+                seen = manager.wait_for_change(seen, last_line + _PING_S - now)
         except (BrokenPipeError, ConnectionResetError):
             return  # the watcher went away; nothing to clean up
 

@@ -15,12 +15,14 @@ The service contract under test, end to end:
 * **streaming** — ``/events`` replays the store journal's valid prefix
   on mid-run attach and never yields a torn or duplicate record (the
   :class:`JournalReader` invariant, also tested directly under a
-  concurrent writer);
+  concurrent writer), wakes on each checkpoint rather than a timer, and
+  pings while idle;
 * the satellite pieces: graceful SIGTERM in ``run_study`` (exit 0,
   checkpoint intact), atomic cache stats counters under concurrent
   writers, and compile-only ``validate``.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -44,6 +46,7 @@ from repro.serve import (
     StudyServer,
 )
 from repro.serve import protocol as proto
+from repro.serve import server as server_module
 from repro.study import (
     JournalReader,
     ResultCache,
@@ -418,6 +421,169 @@ class TestHTTP:
                 client.submit(payload)
             assert info.value.status == 400, payload
         assert client.jobs() == []
+
+    def test_negative_content_length_answers_400_promptly(self, served):
+        client, _manager = served
+        host, port = client.base_url.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=3.0)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            response = conn.getresponse()  # socket timeout if it hangs
+            body = json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_each_record_streams_as_its_checkpoint_lands(
+        self, served, monkeypatch
+    ):
+        """A record event follows its cell's checkpoint at once: the
+        stream wakes on the change, not on a timer."""
+        client, _manager = served
+        gates = {32: threading.Event(), 48: threading.Event()}
+
+        def gated(plan):
+            gate = gates.get(plan.initial.num_nodes)
+            if gate is not None:
+                gate.wait(30.0)
+            return real_execute(plan)
+
+        monkeypatch.setattr(runner_module, "execute", gated)
+        try:
+            view = client.submit(tiny_spec(name="serve wake"))
+            to_release = [gates[32], gates[48]]
+            gaps, released_at = [], None
+            for event in client.events(view["id"]):
+                if event["event"] != "record":
+                    continue
+                if released_at is not None:
+                    gaps.append(time.perf_counter() - released_at)
+                    released_at = None
+                if to_release:
+                    released_at = time.perf_counter()
+                    to_release.pop(0).set()
+        finally:
+            for gate in gates.values():
+                gate.set()
+        assert len(gaps) == 2
+        assert max(gaps) < 0.05, gaps
+
+    def test_quiet_stream_still_pings(self, served, monkeypatch):
+        client, _manager = served
+
+        def slow_first(plan):
+            if plan.initial.num_nodes == 24:
+                time.sleep(0.4)
+            return real_execute(plan)
+
+        monkeypatch.setattr(server_module, "_PING_S", 0.05)
+        monkeypatch.setattr(runner_module, "execute", slow_first)
+        view = client.submit(tiny_spec(name="serve pings"))
+        kinds = [event["event"] for event in client.events(view["id"], pings=True)]
+        assert kinds[0] == "hello"
+        assert "ping" in kinds[: kinds.index("record")]
+        assert [kind for kind in kinds if kind != "ping"] == [
+            "hello", "record", "record", "record", "done",
+        ]
+
+    def test_concurrent_watchers_lose_no_wakeup(self, served, monkeypatch):
+        """More watchers than cores, attached before the first cell runs,
+        threads switching often, and no heartbeat soon enough to rescue a
+        missed change: every stream still carries each record once and
+        ends with ``done``."""
+        client, _manager = served
+        attached = threading.Semaphore(0)
+        release = threading.Event()
+
+        def held_until_attached(plan):
+            release.wait(30.0)
+            return real_execute(plan)
+
+        monkeypatch.setattr(server_module, "_PING_S", 60.0)
+        monkeypatch.setattr(runner_module, "execute", held_until_attached)
+        view = client.submit(tiny_spec(name="serve watchers", axes={
+            "process": ["3-majority", "voter"],
+            "n": [24, 32, 48],
+            "rng_mode": ["per-replica"],
+        }))
+
+        def watch(out):
+            for event in client.events(view["id"]):
+                out.append(event)
+                if event["event"] == "hello":
+                    attached.release()
+
+        streams = [[] for _ in range(4)]
+        threads = [
+            threading.Thread(target=watch, args=(out,), daemon=True)
+            for out in streams
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in threads:
+                assert attached.acquire(timeout=30.0)
+            release.set()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            release.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for events in streams:
+            assert events[0]["event"] == "hello"
+            assert events[-1]["event"] == "done"
+            indexes = [e["index"] for e in events if e["event"] == "record"]
+            assert sorted(indexes) == list(range(6))
+
+    def test_change_between_poll_and_wait_is_not_lost(
+        self, served, monkeypatch
+    ):
+        """The whole job lands after the handler reads the job's state
+        and before it waits: the wait must return at once, not sleep
+        until the next heartbeat."""
+        client, manager = served
+        release = threading.Event()
+
+        def held(plan):
+            release.wait(30.0)
+            return real_execute(plan)
+
+        real_state = manager.state
+
+        def state_then_finish(job_id):
+            state = real_state(job_id)
+            if state not in proto.TERMINAL_STATES and not release.is_set():
+                release.set()
+                deadline = time.monotonic() + 30.0
+                while real_state(job_id) not in proto.TERMINAL_STATES:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+            return state
+
+        monkeypatch.setattr(server_module, "_PING_S", 60.0)
+        monkeypatch.setattr(runner_module, "execute", held)
+        view = client.submit(tiny_spec(name="serve race"))
+        monkeypatch.setattr(manager, "state", state_then_finish)
+        events = []
+        watcher = threading.Thread(
+            target=lambda: events.extend(client.events(view["id"])),
+            daemon=True,
+        )
+        try:
+            watcher.start()
+            watcher.join(10.0)
+        finally:
+            release.set()
+        assert not watcher.is_alive(), "the stream slept through the change"
+        kinds = [event["event"] for event in events]
+        assert kinds == ["hello", "record", "record", "record", "done"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 __all__ = [
     "chernoff_upper_multiplicative",
     "chernoff_upper_above_2mu",
@@ -61,6 +59,8 @@ def binomial_tail_exact(n: int, p: float, threshold: int) -> float:
         raise ValueError("p must lie in [0, 1]")
     if threshold <= 0:
         return 1.0
+    from scipy import stats
+
     return float(stats.binom.sf(threshold - 1, n, p))
 
 

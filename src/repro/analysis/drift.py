@@ -22,7 +22,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from ..coalescing.walks import CoalescingWalks
 from ..graphs.graph import SampleableGraph
@@ -56,6 +55,8 @@ def variable_drift_bound(
     head = x_min / h(x_min)
     if x0 == x_min:
         return head
+    from scipy import integrate
+
     tail, _err = integrate.quad(lambda y: 1.0 / h(y), x_min, x0, limit=quad_limit)
     return head + tail
 

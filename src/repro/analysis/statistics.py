@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "PowerLawFit",
@@ -49,7 +48,15 @@ class PowerLawFit:
 
 
 def fit_power_law(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
-    """Fit ``y = a x^b`` by ordinary least squares in log-log coordinates."""
+    """Fit ``y = a x^b`` by ordinary least squares in log-log coordinates.
+
+    ``scipy.stats.linregress`` on the logs, in closed form over centred
+    sums so that the study path never imports scipy: ``b = Sxy / Sxx``,
+    ``r = Sxy / √(Sxx·Syy)``, and the slope's standard error from the
+    residuals, ``√(SSE / (m − 2) / Sxx)``.  A constant ``y`` fits
+    ``b = 0`` with ``r²`` and the standard error undefined (NaN), as
+    linregress has it.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
@@ -58,12 +65,29 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
         raise ValueError("power-law fitting requires positive data")
     log_x = np.log(x)
     log_y = np.log(y)
-    result = stats.linregress(log_x, log_y)
+    if np.ptp(log_x) == 0:
+        raise ValueError("power-law fitting needs at least two distinct x values")
+    if np.ptp(log_y) == 0:
+        return PowerLawFit(
+            exponent=0.0,
+            prefactor=float(y[0]),
+            exponent_stderr=math.nan,
+            r_squared=math.nan,
+        )
+    mean_x = float(log_x.mean())
+    mean_y = float(log_y.mean())
+    dx = log_x - mean_x
+    dy = log_y - mean_y
+    sxx = float(dx @ dx)
+    sxy = float(dx @ dy)
+    slope = sxy / sxx
+    r = sxy / math.sqrt(sxx * float(dy @ dy))
+    sse = float(np.sum((dy - slope * dx) ** 2))
     return PowerLawFit(
-        exponent=float(result.slope),
-        prefactor=float(math.exp(result.intercept)),
-        exponent_stderr=float(result.stderr),
-        r_squared=float(result.rvalue**2),
+        exponent=slope,
+        prefactor=math.exp(mean_y - slope * mean_x),
+        exponent_stderr=math.sqrt(sse / (x.size - 2) / sxx),
+        r_squared=min(r * r, 1.0),
     )
 
 
@@ -87,6 +111,8 @@ def mean_confidence_interval(samples: np.ndarray, confidence: float = 0.95) -> "
     arr = np.asarray(samples, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least two samples for an interval")
+    from scipy import stats
+
     mean = float(arr.mean())
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     half = float(stats.t.ppf((1 + confidence) / 2, arr.size - 1)) * sem
@@ -99,5 +125,7 @@ def mann_whitney_less(fast: np.ndarray, slow: np.ndarray) -> float:
     Small p-values support the hypothesis that the ``fast`` sample is
     stochastically smaller — the empirical form of Theorem 2's conclusion.
     """
+    from scipy import stats
+
     result = stats.mannwhitneyu(fast, slow, alternative="less")
     return float(result.pvalue)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .ac_process import ACProcessFunction
 from .configuration import Configuration
@@ -225,6 +224,7 @@ def strassen_coupling(
         rows.append(nx + j)
         cols.append(var)
         data.append(1.0)
+    from scipy import optimize
     from scipy.sparse import coo_matrix
 
     a_eq = coo_matrix((data, (rows, cols)), shape=(nx + ny, num_vars))

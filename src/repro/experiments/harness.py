@@ -102,11 +102,16 @@ class SweepResult:
                 point.predicted,
                 point.summary.mean / point.predicted if point.predicted else float("nan"),
             )
-        if len(self.points) >= 3:
-            fit = self.fit()
-            table.add_footnote(f"fit: {fit.summary()}")
-        else:
+        zero = [str(p.param) for p in self.points if p.summary.mean <= 0]
+        if len(self.points) < 3:
             table.add_footnote("fit: n/a (need at least three sweep points)")
+        elif zero:
+            table.add_footnote(
+                f"fit: n/a (mean 0 at {self.param_name}={', '.join(zero)}; "
+                "a power law needs positive means)"
+            )
+        else:
+            table.add_footnote(f"fit: {self.fit().summary()}")
         return table
 
 

@@ -11,9 +11,12 @@ graph (e.g. built by networkx) in CSR adjacency form for O(1) sampling.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "SampleableGraph",
@@ -119,6 +122,8 @@ class ExplicitGraph(SampleableGraph):
     """
 
     def __init__(self, graph: "nx.Graph"):
+        import networkx as nx
+
         if graph.number_of_nodes() < 2:
             raise ValueError("graph needs at least two nodes")
         nodes = sorted(graph.nodes())
@@ -170,6 +175,8 @@ def random_regular_graph(
     """
     if degree < 3:
         raise ValueError("use degree >= 3 so the graph is a.a.s. connected")
+    import networkx as nx
+
     for _ in range(64):
         seed = int(rng.integers(2**31 - 1))
         candidate = nx.random_regular_graph(degree, num_nodes, seed=seed)

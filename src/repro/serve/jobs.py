@@ -430,5 +430,9 @@ class JobManager:
         return journal_path(self.store_path(job_id))
 
     def load_store(self, job_id: str):
-        """The job's checkpointed store; raises ``FileNotFoundError``."""
+        """The job's checkpointed store.
+
+        Raises ``FileNotFoundError`` before the first checkpoint and
+        :class:`~repro.study.store.StoreCorruptError` for a damaged file.
+        """
         return load_study_store(self.store_path(job_id))

@@ -21,7 +21,8 @@ Endpoints (all bodies protocol-stamped JSON, see ``protocol.py``):
     sleeps on the manager's change counter, not on a timer.
 ``GET /jobs/<id>/results``
     The checkpointed columnar store (``StudyStore.to_dict`` under
-    ``"store"``); 409 while nothing is checkpointed yet.
+    ``"store"``); 409 while nothing is checkpointed yet, or when the
+    store on disk cannot be decoded.
 ``POST /jobs/<id>/cancel``
     Cancel a queued or running job.
 
@@ -163,6 +164,10 @@ class _Handler(BaseHTTPRequestHandler):
                     f"(state: {view['state']})"
                 ),
             )
+        except ValueError as exc:
+            # A damaged file: StoreCorruptError, a ValueError whose message
+            # names the file and the remedy.
+            return self._send_json(409, error_body(str(exc)))
         self._send_json(
             200,
             envelope({"id": job_id, "state": view["state"], "store": store.to_dict()}),

@@ -113,10 +113,18 @@ def study_report(store: StudyStore) -> Table:
             )
         if len(by_n) < 3:
             continue
+        label = _group_label(records[0])
         ns = np.asarray(sorted(by_n), dtype=float)
         means = np.asarray([np.mean(by_n[int(n)]) for n in ns])
+        zero = [str(int(n)) for n, mean in zip(ns, means) if mean <= 0]
+        if zero:
+            table.add_footnote(
+                f"fit [{label}]: n/a (mean 0 at n={', '.join(zero)}; "
+                "a power law needs positive means)"
+            )
+            continue
         fit = fit_power_law(ns, means)
-        table.add_footnote(f"fit [{_group_label(records[0])}]: {fit.summary()}")
+        table.add_footnote(f"fit [{label}]: {fit.summary()}")
     for record in store.records():
         if not record.ok or not record.degraded_from:
             continue

@@ -248,7 +248,12 @@ def _normalize_record(value: Any) -> "dict | None":
     extra = set(value) - {"metrics", "stride", "aggregate", "replica"}
     if extra:
         raise ValueError(f"record: unknown keys {sorted(extra)}")
-    metrics = [str(m) for m in value.get("metrics", ())]
+    metrics = value.get("metrics", ())
+    if not isinstance(metrics, (list, tuple)) or not all(
+        isinstance(m, str) for m in metrics
+    ):
+        raise TypeError(f"record: metrics must be a list of strings, got {metrics!r}")
+    metrics = list(metrics)
     if not metrics:
         raise ValueError("record: needs at least one metric name")
     unknown = [m for m in metrics if m not in METRICS]
@@ -261,11 +266,16 @@ def _normalize_record(value: Any) -> "dict | None":
         raise ValueError(
             f"record: aggregate must be one of {_RECORD_AGGREGATES}, got {aggregate!r}"
         )
+    stride = value.get("stride", 1)
+    replica = value.get("replica", 0)
+    for key, number in (("stride", stride), ("replica", replica)):
+        if isinstance(number, bool) or not isinstance(number, numbers.Integral):
+            raise TypeError(f"record: {key} must be an int, got {number!r}")
     return {
         "metrics": metrics,
-        "stride": int(value.get("stride", 1)),
+        "stride": int(stride),
         "aggregate": aggregate,
-        "replica": int(value.get("replica", 0)),
+        "replica": int(replica),
     }
 
 
@@ -321,6 +331,12 @@ class StudySpec:
         if not isinstance(self.raise_on_limit, bool):
             raise TypeError(
                 f"raise_on_limit must be a bool, got {self.raise_on_limit!r}"
+            )
+        if isinstance(self.stable_fraction, bool) or not isinstance(
+            self.stable_fraction, numbers.Real
+        ):
+            raise TypeError(
+                f"stable_fraction must be a number, got {self.stable_fraction!r}"
             )
         if self.expansion not in _EXPANSIONS:
             raise ValueError(

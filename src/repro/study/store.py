@@ -612,7 +612,7 @@ def load_study_store(path: str) -> StudyStore:
         with open(path, encoding="utf-8") as handle:
             try:
                 payload = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise StoreCorruptError(
                     f"study store {path} is not valid JSON ({exc}); the file "
                     "is corrupt — likely a checkpoint truncated by a hard "

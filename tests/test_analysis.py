@@ -227,6 +227,40 @@ class TestStatistics:
         with pytest.raises(ValueError):
             fit_power_law([1, 2, -3], [1, 2, 3])
 
+    def test_fit_matches_linregress(self):
+        # scipy.stats.linregress is the reference for the closed form.
+        # Its stderr uses (1 - r²), which itself loses ~1e-8 near r² = 1,
+        # hence the looser stderr tolerance.
+        from scipy import stats
+
+        gen = np.random.default_rng(20170217)
+        for trial in range(400):
+            m = int(gen.integers(3, 13))
+            if trial % 2:
+                x = np.sort(gen.uniform(1.0, 1e5, m))
+            else:
+                x = np.geomspace(16, 2 ** int(gen.integers(6, 16)), m)
+            noise = 10 ** gen.uniform(-12, 0)
+            y = (
+                math.exp(gen.uniform(-5, 5))
+                * x ** gen.uniform(-2, 2)
+                * np.exp(noise * gen.standard_normal(m))
+            )
+            fit = fit_power_law(x, y)
+            ref = stats.linregress(np.log(x), np.log(y))
+            assert fit.exponent == pytest.approx(ref.slope, rel=1e-12)
+            assert fit.prefactor == pytest.approx(math.exp(ref.intercept), rel=1e-12)
+            assert fit.r_squared == pytest.approx(ref.rvalue**2, rel=1e-12)
+            assert fit.exponent_stderr == pytest.approx(ref.stderr, rel=1e-6, abs=1e-7)
+
+    def test_fit_degenerate_inputs(self):
+        with pytest.raises(ValueError):
+            fit_power_law([64, 64, 64], [1, 2, 3])
+        fit = fit_power_law([16, 32, 64], [5.0, 5.0, 5.0])
+        assert fit.exponent == 0.0
+        assert fit.prefactor == pytest.approx(5.0)
+        assert math.isnan(fit.r_squared) and math.isnan(fit.exponent_stderr)
+
     def test_log_correction(self):
         x = np.asarray([100, 400, 1600, 6400], dtype=float)
         y = x**0.75 * np.log(x) ** 0.875

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.analysis import voter_reduction_upper
 from repro.core import Configuration
 from repro.engine import ColorsAtMost, Consensus
@@ -126,6 +127,15 @@ class TestSweep:
         assert "demo" in text
         assert "fit:" in text
         assert result.prediction_ratio_drift() >= 1.0
+
+    def test_table_skips_the_fit_when_a_mean_is_zero(self):
+        # Every start already has <= 64 colors: all times are 0.
+        result = api.sweep(
+            "3-majority", [16, 32, 64], repetitions=2, seed=1, stop="colors<=64"
+        )
+        assert not result.means().any()
+        text = result.to_table().render()
+        assert "fit: n/a (mean 0 at n=16, 32, 64;" in text
 
 
 class TestReporting:

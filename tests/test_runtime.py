@@ -213,15 +213,41 @@ class TestExecutionSurface:
         )
         assert np.array_equal(legacy, counts)
 
-    def test_import_leaves_multiprocessing_unloaded(self):
-        # Every backend runs in-process; nothing on the import path should
-        # pay for (or depend on) a process pool.
-        probe = "import sys, repro; print('multiprocessing' in sys.modules)"
+    @pytest.mark.parametrize("module", ["repro", "repro.cli", "repro.serve"])
+    def test_import_leaves_multiprocessing_unloaded(self, module):
+        # Every backend runs in-process, and scipy / networkx are imported
+        # inside the few functions that call them: no start-up path pays
+        # for a process pool or for either library.
+        probe = (
+            f"import sys, {module}\n"
+            "print(sorted({'multiprocessing', 'scipy', 'networkx'}\n"
+            "             & {m.split('.')[0] for m in sys.modules}))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, check=True,
         ).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
+
+    def test_study_run_with_a_fit_leaves_scipy_unloaded(self, tmp_path):
+        spec = tmp_path / "fit.toml"
+        spec.write_text(
+            'name = "fit probe"\nseed = 3\nrepetitions = 2\n\n'
+            '[axes]\nprocess = "3-majority"\nn = [16, 24, 32]\n'
+        )
+        probe = (
+            "import sys, repro.cli\n"
+            f"repro.cli.main(['study', 'run', {str(spec)!r}, "
+            f"'--store', {str(tmp_path / 'fit.store.json')!r}])\n"
+            "print(sorted({'scipy', 'networkx'}\n"
+            "             & {m.split('.')[0] for m in sys.modules}))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert "fit [3-majority]: y ≈" in out
+        assert out.strip().splitlines()[-1] == "[]"
 
     def test_execution_result_metadata(self):
         result = execute(_plan(backend="ensemble-counts"))

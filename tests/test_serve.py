@@ -414,6 +414,7 @@ class TestHTTP:
                 ("repetitions", 2.5),
                 ("workers", "3"),
                 ("raise_on_limit", "false"),
+                ("record", {"metrics": ["bias"], "stride": 2.7}),
             )
         ]
         for payload in (removed, mistyped, bad_replica, *coerced):
@@ -421,6 +422,23 @@ class TestHTTP:
                 client.submit(payload)
             assert info.value.status == 400, payload
         assert client.jobs() == []
+
+    @pytest.mark.parametrize(
+        "damage", [b"#" * 11, b"\xff" * 11], ids=["bad-json", "bad-utf8"]
+    )
+    def test_damaged_store_answers_409(self, served, damage):
+        client, manager = served
+        view = client.submit(tiny_spec(name="serve damaged store"))
+        client.wait(view["id"])
+        path = manager.store_path(view["id"])
+        with open(path, "r+b") as handle:
+            handle.seek(10)
+            handle.write(damage)
+        with pytest.raises(ServeError) as info:
+            client.results(view["id"])
+        assert info.value.status == 409
+        assert path in str(info.value) and "re-run" in str(info.value)
+        assert [job["id"] for job in client.jobs()] == [view["id"]]
 
     def test_negative_content_length_answers_400_promptly(self, served):
         client, _manager = served

@@ -47,8 +47,9 @@ MISTYPED_TABLES = [
     {"parallel": {"max_inflight": "4"}},
 ]
 
-#: Scalars the hash would coerce with int(...) / bool(...) while the
-#: cells used them raw: rejected instead, so hash and cells agree.
+#: Scalars (and ``record`` fields) the hash would coerce with int(...) /
+#: bool(...) / str(...) while the cells used them raw: rejected instead,
+#: so hash and cells agree.
 MISTYPED_SCALARS = [
     {"workers": "3"},
     {"workers": 3.7},
@@ -58,6 +59,13 @@ MISTYPED_SCALARS = [
     {"seed": True},
     {"raise_on_limit": "false"},
     {"raise_on_limit": 1},
+    {"stable_fraction": True},
+    {"stable_fraction": "0.9"},
+    {"record": {"metrics": ["bias"], "stride": 2.7}},
+    {"record": {"metrics": ["bias"], "stride": "2"}},
+    {"record": {"metrics": ["bias"], "replica": True}},
+    {"record": {"metrics": "bias"}},
+    {"record": {"metrics": ["bias", 3]}},
 ]
 
 
@@ -168,6 +176,15 @@ class TestSpec:
         payload = {**tiny_spec().to_dict(), **scalar}
         with pytest.raises(TypeError):
             StudySpec.from_dict(payload)
+
+    def test_well_typed_record_and_stable_fraction_keep_their_hashes(self):
+        assert spec_hash(rich_spec()) == "7870f6d6da5566f8"
+        spec = tiny_spec(
+            record={"metrics": ("bias",), "stride": np.int64(3), "replica": 1},
+            stable_fraction=1,
+        )
+        assert spec.record["metrics"] == ["bias"]
+        assert spec_hash(spec) == "f37f76ea610dc5f9"
 
     def test_real_bools_in_spec_tables_still_parse(self):
         spec = tiny_spec(
@@ -452,6 +469,18 @@ class TestRunAndResume:
         text = study_report(run_study(spec)).render()
         assert "study 'tiny'" in text
         assert "fit [voter]" in text
+
+    def test_report_skips_the_fit_of_a_group_with_zero_means(self):
+        # Every start already has <= 64 colors, so each time is 0 and a
+        # log-log fit is undefined: the report says so instead of raising.
+        spec = tiny_spec(
+            repetitions=2,
+            axes={"process": ["3-majority"], "n": [16, 32, 64], "stop": ["colors<=64"]},
+        )
+        store = run_study(spec)
+        assert all(record.times.max() == 0 for record in store.records())
+        text = study_report(store).render()
+        assert "fit [3-majority]: n/a (mean 0 at n=16, 32, 64;" in text
 
 
 class TestApiFacade:

@@ -13,7 +13,10 @@
 #      through the CLI: a 2-cell StudySpec run to completion, the same
 #      spec killed after one cell and resumed, both stores reported, and
 #      the resumed store asserted bit-for-bit equal to the uninterrupted
-#      one (per-replica rng_mode).
+#      one (per-replica rng_mode).  Then a 3-point `repro sweep -o`
+#      round trip: the sweep's study store is reported, loads with 3
+#      complete cells, and a second identical `sweep -o` must exit
+#      non-zero and leave the store results-equal to the first.
 #   4. faults-smoke — the failure-isolation contract: a 2-cell spec with
 #      a faults axis whose crash=1.0 cell deterministically exceeds its
 #      round budget.  The run still exits 0, records the failure with a
@@ -57,7 +60,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit; sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -74,6 +77,13 @@ python -m repro study run "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/full.json"
 python -m repro study run "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/part.json" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/part.json" --quiet
 python -m repro study report "$STUDY_TMP/part.json"
+python -m repro sweep voter --min-n 16 --max-n 64 -r 2 --seed 3 -o "$STUDY_TMP/sweep.json"
+python -m repro study report "$STUDY_TMP/sweep.json"
+cp "$STUDY_TMP/sweep.json" "$STUDY_TMP/sweep.first.json"
+if python -m repro sweep voter --min-n 16 --max-n 64 -r 2 --seed 3 -o "$STUDY_TMP/sweep.json"; then
+    echo "study-smoke FAILED: a second sweep -o ran over an existing store" >&2
+    exit 1
+fi
 python - "$STUDY_TMP" <<'EOF'
 import sys
 from repro.study import load_study_store
@@ -84,7 +94,13 @@ assert full.is_complete() and resumed.is_complete(), "smoke study left cells unr
 assert resumed.results_equal(full), (
     "resumed store diverged from the uninterrupted run"
 )
-print("study-smoke OK: resumed store is bit-for-bit the uninterrupted one")
+sweep = load_study_store(f"{tmp}/sweep.json")
+assert sweep.is_complete() and len(sweep) == 3, "sweep store is missing cells"
+assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
+    "a refused second sweep -o changed the store"
+)
+print("study-smoke OK: resumed store is bit-for-bit the uninterrupted one; "
+      "sweep -o wrote a 3-cell store and refused to clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="
 cat > "$STUDY_TMP/faults.toml" <<'EOF'

@@ -8,8 +8,7 @@ Undecided-State dynamics), its anonymous-consensus-process comparison
 framework (majorization, protocol dominance, Strassen couplings), the
 coalescing-random-walks duality, dynamic adversaries, crash / recovery /
 message-loss fault injection, and a benchmark harness that validates
-every theorem, lemma and counterexample in the paper.  See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results.
+every theorem, lemma and counterexample in the paper.
 
 Quickstart
 ----------

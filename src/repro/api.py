@@ -11,10 +11,9 @@ all funnelled through the same stack (StudySpec → study cells →
     :class:`~repro.engine.runtime.ExecutionResult`.
 
 ``sweep(...)``
-    A scaling sweep over ``n`` — the declarative replacement for the
-    callable-parameterised harness — returning the familiar
-    :class:`~repro.experiments.harness.SweepResult` (tables, power-law
-    fits, JSON persistence).
+    A scaling sweep over ``n`` — a one-axis study — returning a
+    :class:`~repro.experiments.harness.SweepResult` (table and power-law
+    fit); ``store_path=`` keeps the study's result store on disk.
 
 ``study(...)``
     A full experiment suite from a :class:`~repro.study.StudySpec` (or a
@@ -35,6 +34,7 @@ Everything here is re-exported from the top-level package::
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Sequence
 
 from .core.configuration import Configuration
@@ -174,24 +174,36 @@ def sweep(
     raise_on_limit: bool = True,
     stable_fraction: float = 0.95,
     stable_rounds: int = 3,
+    store_path: "str | None" = None,
 ) -> SweepResult:
     """A declarative consensus-time scaling sweep over ``n``.
 
     Builds a one-axis :class:`~repro.study.StudySpec` (``n`` sweeps,
     everything else fixed), runs it through :func:`repro.study.run_study`
-    and converts the records to a :class:`SweepResult` so the table /
-    fit / persistence machinery keeps working unchanged.  ``predicted``
-    is the paper-scale column (a presentation concern — evaluated at
+    and converts the records to a :class:`SweepResult` for its table and
+    fit.  ``n_values`` are ints (numpy integers included); anything else
+    is a ``TypeError`` before a cell runs.  ``predicted`` is the
+    paper-scale column (a presentation concern — evaluated at
     conversion, never stored in provenance); ``adversary`` is the
     declarative dict form, with a missing ``budget`` resolving to the
     [BCN+16] recommended scale *per sweep point*.
 
-    The spec seed derivation matches the historical harness
-    (:func:`~repro.engine.rng.derive_seed` per point index), so a sweep
-    through this facade reproduces the same samples as the legacy
-    :func:`~repro.experiments.harness.sweep_first_passage` call it
-    replaces, backend for backend, bit for bit.
+    ``store_path`` means what it means for :func:`study`: each point is
+    journaled there and the journal compacts into a
+    :class:`~repro.study.StudyStore` that ``repro study report`` and
+    :func:`~repro.study.load_study_store` read.  An existing store at
+    the path is refused, not overwritten.
+
+    Point ``i`` runs on seed ``derive_seed(seed, i)``
+    (:func:`~repro.engine.rng.derive_seed`), so its samples are those of
+    :func:`~repro.engine.batch.repeat_first_passage` with
+    ``rng=derive_seed(seed, i)`` and the same axes, bit for bit.
     """
+    sizes = []
+    for n in n_values:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise TypeError(f"sweep sizes must be ints, got {n!r}")
+        sizes.append(int(n))
     spec = StudySpec(
         name=name or f"sweep {process} over {param_name}",
         seed=seed,
@@ -203,7 +215,7 @@ def sweep(
         axes={
             "process": [process],
             "workload": [workload],
-            "n": [int(n) for n in n_values],
+            "n": sizes,
             "scheduler": [scheduler],
             "adversary": [adversary if adversary is not None else "none"],
             "stop": [stop],
@@ -215,13 +227,12 @@ def sweep(
     )
     # Imperative sweeps propagate errors: the SweepResult conversion
     # needs every record to carry data, so failure isolation is off.
-    store = run_study(spec, on_error="raise")
+    store = run_study(spec, store_path=store_path, on_error="raise")
     return sweep_result_from_records(
         spec.name if name is None else name,
         param_name,
         store.records(),
         predicted if predicted is not None else (lambda n: float("nan")),
-        rng_mode=rng_mode,
     )
 
 

@@ -11,8 +11,9 @@ facade (everything they do is a few lines of library calls, shown in
 ``sweep``
     A consensus-time scaling sweep over ``n`` for one process, with a
     power-law fit — the quick-look version of benchmark E1/E3, via
-    :func:`repro.api.sweep`.  With ``--output`` the raw sweep is saved
-    as schema-versioned JSON (see :mod:`repro.experiments.persistence`).
+    :func:`repro.api.sweep`.  With ``--output`` the sweep is journaled
+    into a study store there, which ``study report`` renders; an
+    existing store is refused, not overwritten.
     The execution strategy is any runtime registry backend
     (``--backend``), and the model axes are plan fields:
     ``--scheduler asynchronous`` sweeps the one-node-per-tick model,
@@ -58,7 +59,6 @@ from .engine import MetricRecorder
 from .engine.plan import RNG_MODES, SCHEDULERS
 from .engine.runtime import backend_choices
 from .experiments import Table
-from .experiments.persistence import save_sweep
 from .faults import parse_fault_cli
 from .processes import available_processes
 from .study import (
@@ -112,7 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-n", type=int, default=2048)
     sweep.add_argument("--repetitions", "-r", type=int, default=3)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--output", "-o", default=None, help="save raw sweep JSON here")
+    sweep.add_argument(
+        "--output", "-o", default=None,
+        help=(
+            "write the sweep's study store here (read it with `repro study "
+            "report`); refuses to overwrite an existing store"
+        ),
+    )
     sweep.add_argument(
         "--backend",
         default="ensemble-auto",
@@ -482,15 +488,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # study); keep their horizon at the §5 runner's default instead
             # of the sweep's generous consensus budget.
             max_rounds=50_000 if adversary is not None else 10**7,
+            store_path=args.output,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         # Backend/axis mismatches surface as compile-time or runtime
-        # rejections; present them as usage errors, not tracebacks.
+        # rejections, and an unwritable --output before the first cell;
+        # present them as usage errors, not tracebacks.
         raise SystemExit(f"cannot run this sweep: {exc}") from exc
     print(result.to_table(predicted_label=predicted_label).render())
     if args.output:
-        save_sweep(result, args.output)
-        print(f"raw sweep saved to {args.output}")
+        print(f"study store saved to {args.output}")
     return 0
 
 

@@ -21,7 +21,7 @@
   cheapest registered :class:`Backend` whose declared capabilities
   (scheduler kind, adversary support, counts tractability) cover the
   plan.  ``execute(plan)`` is the single entry point behind
-  :func:`repeat_first_passage`, the sweep harness, and the CLI.
+  :func:`repeat_first_passage`, the study runner, and the CLI.
 """
 
 from .asynchronous import (

@@ -37,7 +37,7 @@ Results report ticks; :func:`ticks_to_round_equivalents` converts.
 Through the unified runtime these paths are the ``async`` and
 ``ensemble-async`` backends, so ``scheduler="asynchronous"`` is a
 first-class plan axis in :func:`~repro.engine.batch.repeat_first_passage`,
-the sweep harness and the CLI.
+study specs and the CLI.
 """
 
 from __future__ import annotations

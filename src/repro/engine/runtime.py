@@ -57,8 +57,9 @@ protocol::
     register_backend(MyBackend())
 
 After registration the backend is resolvable by name everywhere a plan is
-executed (``repeat_first_passage``, ``sweep_first_passage``, the CLI —
-whose ``--backend`` choices are derived from this registry).
+executed (``repeat_first_passage``, ``run_study`` and every front door
+over it, the CLI — whose ``--backend`` choices are derived from this
+registry).
 """
 
 from __future__ import annotations

@@ -1,19 +1,6 @@
-"""Experiment harness: workloads, sweeps, reporting."""
+"""Experiment building blocks: workloads, the sweep view, report tables."""
 
-from .harness import (
-    SweepPoint,
-    SweepResult,
-    sweep_first_passage,
-    sweep_result_from_records,
-)
-from .persistence import (
-    FORMAT_VERSION,
-    load_sweep,
-    save_sweep,
-    sweep_from_dict,
-    sweep_to_dict,
-)
-from .plotting import line_chart, log_log_chart, spark_line
+from .harness import SweepPoint, SweepResult, sweep_result_from_records
 from .reporting import Table, format_table
 from .workloads import (
     WORKLOADS,
@@ -27,7 +14,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "FORMAT_VERSION",
     "SweepPoint",
     "SweepResult",
     "Table",
@@ -36,17 +22,9 @@ __all__ = [
     "biased",
     "bounded_support",
     "format_table",
-    "line_chart",
-    "load_sweep",
-    "log_log_chart",
     "power_law",
     "random_composition",
     "resolve_workload",
-    "save_sweep",
-    "spark_line",
     "singletons",
-    "sweep_first_passage",
-    "sweep_from_dict",
     "sweep_result_from_records",
-    "sweep_to_dict",
 ]

@@ -1,42 +1,31 @@
-"""Parameter sweeps over system size — the experiment harness core.
+"""Scaling-sweep results: the table-and-fit view of a study's records.
 
-Every scaling experiment in EXPERIMENTS.md has the same shape: for each
-``n`` in a geometric sweep, repeat a first-passage measurement over
-independent seeds, summarise, fit a growth exponent, and compare with the
-paper's predicted scale.
-
-Since the declarative study layer (:mod:`repro.study`) became the public
-API, this module is a *consumer* of it: :func:`sweep_first_passage`
-compiles its per-``n`` callables into study cells and executes them
-through the same :func:`~repro.study.runner.execute_cells` loop that
-:func:`~repro.study.runner.run_study` uses, so sweeps inherit the
-runtime's provenance (resolved backend per point) for free.  New code
-should prefer the declarative front doors — :func:`repro.api.sweep` for
-the common named-process/named-workload case, or a full
-:class:`~repro.study.StudySpec` when the grid has more axes — and treat
-this callable-parameterised entry point as the legacy escape hatch for
-experiments whose thresholds are arbitrary functions of ``n``.
+A scaling experiment has one shape: for each ``n`` in a geometric sweep,
+repeat a first-passage measurement over independent seeds, summarise,
+fit a growth exponent, and compare with the paper's predicted scale.
+The measurement is a study — :func:`repro.api.sweep` builds a one-axis
+:class:`~repro.study.StudySpec` and runs it through
+:func:`~repro.study.runner.run_study` — and this module is the view on
+its records: :func:`sweep_result_from_records` turns them into a
+:class:`SweepResult`, whose table and power-law fit are what the CLI
+and the benchmarks print.  The records themselves, with their
+provenance, live in the study's :class:`~repro.study.StudyStore`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..core.configuration import Configuration
-from ..engine.batch import BatchSummary, first_passage_plan, summarize
-from ..engine.rng import RandomSource, derive_seed
-from ..engine.stopping import StoppingCondition
-from ..processes.base import AgentProcess
+from ..engine.batch import BatchSummary, summarize
 from ..analysis.statistics import PowerLawFit, fit_power_law
 from .reporting import Table
 
 __all__ = [
     "SweepPoint",
     "SweepResult",
-    "sweep_first_passage",
     "sweep_result_from_records",
 ]
 
@@ -49,9 +38,6 @@ class SweepPoint:
     samples: np.ndarray
     summary: BatchSummary
     predicted: float
-    #: Which backend the runtime's cost model actually executed (PR 4
-    #: provenance; ``None`` on points loaded from version-1 files).
-    resolved_backend: "str | None" = None
 
 
 @dataclass
@@ -61,8 +47,6 @@ class SweepResult:
     name: str
     param_name: str
     points: "list[SweepPoint]"
-    #: Randomness regime the sweep ran under (``"batched"`` on legacy files).
-    rng_mode: str = "batched"
 
     def params(self) -> np.ndarray:
         return np.asarray([p.param for p in self.points], dtype=float)
@@ -103,8 +87,10 @@ class SweepResult:
                 point.summary.mean / point.predicted if point.predicted else float("nan"),
             )
         zero = [str(p.param) for p in self.points if p.summary.mean <= 0]
-        if len(self.points) < 3:
-            table.add_footnote("fit: n/a (need at least three sweep points)")
+        # The rule repro.study.report applies to a fit group, so a sweep's
+        # table and its store's report agree on whether there is a fit.
+        if len({p.param for p in self.points}) < 3:
+            table.add_footnote("fit: n/a (need at least three distinct sizes)")
         elif zero:
             table.add_footnote(
                 f"fit: n/a (mean 0 at {self.param_name}={', '.join(zero)}; "
@@ -120,15 +106,12 @@ def sweep_result_from_records(
     param_name: str,
     records,
     predicted: "Callable[[int], float]",
-    rng_mode: str = "batched",
 ) -> SweepResult:
     """Study :class:`~repro.study.store.RunRecord`\\ s → a :class:`SweepResult`.
 
-    The bridge the spec-driven front doors use to keep the sweep-report
-    machinery (tables, power-law fits, persistence): each record becomes
-    one sweep point at its ``params["n"]``, and the paper-scale
-    prediction — a presentation concern, not provenance — is evaluated
-    at conversion time.
+    Each record becomes one sweep point at its ``params["n"]``, and the
+    paper-scale prediction — a presentation concern, not provenance — is
+    evaluated at conversion time.
     """
     points = [
         SweepPoint(
@@ -136,87 +119,7 @@ def sweep_result_from_records(
             samples=record.times,
             summary=summarize(record.times),
             predicted=float(predicted(int(record.params["n"]))),
-            resolved_backend=record.resolved_backend,
         )
         for record in records
     ]
-    return SweepResult(
-        name=name, param_name=param_name, points=points, rng_mode=rng_mode
-    )
-
-
-def sweep_first_passage(
-    name: str,
-    process_factory: "Callable[[int], AgentProcess]",
-    workload: "Callable[[int], Configuration]",
-    stop: "Callable[[int], StoppingCondition]",
-    n_values: Sequence,
-    repetitions: int,
-    seed: RandomSource,
-    predicted: "Callable[[int], float]",
-    max_rounds: "Callable[[int], int] | None" = None,
-    backend: str = "auto",
-    rng_mode: str = "batched",
-    param_name: str = "n",
-    scheduler: str = "synchronous",
-    adversary=None,
-) -> SweepResult:
-    """Run a first-passage scaling sweep (legacy callable-parameterised API).
-
-    Parameters are callables of ``n`` so a single harness covers all the
-    experiments: ``process_factory(n)`` builds the protocol (some need
-    ``n``, e.g. for thresholds), ``workload(n)`` the start configuration,
-    ``stop(n)`` the stopping condition, ``predicted(n)`` the paper's
-    scale.  Seeds derive deterministically from ``seed`` per sweep point.
-
-    Every execution knob of the unified runtime threads through
-    (``backend``, ``rng_mode``, ``scheduler``, ``adversary`` — an
-    instance or a callable of ``n``); see
-    :func:`repro.engine.batch.repeat_first_passage` for their meanings.
-
-    .. deprecated:: 1.1
-        This is now a shim over the study layer: each sweep point is
-        compiled to a study cell and executed by
-        :func:`repro.study.runner.execute_cells`.  Prefer
-        :func:`repro.api.sweep` (declarative arguments, same result
-        type) or a :class:`repro.study.StudySpec` with a ``zip``
-        expansion when thresholds vary per ``n``.
-    """
-    from ..study.compile import StudyCell, cell_hash
-    from ..study.runner import execute_cells
-
-    cells = []
-    for index, n in enumerate(n_values):
-        n = int(n)
-        point_seed = derive_seed(seed, index)
-        plan = first_passage_plan(
-            process_factory=lambda n=n: process_factory(n),
-            initial=workload(n),
-            stop=stop(n),
-            repetitions=repetitions,
-            rng=point_seed,
-            max_rounds=max_rounds(n) if max_rounds is not None else None,
-            backend=backend,
-            rng_mode=rng_mode,
-            scheduler=scheduler,
-            adversary=adversary(n) if callable(adversary) else adversary,
-        )
-        params = {
-            "sweep": name,
-            "param_name": param_name,
-            "n": n,
-            "seed": point_seed,
-            "repetitions": repetitions,
-            "backend": backend,
-            "rng_mode": rng_mode,
-            "scheduler": scheduler,
-        }
-        cells.append(
-            StudyCell(
-                index=index, cell_id=cell_hash(params), params=params, plan=plan
-            )
-        )
-    records = execute_cells(cells)
-    return sweep_result_from_records(
-        name, param_name, records, predicted, rng_mode=rng_mode
-    )
+    return SweepResult(name=name, param_name=param_name, points=points)

@@ -1,7 +1,7 @@
 """Rendering experiment results as aligned text tables.
 
 The paper has no numeric tables of its own, so these renderers produce
-the tables EXPERIMENTS.md and the benchmark harness report: one row per
+the tables the CLI, study reports and benchmarks print: one row per
 parameter point, columns for measured statistics and the paper's
 predicted scale, plus fitted-exponent footers for the scaling sweeps.
 """

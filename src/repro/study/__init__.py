@@ -64,7 +64,7 @@ from .policy import (
     resolve_policy,
 )
 from .report import study_report
-from .runner import execute_cells, run_study
+from .runner import run_study
 from .scheduler import (
     PARALLEL_KEYS,
     CellScheduler,
@@ -111,7 +111,6 @@ __all__ = [
     "encode_cache_value",
     "encode_parallel_value",
     "encode_policy_value",
-    "execute_cells",
     "journal_path",
     "load_spec",
     "load_study_store",

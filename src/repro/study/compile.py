@@ -5,9 +5,9 @@ unified runtime: each cell resolves one axis assignment into a
 :class:`~repro.engine.plan.SimulationPlan`, with
 
 * a stable per-cell seed derived from the spec seed and the cell index
-  (:func:`repro.engine.rng.derive_seed` — the same derivation the sweep
-  harness has always used, so a single-``n``-axis study reproduces the
-  historical sweep streams bit-for-bit);
+  (:func:`repro.engine.rng.derive_seed`), so cell ``i`` of a one-axis
+  study samples what ``repeat_first_passage(..., rng=derive_seed(seed,
+  i))`` does, bit-for-bit;
 * a content hash (``cell_id``) over the resolved parameters, which is
   what the resume machinery matches completed cells by;
 * the adversary budget resolved at compile time (``budget = None`` means
@@ -154,22 +154,20 @@ def describe_axes(params: dict) -> str:
 
     The one formatting rule shared by :meth:`StudyCell.label` (progress
     lines) and :func:`repro.study.report.study_report` (the ``axes``
-    column), so the two can never drift.  Tolerates partial params (the
-    legacy sweep harness records a reduced set).
+    column), so the two can never drift.  ``faults`` is absent from the
+    params of fault-free cells (see :func:`compile_study`).
     """
     bits = []
-    workload = params.get("workload")
-    if workload is not None and (
-        workload["name"] != "singletons" or workload["kwargs"]
-    ):
+    workload = params["workload"]
+    if workload["name"] != "singletons" or workload["kwargs"]:
         kwargs = ",".join(f"{k}={v}" for k, v in workload["kwargs"].items())
         bits.append(workload["name"] + (f"({kwargs})" if kwargs else ""))
-    if params.get("scheduler", "synchronous") != "synchronous":
+    if params["scheduler"] != "synchronous":
         bits.append(params["scheduler"])
-    adversary = params.get("adversary")
+    adversary = params["adversary"]
     if adversary is not None:
         bits.append(f"{adversary['name']} F={adversary['budget']}")
-    if params.get("stop", "consensus") != "consensus":
+    if params["stop"] != "consensus":
         bits.append(params["stop"])
     faults = params.get("faults")
     if faults is not None:

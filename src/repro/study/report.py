@@ -3,7 +3,8 @@
 One summary table over all cells (axes, replica counts, first-passage
 statistics, resolved backend), plus a power-law fit footnote for every
 group of cells that differs only in ``n`` and covers at least three
-sizes — the study-level generalisation of the sweep harness's fit row.
+sizes — the rule :meth:`~repro.experiments.SweepResult.to_table` follows
+too, so a sweep's table and its store's report agree on the fit.
 """
 
 from __future__ import annotations

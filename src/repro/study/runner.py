@@ -76,7 +76,7 @@ import time
 import traceback
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -100,7 +100,7 @@ from .scheduler import CellScheduler
 from .spec import StudySpec, spec_hash
 from .store import RunRecord, StudyStore, journal_path, load_study_store
 
-__all__ = ["execute_cells", "run_study"]
+__all__ = ["run_study"]
 
 _ON_ERROR = ("record", "raise")
 
@@ -317,9 +317,7 @@ def _try_degrade(
 
 
 def _record_cell(
-    cell: StudyCell,
-    on_error: str = "raise",
-    policy: "ExecutionPolicy | None" = None,
+    cell: StudyCell, on_error: str, policy: ExecutionPolicy
 ) -> RunRecord:
     """Run one cell under the policy and capture its outcome plus provenance.
 
@@ -334,8 +332,6 @@ def _record_cell(
     retries — but the deadline still applies, so imperative callers get
     hang protection too.
     """
-    if policy is None:
-        policy = ExecutionPolicy()
     if on_error == "raise":
         start = time.perf_counter()
         result = _execute_within(_attempt_plan(cell, 0), policy.deadline_s)
@@ -392,28 +388,6 @@ def _record_cell(
         sum(attempt_walls),
         _error_dict(last_exc, attempts, attempt_walls),
     )
-
-
-def execute_cells(
-    cells: Iterable[StudyCell],
-    progress: "Callable[[StudyCell, RunRecord], None] | None" = None,
-) -> "list[RunRecord]":
-    """Execute cells in order and return their records.
-
-    The imperative core shared by :func:`run_study` and the legacy sweep
-    harness (:func:`repro.experiments.harness.sweep_first_passage`), so
-    both produce identical records for identical plans.  Errors
-    propagate (``on_error="raise"`` semantics): imperative callers want
-    the exception, not a record.
-    """
-    records = []
-    policy = ExecutionPolicy()  # resolved once, reused across the run
-    for cell in cells:
-        record = _record_cell(cell, policy=policy)
-        records.append(record)
-        if progress is not None:
-            progress(cell, record)
-    return records
 
 
 def run_study(

@@ -11,10 +11,11 @@ time, and the package version — which is what makes
 ``run_study(spec, resume=...)`` able to *prove* a resumed store
 completes the same study rather than guessing from file names.
 
-The format is schema-versioned like the sweep JSON
-(:mod:`repro.experiments.persistence`): readers accept the current
-version (and upgrade version-1/2/3 files in memory) and reject unknown
-future versions with a clear error.  Version 2 added the failure
+Every result file repro writes — ``repro study run``, ``repro sweep
+--output``, the daemon's per-job stores — is one of these stores.  The
+format is schema-versioned: readers accept the current version
+(and upgrade version-1/2/3 files in memory) and reject unknown future
+versions with a clear error.  Version 2 added the failure
 bookkeeping columns (``status`` / ``error``); version 3 added
 ``degraded_from`` and the ``"timeout"`` status; version 4 adds
 ``cache_hit`` (the record was replayed from the content-addressed
@@ -198,6 +199,10 @@ def _encode_record(record: RunRecord) -> dict:
 
 def _decode_record(row: Mapping) -> RunRecord:
     """Rebuild a record from :func:`_encode_record` output."""
+    if not isinstance(row, Mapping):
+        raise TypeError(
+            f"a record row must be a JSON object, not {type(row).__name__}"
+        )
     status = str(row.get("status", "ok"))
     if status not in _STATUSES:
         raise ValueError(f"unknown record status {status!r}; valid: {_STATUSES}")
@@ -473,6 +478,10 @@ class StudyStore:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "StudyStore":
+        if not isinstance(payload, Mapping):
+            raise TypeError(
+                f"a study store must be a JSON object, not {type(payload).__name__}"
+            )
         version = payload.get("format_version")
         if version not in _READABLE_VERSIONS:
             raise ValueError(

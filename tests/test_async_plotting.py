@@ -1,4 +1,4 @@
-"""Tests for the asynchronous scheduler and ASCII plotting helpers."""
+"""Tests for the asynchronous scheduler."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.engine import (
     run_asynchronous,
     ticks_to_round_equivalents,
 )
-from repro.experiments import line_chart, log_log_chart, spark_line
 from repro.graphs import CycleGraph
 from repro.processes import GraphVoter, ThreeMajority, TwoChoices, Voter
 
@@ -74,51 +73,3 @@ class TestAsynchronous:
         initial = Configuration.from_assignment([i % 2 for i in range(n)])
         result = run_asynchronous(process, initial, rng=6, max_ticks=10**6)
         assert result.reached_consensus
-
-
-class TestSparkLine:
-    def test_monotone_series(self):
-        line = spark_line([1, 2, 3, 4, 5], width=5)
-        assert line[0] == " " and line[-1] == "█"
-
-    def test_constant_series(self):
-        assert spark_line([3, 3, 3], width=3) == "   "
-
-    def test_log_scale_requires_positive(self):
-        with pytest.raises(ValueError):
-            spark_line([1, 0, 2], log_scale=True)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            spark_line([])
-
-    def test_resampling_width(self):
-        assert len(spark_line(range(1000), width=32)) == 32
-
-
-class TestLineChart:
-    def test_contains_title_and_legend(self):
-        chart = line_chart({"a": [1, 2, 3], "b": [3, 2, 1]}, title="demo")
-        assert "demo" in chart
-        assert "* a" in chart and "+ b" in chart
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            line_chart({})
-        with pytest.raises(ValueError):
-            line_chart({"a": []})
-        with pytest.raises(ValueError):
-            line_chart({"a": [1]}, height=1)
-
-    def test_log_log_chart(self):
-        chart = log_log_chart([10, 100, 1000], {"t": [1, 10, 100]}, title="scaling")
-        assert "scaling" in chart
-        assert "log10" in chart
-
-    def test_log_log_validation(self):
-        with pytest.raises(ValueError):
-            log_log_chart([0, 1], {"t": [1, 2]})
-        with pytest.raises(ValueError):
-            log_log_chart([1, 2], {"t": [1, -2]})
-        with pytest.raises(ValueError):
-            log_log_chart([1, 2], {"t": [1, 2, 3]})

@@ -1,114 +1,11 @@
-"""Tests for the CLI (repro.cli) and sweep persistence."""
-
-import json
+"""Tests for the CLI (repro.cli)."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import Configuration
-from repro.engine import Consensus
-from repro.experiments import (
-    load_sweep,
-    save_sweep,
-    sweep_first_passage,
-    sweep_from_dict,
-    sweep_to_dict,
-)
-from repro.processes import Voter
 from repro.study import load_study_store
-
-
-def _reject_constant(value):
-    raise AssertionError(f"non-strict JSON constant in file: {value}")
-
-
-def _small_sweep():
-    return sweep_first_passage(
-        name="demo",
-        process_factory=lambda n: Voter(),
-        workload=lambda n: Configuration.balanced(n, 4),
-        stop=lambda n: Consensus(),
-        n_values=[16, 32, 64],
-        repetitions=4,
-        seed=5,
-        predicted=lambda n: float(n),
-    )
-
-
-class TestPersistence:
-    def test_round_trip_in_memory(self):
-        original = _small_sweep()
-        rebuilt = sweep_from_dict(sweep_to_dict(original))
-        assert rebuilt.name == original.name
-        assert rebuilt.param_name == original.param_name
-        for a, b in zip(original.points, rebuilt.points):
-            assert a.param == b.param
-            assert np.array_equal(a.samples, b.samples)
-            assert a.predicted == b.predicted
-            assert a.summary.mean == pytest.approx(b.summary.mean)
-
-    def test_round_trip_on_disk(self, tmp_path):
-        original = _small_sweep()
-        path = tmp_path / "sweep.json"
-        save_sweep(original, str(path))
-        rebuilt = load_sweep(str(path))
-        assert rebuilt.fit().exponent == pytest.approx(original.fit().exponent)
-
-    def test_file_is_plain_json(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        save_sweep(_small_sweep(), str(path))
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 2
-        assert len(payload["points"]) == 3
-
-    def test_round_trips_provenance_fields(self):
-        original = _small_sweep()
-        payload = sweep_to_dict(original)
-        assert payload["rng_mode"] == original.rng_mode
-        assert all(p["resolved_backend"] for p in payload["points"])
-        rebuilt = sweep_from_dict(payload)
-        assert rebuilt.rng_mode == original.rng_mode
-        for a, b in zip(original.points, rebuilt.points):
-            assert a.resolved_backend == b.resolved_backend
-
-    def test_reads_legacy_version1_files(self):
-        payload = sweep_to_dict(_small_sweep())
-        legacy = {
-            "format_version": 1,
-            "name": payload["name"],
-            "param_name": payload["param_name"],
-            "points": [
-                {k: p[k] for k in ("param", "samples", "predicted")}
-                for p in payload["points"]
-            ],
-        }
-        rebuilt = sweep_from_dict(legacy)
-        assert rebuilt.rng_mode == "batched"
-        assert all(p.resolved_backend is None for p in rebuilt.points)
-
-    def test_rejects_unknown_future_versions(self):
-        with pytest.raises(ValueError, match="unsupported sweep format version"):
-            sweep_from_dict({"format_version": 99, "points": []})
-
-    def test_missing_prediction_stays_strict_json(self, tmp_path):
-        # api.sweep without predicted= leaves NaN predictions; the file
-        # must still be strict JSON (null), round-tripping back to NaN.
-        from repro import api
-
-        result = api.sweep("voter", [16, 32], repetitions=2, seed=3)
-        path = tmp_path / "sweep.json"
-        save_sweep(result, str(path))
-        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
-        assert all(p["predicted"] is None for p in payload["points"])
-        rebuilt = load_sweep(str(path))
-        assert all(np.isnan(p.predicted) for p in rebuilt.points)
-
-    def test_summaries_recomputed_from_samples(self):
-        payload = sweep_to_dict(_small_sweep())
-        payload["points"][0]["samples"] = [1, 1, 1, 1]
-        rebuilt = sweep_from_dict(payload)
-        assert rebuilt.points[0].summary.mean == pytest.approx(1.0)
+from repro.study import runner as runner_module
 
 
 class TestCli:
@@ -150,7 +47,7 @@ class TestCli:
                 "sweep",
                 "3-majority",
                 "--min-n", "64",
-                "--max-n", "128",
+                "--max-n", "256",
                 "-r", "2",
                 "-o", str(out_file),
             ]
@@ -158,9 +55,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "fit:" in out
-        assert out_file.exists()
-        rebuilt = load_sweep(str(out_file))
-        assert len(rebuilt.points) == 2
+        assert f"study store saved to {out_file}" in out
+        store = load_study_store(str(out_file))
+        assert store.is_complete() and len(store) == 3
+        assert main(["study", "report", str(out_file)]) == 0
+        report = capsys.readouterr().out
+        assert "3-majority" in report
+        assert "fit [3-majority]:" in report
+
+    def test_sweep_output_refuses_to_clobber_a_store(self, tmp_path, capsys):
+        out_file = tmp_path / "sweep.json"
+        args = ["sweep", "voter", "--min-n", "16", "--max-n", "32", "-r", "2",
+                "-o", str(out_file)]
+        assert main(args) == 0
+        before = out_file.read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        message = str(exc.value.code)
+        assert message.startswith("cannot run this sweep:")
+        assert "already exists" in message and "\n" not in message
+        assert out_file.read_bytes() == before
+
+    def test_sweep_output_into_a_missing_directory_fails_first(
+        self, tmp_path, monkeypatch
+    ):
+        def no_cell_may_run(*_args, **_kwargs):
+            raise AssertionError("a cell ran before --output was checked")
+
+        monkeypatch.setattr(runner_module, "execute", no_cell_may_run)
+        missing = tmp_path / "no-such-dir" / "sweep.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "voter", "--min-n", "16", "--max-n", "32", "-r", "2",
+                  "-o", str(missing)])
+        message = str(exc.value.code)
+        assert message.startswith("cannot run this sweep:")
+        assert "no-such-dir" in message and "\n" not in message
+        assert not missing.parent.exists()
 
     def test_sweep_validates_range(self):
         with pytest.raises(SystemExit):
@@ -221,10 +152,11 @@ class TestCli:
                 "-o", str(ens_file),
             ]
         ) == 0
-        reference = load_sweep(str(ref_file))
-        ensemble = load_sweep(str(ens_file))
-        for a, b in zip(reference.points, ensemble.points):
-            assert np.array_equal(a.samples, b.samples)
+        reference = load_study_store(str(ref_file)).records()
+        ensemble = load_study_store(str(ens_file)).records()
+        assert len(reference) == len(ensemble) == 2
+        for a, b in zip(reference, ensemble):
+            assert np.array_equal(a.times, b.times)
 
     def test_counterexample_command(self, capsys):
         code = main(["counterexample"])

@@ -5,8 +5,6 @@ import pytest
 
 from repro import api
 from repro.analysis import voter_reduction_upper
-from repro.core import Configuration
-from repro.engine import ColorsAtMost, Consensus
 from repro.experiments import (
     Table,
     WORKLOADS,
@@ -17,9 +15,9 @@ from repro.experiments import (
     power_law,
     random_composition,
     singletons,
-    sweep_first_passage,
 )
-from repro.processes import Voter
+from repro.study import load_study_store, study_report
+from repro.study import runner as runner_module
 
 
 class TestWorkloads:
@@ -80,15 +78,14 @@ class TestWorkloads:
 
 class TestSweep:
     def test_voter_reduction_sweep(self):
-        result = sweep_first_passage(
-            name="voter reduction to k=4",
-            process_factory=lambda n: Voter(),
-            workload=lambda n: Configuration.singletons(n),
-            stop=lambda n: ColorsAtMost(4),
-            n_values=[32, 64, 128],
+        result = api.sweep(
+            "voter",
+            [32, 64, 128],
             repetitions=10,
             seed=42,
+            stop="colors<=4",
             predicted=lambda n: voter_reduction_upper(n, 4),
+            name="voter reduction to k=4",
         )
         assert len(result.points) == 3
         assert np.all(np.diff(result.means()) > 0)  # grows with n
@@ -97,15 +94,12 @@ class TestSweep:
 
     def test_sweep_deterministic(self):
         def run_once():
-            return sweep_first_passage(
-                name="x",
-                process_factory=lambda n: Voter(),
-                workload=lambda n: Configuration.balanced(n, 4),
-                stop=lambda n: Consensus(),
-                n_values=[16, 32, 64],
+            return api.sweep(
+                "voter",
+                [16, 32, 64],
                 repetitions=5,
                 seed=7,
-                predicted=lambda n: float(n),
+                workload={"name": "balanced", "kwargs": {"k": 4}},
             )
 
         a, b = run_once(), run_once()
@@ -113,15 +107,14 @@ class TestSweep:
             assert np.array_equal(pa.samples, pb.samples)
 
     def test_table_rendering(self):
-        result = sweep_first_passage(
-            name="demo",
-            process_factory=lambda n: Voter(),
-            workload=lambda n: Configuration.balanced(n, 2),
-            stop=lambda n: Consensus(),
-            n_values=[16, 32, 64],
+        result = api.sweep(
+            "voter",
+            [16, 32, 64],
             repetitions=5,
             seed=1,
+            workload={"name": "balanced", "kwargs": {"k": 2}},
             predicted=lambda n: float(n),
+            name="demo",
         )
         text = result.to_table().render()
         assert "demo" in text
@@ -136,6 +129,28 @@ class TestSweep:
         assert not result.means().any()
         text = result.to_table().render()
         assert "fit: n/a (mean 0 at n=16, 32, 64;" in text
+
+    def test_table_and_report_agree_on_repeated_sizes(self, tmp_path):
+        # Three points but one distinct size: neither view may fit.
+        result = api.sweep("voter", [16, 16, 16], repetitions=2, seed=1)
+        text = result.to_table().render()
+        assert "fit: n/a (need at least three distinct sizes)" in text
+        store_path = str(tmp_path / "sweep.json")
+        api.sweep("voter", [16, 16, 16], repetitions=2, seed=1, store_path=store_path)
+        assert "fit [" not in study_report(load_study_store(store_path)).render()
+
+    @pytest.mark.parametrize("bad", [16.7, True, "16"])
+    def test_sizes_are_checked_not_coerced(self, bad, monkeypatch):
+        def no_cell_may_run(*_args, **_kwargs):
+            raise AssertionError("a cell ran before the sizes were checked")
+
+        monkeypatch.setattr(runner_module, "execute", no_cell_may_run)
+        with pytest.raises(TypeError, match=f"got {bad!r}"):
+            api.sweep("voter", [bad, 32], repetitions=2, seed=1)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        result = api.sweep("voter", np.arange(16, 48, 16), repetitions=2, seed=1)
+        assert [p.param for p in result.points] == [16, 32]
 
 
 class TestReporting:

@@ -447,6 +447,19 @@ class TestFailureIsolation:
             main(["study", "report", str(path)])
         assert "corrupt" in str(excinfo.value)
 
+    @pytest.mark.parametrize("payload", ["[]", "42", "null", '"store"'])
+    def test_non_object_store_is_corrupt_not_a_traceback(
+        self, tmp_path, payload
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "store.json"
+        path.write_text(payload)
+        with pytest.raises(StoreCorruptError, match="JSON object"):
+            load_study_store(str(path))
+        with pytest.raises(SystemExit, match="cannot load store"):
+            main(["study", "report", str(path)])
+
     def test_cli_sweep_rejects_fault_conflicts(self):
         from repro.cli import main
 

@@ -334,6 +334,20 @@ class TestResultCache:
         assert len(hits) == 3, "the other entries must still replay"
         assert not os.path.exists(path) or cache.get(victim.cell_id) is not None
 
+    def test_non_object_entry_is_warned_and_missed(self, tmp_path):
+        from repro.study.cache import _wrap_entry
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        cell = compile_study(grid_spec())[0]
+        path = cache.entry_path(cell.cell_id)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(_wrap_entry([1, 2]))  # CRC-valid, not a record
+        with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
+            assert cache.get(cell.cell_id) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert not os.path.exists(path)
+
     def test_failed_records_are_never_cached(self, tmp_path, monkeypatch):
         def fail_small(plan):
             if plan.initial.num_nodes == 24:

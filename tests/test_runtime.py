@@ -3,7 +3,7 @@
 Covers plan validation, registry mechanics (registration, lookup,
 aliases), the cost model's resolution decisions, rejection errors for
 capability mismatches, the recorder threading rules, and the
-``rng_mode`` plumbing through :func:`sweep_first_passage`.
+``rng_mode`` plumbing through :func:`repro.api.sweep`.
 """
 
 import subprocess
@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import api
 from repro.adversary import PlantInvalid
 from repro.core import Configuration
 from repro.engine import (
@@ -29,7 +30,6 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.engine.runtime import _REGISTRY
-from repro.experiments import sweep_first_passage
 from repro.processes import ThreeMajority, TwoChoices, Voter
 
 
@@ -260,48 +260,38 @@ class TestExecutionSurface:
 class TestSweepThreading:
     def test_rng_mode_threads_through_sweeps(self):
         kwargs = dict(
-            name="x",
-            process_factory=lambda n: Voter(),
-            workload=lambda n: Configuration.balanced(n, 4),
-            stop=lambda n: Consensus(),
-            n_values=[16, 32],
+            workload={"name": "balanced", "kwargs": {"k": 4}},
             repetitions=4,
             seed=7,
-            predicted=lambda n: float(n),
         )
-        reference = sweep_first_passage(backend="counts", **kwargs)
-        per_replica = sweep_first_passage(
-            backend="ensemble-counts", rng_mode="per-replica", **kwargs
+        reference = api.sweep("voter", [16, 32], backend="counts", **kwargs)
+        per_replica = api.sweep(
+            "voter", [16, 32], backend="ensemble-counts",
+            rng_mode="per-replica", **kwargs
         )
         for a, b in zip(reference.points, per_replica.points):
             assert np.array_equal(a.samples, b.samples)
 
     def test_adversary_sweep_accepts_per_n_factories(self):
-        result = sweep_first_passage(
-            name="robust",
-            process_factory=lambda n: ThreeMajority(),
-            workload=lambda n: Configuration.balanced(n, 3),
-            stop=lambda n: Consensus(),
-            n_values=[64, 128],
+        result = api.sweep(
+            "3-majority",
+            [64, 128],
+            workload={"name": "balanced", "kwargs": {"k": 3}},
             repetitions=3,
             seed=3,
-            predicted=lambda n: float(n),
-            max_rounds=lambda n: 3000,
-            adversary=lambda n: PlantInvalid(2, invalid_color=9),
+            max_rounds=3000,
+            adversary={"name": "plant-invalid", "budget": 2},
         )
         assert len(result.points) == 2
         assert all(p.summary.count == 3 for p in result.points)
 
     def test_async_sweep_measures_ticks(self):
-        result = sweep_first_passage(
-            name="async",
-            process_factory=lambda n: ThreeMajority(),
-            workload=lambda n: Configuration.balanced(n, 2),
-            stop=lambda n: Consensus(),
-            n_values=[32, 64],
+        result = api.sweep(
+            "3-majority",
+            [32, 64],
+            workload={"name": "balanced", "kwargs": {"k": 2}},
             repetitions=3,
             seed=5,
-            predicted=lambda n: float(n) * n,
             scheduler="asynchronous",
         )
         # Ticks run ~n per synchronous-round equivalent.

@@ -680,6 +680,26 @@ class TestJournalReader:
         assert len(polled) == 1 and polled[0].same_results(record)
         assert reader.poll() == []  # nothing new
 
+    def test_non_object_record_row_stops_the_reader(self, tmp_path):
+        from repro.study.store import _encode_record
+
+        spec = tiny_spec()
+        reference = run_study(spec)
+        jpath = journal_path(str(tmp_path / "s.json"))
+        store = StudyStore(spec)
+        with open(jpath, "wb") as handle:
+            handle.write(_journal_line(store._journal_header()))
+            for record in reference.records():
+                handle.write(_journal_line({"record": _encode_record(record)}))
+            # CRC-valid, so only the decoder can reject it.
+            handle.write(_journal_line({"record": [1]}))
+        reader = JournalReader(jpath)
+        polled = reader.poll()
+        assert len(polled) == len(reference)
+        for record in polled:
+            assert record.same_results(reference.get(record.cell_id))
+        assert reader.poll() == []  # parked at the damage, never past it
+
     def test_journal_replacement_resets_reader(self, tmp_path):
         """Compaction unlinks the journal; a *fresh* (even longer) file
         must re-replay from its own header, not misalign mid-line."""

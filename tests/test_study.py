@@ -13,9 +13,8 @@ import pytest
 
 import repro
 from repro import StudySpec, api
-from repro.engine import Consensus
+from repro.engine import Consensus, derive_seed, repeat_first_passage
 from repro.core import Configuration
-from repro.experiments import sweep_first_passage
 from repro.study import (
     StudyStore,
     compile_study,
@@ -506,32 +505,29 @@ class TestApiFacade:
         asynchronous = api.simulate("voter", n=32, seed=4, scheduler="asynchronous")
         assert asynchronous.unit == "ticks"
 
-    def test_sweep_matches_legacy_harness_bit_for_bit(self):
-        legacy = sweep_first_passage(
-            name="legacy",
-            process_factory=lambda n: repro.make_process("3-majority"),
-            workload=lambda n: Configuration.singletons(n),
-            stop=lambda n: Consensus(),
-            n_values=[16, 32],
-            repetitions=3,
-            seed=13,
-            predicted=lambda n: float(n),
-            backend="ensemble-counts",
-            rng_mode="per-replica",
+    @pytest.mark.parametrize(
+        "backend, rng_mode",
+        [("ensemble-auto", "batched"), ("ensemble-counts", "per-replica")],
+    )
+    def test_sweep_point_i_runs_on_derive_seed_i(self, backend, rng_mode):
+        # Pins every sweep's samples: point i is repeat_first_passage on
+        # derive_seed(seed, i), whatever front door built the cells.
+        sweep = api.sweep(
+            "3-majority", [16, 32, 64], repetitions=3, seed=13,
+            backend=backend, rng_mode=rng_mode,
         )
-        declarative = api.sweep(
-            "3-majority",
-            [16, 32],
-            repetitions=3,
-            seed=13,
-            backend="ensemble-counts",
-            rng_mode="per-replica",
-            predicted=lambda n: float(n),
-        )
-        for a, b in zip(legacy.points, declarative.points):
-            assert a.param == b.param
-            assert np.array_equal(a.samples, b.samples)
-            assert a.resolved_backend == b.resolved_backend
+        assert [point.param for point in sweep.points] == [16, 32, 64]
+        for i, point in enumerate(sweep.points):
+            expected = repeat_first_passage(
+                lambda: repro.make_process("3-majority"),
+                Configuration.singletons(point.param),
+                Consensus(),
+                3,
+                rng=derive_seed(13, i),
+                backend=backend,
+                rng_mode=rng_mode,
+            )
+            assert np.array_equal(point.samples, expected)
 
     def test_study_accepts_path_and_dict(self, tmp_path):
         from repro.study import save_spec

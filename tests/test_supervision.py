@@ -530,6 +530,21 @@ class TestJournaledStore:
         assert len(loaded) == 0
         assert loaded.salvage["records_salvaged"] == 0
 
+    def test_non_object_record_row_is_salvaged_as_a_tear(self, tmp_path):
+        from repro.study.store import _journal_line
+
+        spec = one_cell_spec()
+        reference = run_study(spec)
+        path = str(tmp_path / "store.json")
+        jpath = _journal_only(path, spec, reference.records())
+        # CRC-valid, so only the decoder can reject it.
+        with open(jpath, "ab") as handle:
+            handle.write(_journal_line({"record": [1]}))
+        loaded = load_study_store(path)
+        assert loaded.salvage is not None
+        assert loaded.salvage["records_salvaged"] == 1
+        assert loaded.results_equal(reference)
+
     def test_resume_completes_a_torn_journal_bit_for_bit(self, tmp_path):
         spec = one_cell_spec(axes={
             "process": ["3-majority"],

@@ -4,19 +4,27 @@
 #
 # Steps:
 #   1. tier-1    — the full test suite.
-#   2. plan-matrix — the cross-backend equivalence matrix (bench_smoke
-#      marker): per-replica bit-for-bit agreement of sequential vs
-#      ensemble vs plan-resolved "auto" on 3-Majority / 2-Choices /
-#      Voter, plus the async and adversary plan axes against their
-#      sequential runners.
+#   2. plan-matrix — the cross-backend matrix (bench_smoke marker).
+#      Per-replica plans run one loop per family whichever backend name
+#      resolves them, so the matrix pins the routing: every sequential
+#      and ensemble name, and the plan-resolved "auto", give the same
+#      per-replica samples on 3-Majority / 2-Choices / Voter, with and
+#      without faults; the async and adversary plan axes match their
+#      sequential runners; the batched kernels match the engines in
+#      distribution.
 #   3. study-smoke — the declarative-study resume contract end-to-end
 #      through the CLI: a 2-cell StudySpec run to completion, the same
 #      spec killed after one cell and resumed, both stores reported, and
 #      the resumed store asserted bit-for-bit equal to the uninterrupted
-#      one (per-replica rng_mode).  Then a 3-point `repro sweep -o`
-#      round trip: the sweep's study store is reported, loads with 3
-#      complete cells, and a second identical `sweep -o` must exit
-#      non-zero and leave the store results-equal to the first.
+#      one (per-replica rng_mode).  The same for a recorded spec
+#      ([record] aggregate = "mean", R = 9, 2-Choices and 3-Majority,
+#      per-replica): its cells record R > 1 trajectories through the
+#      replica-by-replica loop, and the resumed store must equal the
+#      uninterrupted one, trajectories included.  Then a 3-point
+#      `repro sweep -o` round trip: the sweep's study store is
+#      reported, loads with 3 complete cells, and a second identical
+#      `sweep -o` must exit non-zero and leave the store results-equal
+#      to the first.
 #   4. faults-smoke — the failure-isolation contract: a 2-cell spec with
 #      a faults axis whose crash=1.0 cell deterministically exceeds its
 #      round budget.  The run still exits 0, records the failure with a
@@ -77,6 +85,24 @@ python -m repro study run "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/full.json"
 python -m repro study run "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/part.json" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/part.json" --quiet
 python -m repro study report "$STUDY_TMP/part.json"
+cat > "$STUDY_TMP/record.toml" <<'EOF'
+name = "check.sh record smoke"
+seed = 5
+repetitions = 9
+
+[record]
+metrics = ["num_colors", "entropy", "collision_probability"]
+aggregate = "mean"
+
+[axes]
+process = ["2-choices", "3-majority"]
+n = 48
+workload = { name = "balanced", kwargs = { k = 6 } }
+rng_mode = "per-replica"
+EOF
+python -m repro study run "$STUDY_TMP/record.toml" --store "$STUDY_TMP/rfull.json" --quiet
+python -m repro study run "$STUDY_TMP/record.toml" --store "$STUDY_TMP/rpart.json" --max-cells 1 --quiet
+python -m repro study resume "$STUDY_TMP/record.toml" --store "$STUDY_TMP/rpart.json" --quiet
 python -m repro sweep voter --min-n 16 --max-n 64 -r 2 --seed 3 -o "$STUDY_TMP/sweep.json"
 python -m repro study report "$STUDY_TMP/sweep.json"
 cp "$STUDY_TMP/sweep.json" "$STUDY_TMP/sweep.first.json"
@@ -94,13 +120,23 @@ assert full.is_complete() and resumed.is_complete(), "smoke study left cells unr
 assert resumed.results_equal(full), (
     "resumed store diverged from the uninterrupted run"
 )
+rfull = load_study_store(f"{tmp}/rfull.json")
+rpart = load_study_store(f"{tmp}/rpart.json")
+assert rfull.is_complete() and rpart.is_complete(), "record smoke left cells unrun"
+assert len(rfull) == 2 and all(r.trajectory for r in rfull.records()), (
+    "record smoke kept no trajectories"
+)
+assert rpart.results_equal(rfull), (
+    "resumed recorded store diverged from the uninterrupted run"
+)
 sweep = load_study_store(f"{tmp}/sweep.json")
 assert sweep.is_complete() and len(sweep) == 3, "sweep store is missing cells"
 assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
     "a refused second sweep -o changed the store"
 )
-print("study-smoke OK: resumed store is bit-for-bit the uninterrupted one; "
-      "sweep -o wrote a 3-cell store and refused to clobber it")
+print("study-smoke OK: resumed stores (plain and recorded) are bit-for-bit "
+      "the uninterrupted ones; sweep -o wrote a 3-cell store and refused to "
+      "clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="
 cat > "$STUDY_TMP/faults.toml" <<'EOF'

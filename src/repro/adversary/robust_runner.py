@@ -10,16 +10,19 @@ adversary rewrites the colors of at most ``F`` nodes.  The run tracks
 * whether validity is ever violated at stabilisation (the failure mode of
   2-Median under :class:`~repro.adversary.adversary.PlantInvalid`).
 
-Two execution paths:
+Three execution paths:
 
 * :func:`run_with_adversary` — one replica, the sequential reference.
-* :func:`run_with_adversary_ensemble` — ``R`` replicas lock-step with
-  vectorized per-replica corruption masks, plurality/streak tracking and
-  replica retirement.  ``backend="counts"`` additionally moves the whole
-  run onto the exact count-level chain (AC-processes with a count-capable
-  adversary), which is the production fast path;
-  ``rng_mode="per-replica"`` reproduces the sequential runner bit-for-bit
-  (one spawned stream per replica, consumed identically).
+* :func:`run_with_adversary_replicas` — ``R`` replicas one after another,
+  each running :func:`run_with_adversary` on its own spawned stream.
+  This is the family's only per-replica engine.
+* :func:`run_with_adversary_ensemble` — ``R`` replicas lock-step from
+  one shared stream, with vectorized per-replica corruption masks,
+  plurality/streak tracking and replica retirement.  ``backend="counts"``
+  additionally moves the whole run onto the exact count-level chain
+  (AC-processes with a count-capable adversary), which is the production
+  fast path.  ``rng_mode="per-replica"``, and processes without a
+  vectorized ``update_ensemble``, run :func:`run_with_adversary_replicas`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "RobustEnsembleResult",
     "run_with_adversary",
     "run_with_adversary_ensemble",
+    "run_with_adversary_replicas",
 ]
 
 
@@ -188,6 +192,75 @@ class RobustEnsembleResult:
         ]
 
 
+def run_with_adversary_replicas(
+    process,
+    initial: Configuration,
+    adversary: "Adversary | AdversarySchedule",
+    repetitions: int,
+    rng: RandomSource = None,
+    max_rounds: int = 50_000,
+    stable_fraction: float = 0.95,
+    stable_rounds: int = 3,
+) -> RobustEnsembleResult:
+    """``R`` runs of :func:`run_with_adversary`, one per spawned stream.
+
+    Replica ``i`` runs on ``per_replica_generators(rng, R)[i]``.
+    ``process`` is an instance shared by every replica, or a
+    zero-argument factory called once per replica.
+    """
+    results = [
+        run_with_adversary(
+            process if isinstance(process, AgentProcess) else process(),
+            initial,
+            adversary,
+            rng=generator,
+            max_rounds=max_rounds,
+            stable_fraction=stable_fraction,
+            stable_rounds=stable_rounds,
+        )
+        for generator in per_replica_generators(rng, repetitions)
+    ]
+    return RobustEnsembleResult(
+        process_name=results[0].process_name,
+        adversary_repr=results[0].adversary_repr,
+        rounds=np.asarray([r.rounds for r in results], dtype=np.int64),
+        stabilized=np.asarray([r.stabilized for r in results], dtype=bool),
+        winning_color=np.asarray([r.winning_color for r in results], dtype=np.int64),
+        winning_fraction=np.asarray(
+            [r.winning_fraction for r in results], dtype=float
+        ),
+        winner_is_valid=np.asarray([r.winner_is_valid for r in results], dtype=bool),
+        valid_colors=results[0].valid_colors,
+        backend="agent",
+        rng_mode="per-replica",
+    )
+
+
+def _counts_chain_capable(
+    process: AgentProcess, initial: Configuration, adversary: Adversary
+) -> bool:
+    """Can the exact count-level robust chain represent this run at all?"""
+    return (
+        isinstance(process, ACAgentProcess)
+        and adversary.supports_counts
+        and type(process).initial_colors is AgentProcess.initial_colors
+        and process.supports_count_backend(initial)
+    )
+
+
+def _counts_chain_tractable(
+    process: AgentProcess, initial: Configuration, adversary: Adversary
+) -> bool:
+    """The family's ``"auto"`` rule: the count chain when it is valid and
+    its slot space, including the slots the adversary can write into, is
+    moderate."""
+    return (
+        _counts_chain_capable(process, initial, adversary)
+        and initial.num_slots <= _COUNT_BACKEND_SLOT_LIMIT
+        and adversary.color_ceiling(initial.num_slots) <= _COUNT_BACKEND_SLOT_LIMIT
+    )
+
+
 def _plurality_matrix(
     colors: np.ndarray, width: int, n: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -221,9 +294,8 @@ def run_with_adversary_ensemble(
     ``backend`` picks the state representation:
 
     * ``"agent"`` — an ``(R, n)`` color matrix: the honest step is the
-      process's batched ``update_ensemble`` (per-replica loop fallback for
-      processes without one), corruption a vectorized per-replica mask.
-      Faithful for every process/adversary pair.
+      process's batched ``update_ensemble``, corruption a vectorized
+      per-replica mask.  Faithful for every process/adversary pair.
     * ``"counts"`` — an ``(R, k)`` counts matrix: the honest step is one
       broadcast ``Mult(n, α(c))`` draw, corruption the adversary's exact
       count-level law (multivariate-hypergeometric victim draws).  Valid
@@ -231,12 +303,11 @@ def run_with_adversary_ensemble(
       same margin as the synchronous counts ensemble (node identity is
       meaningless under anonymity, so the two backends induce the same
       process on counts).
-    * ``"auto"`` — ``"counts"`` whenever it is valid, else ``"agent"``.
+    * ``"auto"`` — ``"counts"`` whenever it is valid and tractable, else
+      ``"agent"``.
 
-    ``rng_mode="per-replica"`` forces the agent backend with one spawned
-    child generator per replica, consumed exactly as
-    :func:`run_with_adversary` would — the ensemble then reproduces the
-    sequential results bit-for-bit (the test-suite verifies).
+    ``rng_mode="per-replica"`` (agent only), and processes without a
+    vectorized ``update_ensemble``, run :func:`run_with_adversary_replicas`.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -251,30 +322,17 @@ def run_with_adversary_ensemble(
         if isinstance(adversary, AdversarySchedule)
         else AdversarySchedule(adversary)
     )
-    counts_capable = (
-        isinstance(process, ACAgentProcess)
-        and schedule.adversary.supports_counts
-        and type(process).initial_colors is AgentProcess.initial_colors
-        and process.supports_count_backend(initial)
-    )
     if backend == "auto":
-        # Mirror the shared engine dispatch rule: the exact chain must be
-        # tractable (supports_count_backend) and the slot space moderate —
-        # including any extra slots the adversary can write into.
         backend = (
             "counts"
-            if (
-                counts_capable
-                and rng_mode == "batched"
-                and schedule.adversary.color_ceiling(initial.num_slots)
-                <= _COUNT_BACKEND_SLOT_LIMIT
-            )
+            if rng_mode == "batched"
+            and _counts_chain_tractable(process, initial, schedule.adversary)
             else "agent"
         )
     if backend not in ("agent", "counts"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "counts":
-        if not counts_capable:
+        if not _counts_chain_capable(process, initial, schedule.adversary):
             raise TypeError(
                 "count-level adversarial runs need an AC-process and an "
                 f"adversary with a count-level law; got {process.name} vs "
@@ -289,9 +347,14 @@ def run_with_adversary_ensemble(
             process, initial, schedule, repetitions, rng,
             max_rounds, stable_fraction, stable_rounds,
         )
+    if rng_mode == "per-replica" or not process.has_vectorized_ensemble:
+        return run_with_adversary_replicas(
+            process, initial, schedule, repetitions, rng,
+            max_rounds, stable_fraction, stable_rounds,
+        )
     return _adversary_agent_ensemble(
         process, initial, schedule, repetitions, rng,
-        max_rounds, stable_fraction, stable_rounds, rng_mode,
+        max_rounds, stable_fraction, stable_rounds,
     )
 
 
@@ -367,25 +430,17 @@ def _adversary_agent_ensemble(
     max_rounds: int,
     stable_fraction: float,
     stable_rounds: int,
-    rng_mode: str,
 ) -> RobustEnsembleResult:
     """Lock-step ``(R, n)`` adversarial runs with replica retirement."""
     n = initial.num_nodes
     width = schedule.adversary.color_ceiling(initial.num_slots)
-    batched = process.has_vectorized_ensemble and rng_mode == "batched"
     # The honest step through the fused colors kernel — identically
     # distributed to update_ensemble (every node redraws by the process's
     # switch-and-redistribute law, iid given the counts), but one
     # inverse-cdf draw per node instead of per-node sample gathers.  The
     # corruption step is untouched: it needs node identities and gets them.
-    fused = batched and kernel_eligible(process, initial)
-    if batched:
-        generators = None
-        master = as_generator(rng)
-    else:
-        rng_mode = "per-replica"
-        generators = per_replica_generators(rng, repetitions)
-        master = None
+    fused = kernel_eligible(process, initial)
+    master = as_generator(rng)
 
     base = process.initial_colors(initial)
     valid_colors = frozenset(int(c) for c in np.unique(base))
@@ -407,16 +462,9 @@ def _adversary_agent_ensemble(
             # the kernel's bincount width must cover whatever is present.
             width_now = max(width, int(colors.max()) + 1)
             colors = fused_colors_step(process, colors, width_now, master)
-            colors = schedule.corrupt_ensemble(rounds, colors, master)
-        elif batched:
-            colors = process.update_ensemble(colors, master)
-            colors = schedule.corrupt_ensemble(rounds, colors, master)
         else:
-            for row, replica in enumerate(active):
-                updated = process.update(colors[row], generators[replica])
-                colors[row] = schedule.corrupt(
-                    rounds, updated, generators[replica]
-                )
+            colors = process.update_ensemble(colors, master)
+        colors = schedule.corrupt_ensemble(rounds, colors, master)
         rounds += 1
         # BoostRunnerUp can resurrect fresh color ids past the static
         # ceiling in long stalls (consensus on c resurrects c+1, which may
@@ -433,7 +481,7 @@ def _adversary_agent_ensemble(
         winning_fraction[active] = fractions
         rounds_out[active] = rounds
     return _finalize_robust(
-        process, schedule, valid_colors, "agent", rng_mode,
+        process, schedule, valid_colors, "agent", "batched",
         rounds_out, stabilized, winning_color, winning_fraction,
     )
 

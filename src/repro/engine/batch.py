@@ -106,8 +106,9 @@ def repeat_first_passage(
     keep their historical meanings:
 
     * ``"auto"`` — the sequential reference path (one run per repetition
-      with its own spawned child generator; the streams every other
-      backend's ``rng_mode="per-replica"`` reproduces bit-for-bit).
+      with its own spawned child generator; every backend's
+      ``rng_mode="per-replica"`` runs these same streams through the
+      same loop).
       With ``scheduler="asynchronous"`` or an ``adversary``, where no
       historical stream contract exists, ``"auto"`` is the runtime's
       full cost-model decision instead.
@@ -177,9 +178,10 @@ def first_passage_plan(
         # path with the simulator's own representation rule, keeping
         # pre-runtime sample streams bit-for-bit intact (the runtime's
         # "sequential-auto" alias is cost-ranked and may legitimately
-        # disagree on exotic wider-than-n slot spaces).  The sequential
-        # backends record only single-replica runs, so a recorded
-        # ensemble stays on the runtime's cost decision.
+        # disagree on exotic wider-than-n slot spaces).  The recorder
+        # clause keeps recorded R > 1 "auto" plans on the runtime's cost
+        # decision: that keeps their backend names, and for batched
+        # plans their samples, what existing stores recorded.
         backend = (
             "counts"
             if prefers_counts_backend(process_factory(), initial, "auto")

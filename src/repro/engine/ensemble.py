@@ -2,18 +2,16 @@
 
 The paper's statements are about *distributions* of first-passage times,
 so every benchmark repeats a run over tens-to-hundreds of independent
-replicas.  The sequential path (:func:`repro.engine.simulator.run` looped
-by :func:`repro.engine.batch.repeat_first_passage`) pays Python-call and
-tiny-numpy overhead once per replica per round; this module amortises it
-across the whole ensemble:
+replicas.  Looping the sequential engine (:func:`run_replicas`) pays
+Python-call and tiny-numpy overhead once per replica per round; this
+module amortises it across the whole ensemble:
 
 * **count-level** (:func:`run_counts_ensemble`) — an ``(R, k)`` counts
   matrix advanced by a row-wise ``α`` (vectorized for the closed-form
   process functions) and a single broadcast multinomial draw per round.
 * **agent-level** (:func:`run_agent_ensemble`) — an ``(R, n)`` color
   matrix advanced by the process's batched ``update_ensemble`` rule
-  (3-Majority, 2-Choices, Voter, …); processes without a vectorized rule
-  fall back to a per-replica loop, so every process works day one.
+  (3-Majority, 2-Choices, Voter, …).
 
 Per-replica stopping masks (:meth:`StoppingCondition.satisfied_ensemble`)
 record each replica's first-passage round, and finished replicas are
@@ -28,14 +26,14 @@ RNG regimes
 -----------
 ``rng_mode="batched"`` (default) draws all replicas' randomness from one
 shared stream — fastest, statistically equivalent (each row consumes
-fresh variates).  ``rng_mode="per-replica"`` spawns one child generator
-per replica exactly like :func:`repeat_first_passage` does, and consumes
-each stream exactly as the sequential backend would: on the count-level
-backend the resulting first-passage samples are *bit-identical* to the
-sequential ones (one ``Mult(n, α(c))`` draw per replica per active
-round), which the test-suite verifies.  The same guarantee holds for the
-agent-level per-replica loop, since each replica's ``update`` sees the
-same generator state sequence as a sequential run.
+fresh variates).  Only batched runs advance lock-step.
+``rng_mode="per-replica"`` runs :func:`run_replicas`: the sequential
+:func:`~repro.engine.simulator.run_agent` or
+:func:`~repro.engine.simulator.run_counts` once per replica, each on the
+child stream :func:`~repro.engine.rng.per_replica_generators` spawns for
+it, so every backend's per-replica samples are the sequential ones by
+construction.  Processes without a vectorized ``update_ensemble`` run
+that way in either mode.
 """
 
 from __future__ import annotations
@@ -52,6 +50,8 @@ from .simulator import (
     RoundLimitExceeded,
     default_round_limit,
     prefers_counts_backend,
+    run_agent,
+    run_counts,
 )
 from .stopping import Consensus, StoppingCondition
 
@@ -61,6 +61,7 @@ __all__ = [
     "run_ensemble",
     "run_agent_ensemble",
     "run_counts_ensemble",
+    "run_replicas",
 ]
 
 _RNG_MODES = ("batched", "per-replica")
@@ -92,7 +93,7 @@ class EnsembleResult:
     final_counts: np.ndarray
     backend: str
     stop_label: str
-    #: RNG regime that actually ran — a ``"batched"`` request downgrades to
+    #: RNG regime that actually ran — a ``"batched"`` request runs
     #: ``"per-replica"`` for processes without a vectorized ensemble rule.
     rng_mode: str
 
@@ -157,6 +158,75 @@ def _retire(
     return active[~mask]
 
 
+def _stack_counts(finals: "list[np.ndarray]") -> np.ndarray:
+    """Stack per-replica count vectors, zero-padding to the widest.
+
+    Processes with auxiliary states (e.g. Undecided dynamics) can project
+    final configurations wider than the initial slot count.
+    """
+    width = max(f.size for f in finals)
+    stacked = np.zeros((len(finals), width), dtype=np.int64)
+    for row, counts in enumerate(finals):
+        stacked[row, : counts.size] = counts
+    return stacked
+
+
+def run_replicas(
+    process,
+    initial: Configuration,
+    repetitions: int,
+    rng: RandomSource = None,
+    stop: "StoppingCondition | None" = None,
+    max_rounds: "int | None" = None,
+    backend: str = "agent",
+    raise_on_limit: bool = True,
+    recorder: "MetricRecorder | None" = None,
+    faults=None,
+) -> EnsembleResult:
+    """``R`` replicas one after another, each on its own spawned stream.
+
+    The per-replica engine of the synchronous family: replica ``i`` runs
+    :func:`~repro.engine.simulator.run_agent` (``backend="agent"``) or
+    :func:`~repro.engine.simulator.run_counts` (``"counts"``) on
+    ``per_replica_generators(rng, R)[i]``.  ``process`` is an instance
+    shared by every replica, or a zero-argument factory called once per
+    replica.  ``recorder`` gets what :meth:`MetricRecorder.for_replica`
+    routes to each replica's run, which matches what the lock-step hook
+    records.
+    """
+    _check_args(repetitions, "per-replica")
+    if backend not in ("agent", "counts"):
+        raise ValueError(f"unknown backend {backend!r}")
+    run_one = run_counts if backend == "counts" else run_agent
+    times = np.empty(repetitions, dtype=np.int64)
+    stopped = np.zeros(repetitions, dtype=bool)
+    finals = []
+    for index, generator in enumerate(per_replica_generators(rng, repetitions)):
+        replica_process = process if isinstance(process, AgentProcess) else process()
+        result = run_one(
+            replica_process,
+            initial,
+            rng=generator,
+            stop=stop,
+            max_rounds=max_rounds,
+            recorder=None if recorder is None else recorder.for_replica(index),
+            raise_on_limit=raise_on_limit,
+            faults=faults,
+        )
+        times[index] = result.rounds
+        stopped[index] = result.stopped
+        finals.append(result.final.counts_array())
+    return EnsembleResult(
+        process_name=replica_process.name,
+        times=times,
+        stopped=stopped,
+        final_counts=_stack_counts(finals),
+        backend=backend,
+        stop_label=result.stop_label,
+        rng_mode="per-replica",
+    )
+
+
 def run_counts_ensemble(
     process: "ACAgentProcess",
     initial: Configuration,
@@ -172,8 +242,9 @@ def run_counts_ensemble(
     """Exact count-level chain for ``R`` replicas lock-step (AC-processes).
 
     Every replica starts from ``initial`` and performs one ``Mult(n, α(c))``
-    transition per round; with ``rng_mode="batched"`` the whole ensemble's
-    draws happen in a single broadcast multinomial call per round.
+    transition per round; the whole ensemble's draws happen in a single
+    broadcast multinomial call per round.  ``rng_mode="per-replica"``
+    runs :func:`run_replicas` instead.
 
     ``recorder`` receives :meth:`MetricRecorder.observe_ensemble` every
     round (counts of the still-active replicas plus their indices), so
@@ -181,9 +252,7 @@ def run_counts_ensemble(
 
     ``faults`` (a :class:`~repro.faults.FaultSchedule` or bare model)
     switches every transition to the exact faulty chain
-    ``c' = f + Mult(n − |f|, α(c))``; per-replica mode keeps one fault
-    state per replica so the samples stay bit-identical to faulty
-    sequential runs.
+    ``c' = f + Mult(n − |f|, α(c))``.
     """
     from ..faults import as_fault_schedule
 
@@ -192,9 +261,21 @@ def run_counts_ensemble(
             f"count-level simulation requires an AC-process; {process.name} is not one"
         )
     _check_args(repetitions, rng_mode)
+    if rng_mode == "per-replica":
+        return run_replicas(
+            process, initial, repetitions, rng=rng, stop=stop,
+            max_rounds=max_rounds, backend="counts",
+            raise_on_limit=raise_on_limit, recorder=recorder, faults=faults,
+        )
     fault_schedule = as_fault_schedule(faults)
     condition = stop if stop is not None else Consensus()
     limit = max_rounds if max_rounds is not None else default_round_limit(initial.num_nodes)
+    master = as_generator(rng)
+    fault_matrix = (
+        fault_schedule.counts_runtime(process.process_function)
+        if fault_schedule is not None
+        else None
+    )
 
     counts = np.tile(initial.counts_array(), (repetitions, 1))
     times = np.zeros(repetitions, dtype=np.int64)
@@ -202,49 +283,18 @@ def run_counts_ensemble(
     final_counts = counts.copy()
     active = np.arange(repetitions)
 
-    if rng_mode == "per-replica":
-        generators = per_replica_generators(rng, repetitions)
-        master = None
-    else:
-        generators = None
-        master = as_generator(rng)
-
-    if fault_schedule is None:
-        fault_matrix = None
-        fault_rows = None
-    elif master is not None:
-        fault_matrix = fault_schedule.counts_runtime(process.process_function)
-        fault_rows = None
-    else:
-        fault_matrix = None
-        fault_rows = [
-            fault_schedule.counts_runtime(process.process_function)
-            for _ in range(repetitions)
-        ]
-
     if recorder is not None:
         recorder.observe_ensemble(0, counts, active)
     mask = condition.satisfied_ensemble(counts)
     active = _retire(mask, active, 0, counts, times, stopped, final_counts)
     counts = counts[~mask]
-    if fault_rows is not None:
-        fault_rows = [rt for rt, done in zip(fault_rows, mask) if not done]
 
     rounds = 0
     while active.size and rounds < limit:
-        if master is not None:
-            if fault_matrix is not None:
-                counts = fault_matrix.step_matrix(counts, master, rounds)
-            else:
-                counts = process.step_counts_ensemble(counts, master)
-        elif fault_rows is not None:
-            for row, replica in enumerate(active):
-                counts[row] = fault_rows[row].step_row(
-                    counts[row], generators[replica], rounds
-                )
+        if fault_matrix is not None:
+            counts = fault_matrix.step_matrix(counts, master, rounds)
         else:
-            for row, replica in enumerate(active):
-                counts[row] = process.step_counts(counts[row], generators[replica])
+            counts = process.step_counts_ensemble(counts, master)
         rounds += 1
         if recorder is not None:
             recorder.observe_ensemble(rounds, counts, active)
@@ -254,8 +304,6 @@ def run_counts_ensemble(
             counts = counts[~mask]
             if fault_matrix is not None:
                 fault_matrix.compact(~mask)
-            if fault_rows is not None:
-                fault_rows = [rt for rt, done in zip(fault_rows, mask) if not done]
     if active.size:
         times[active] = rounds
         final_counts[active] = counts
@@ -302,43 +350,38 @@ def run_agent_ensemble(
     """Agent-level simulation of ``R`` replicas as one ``(R, n)`` matrix.
 
     Processes with a vectorized :meth:`AgentProcess.update_ensemble`
-    advance all replicas per round in a handful of array operations; other
-    processes fall back to a per-replica ``update`` loop (still sharing
-    the stopping-mask and compaction machinery).  ``rng_mode="per-replica"``
-    forces the loop with spawned child generators, reproducing sequential
-    runs exactly for *any* process.
+    advance all replicas per round in a handful of array operations from
+    one shared stream.  ``rng_mode="per-replica"``, and any process
+    without that rule, runs :func:`run_replicas` instead, reporting
+    ``rng_mode="per-replica"``.
 
     The color matrix (and the derived counts) are stored at the narrowest
     safe integer dtype — ``int32`` for every ``n`` below ``2³¹`` — which
-    halves the memory traffic of the ``O(R·n)`` per-round gather without
-    touching the rng streams (indices stay ``int64``), so per-replica runs
-    remain bit-for-bit equal to the sequential backend.
+    halves the memory traffic of the ``O(R·n)`` per-round gather.
 
-    ``faults`` draws a victim mask per round (vectorized over the whole
-    ``(R, n)`` matrix in batched mode, one flat mask per replica stream
-    in per-replica mode); after the honest update, frozen victims revert
-    to their previous color and Byzantine victims take their hostile
+    ``faults`` draws a victim mask per round, vectorized over the whole
+    ``(R, n)`` matrix; after the honest update, frozen victims revert to
+    their previous color and Byzantine victims take their hostile
     replacement.
     """
     from ..faults import as_fault_schedule
 
     _check_args(repetitions, rng_mode)
+    if rng_mode == "per-replica" or not process.has_vectorized_ensemble:
+        return run_replicas(
+            process, initial, repetitions, rng=rng, stop=stop,
+            max_rounds=max_rounds, backend="agent",
+            raise_on_limit=raise_on_limit, recorder=recorder, faults=faults,
+        )
     fault_schedule = as_fault_schedule(faults)
     condition = stop if stop is not None else Consensus()
     limit = max_rounds if max_rounds is not None else default_round_limit(initial.num_nodes)
     num_slots = initial.num_slots
     projected = type(process).configuration_of is not AgentProcess.configuration_of
-
-    batched = process.has_vectorized_ensemble and rng_mode == "batched"
-    if batched:
-        generators = None
-        master = as_generator(rng)
-    else:
-        # Processes without a vectorized rule always take per-replica
-        # streams; report the mode that actually ran.
-        rng_mode = "per-replica"
-        generators = per_replica_generators(rng, repetitions)
-        master = None
+    master = as_generator(rng)
+    fault_matrix = (
+        fault_schedule.agent_runtime(num_slots) if fault_schedule is not None else None
+    )
 
     dtype = narrow_int_dtype(max(initial.num_nodes, num_slots + 1))
     colors = np.tile(
@@ -353,49 +396,22 @@ def run_agent_ensemble(
     final_counts = counts.copy()
     active = np.arange(repetitions)
 
-    if fault_schedule is None:
-        fault_matrix = None
-        fault_rows = None
-    elif batched:
-        fault_matrix = fault_schedule.agent_runtime(num_slots)
-        fault_rows = None
-    else:
-        fault_matrix = None
-        fault_rows = [
-            fault_schedule.agent_runtime(num_slots) for _ in range(repetitions)
-        ]
-
     if recorder is not None:
         recorder.observe_ensemble(0, counts, active)
     mask = condition.satisfied_ensemble(counts)
     active = _retire(mask, active, 0, counts, times, stopped, final_counts)
     colors = colors[~mask]
     counts = counts[~mask]
-    if fault_rows is not None:
-        fault_rows = [rt for rt, done in zip(fault_rows, mask) if not done]
 
     rounds = 0
     while active.size and rounds < limit:
-        if batched:
-            if fault_matrix is not None:
-                fault_matrix.round_mask(rounds, master, colors.shape)
-                previous = colors.copy()
-                colors = process.update_ensemble(colors, master)
-                colors = fault_matrix.resolve(previous, colors, master)
-            else:
-                colors = process.update_ensemble(colors, master)
-        elif fault_rows is not None:
-            for row, replica in enumerate(active):
-                generator = generators[replica]
-                fault_rows[row].round_mask(
-                    rounds, generator, colors[row].shape
-                )
-                previous = colors[row].copy()
-                updated = process.update(colors[row], generator)
-                colors[row] = fault_rows[row].resolve(previous, updated, generator)
+        if fault_matrix is not None:
+            fault_matrix.round_mask(rounds, master, colors.shape)
+            previous = colors.copy()
+            colors = process.update_ensemble(colors, master)
+            colors = fault_matrix.resolve(previous, colors, master)
         else:
-            for row, replica in enumerate(active):
-                colors[row] = process.update(colors[row], generators[replica])
+            colors = process.update_ensemble(colors, master)
         rounds += 1
         counts = _counts_matrix(process, colors, num_slots, projected).astype(
             dtype, copy=False
@@ -409,8 +425,6 @@ def run_agent_ensemble(
             counts = counts[~mask]
             if fault_matrix is not None:
                 fault_matrix.compact(~mask)
-            if fault_rows is not None:
-                fault_rows = [rt for rt, done in zip(fault_rows, mask) if not done]
     if active.size:
         times[active] = rounds
         final_counts[active] = counts

@@ -5,10 +5,17 @@ quantities the paper reasons about: the number of remaining colors (the
 object of Theorem 2), the bias (footnote 3), the maximum support (the
 ``ℓ`` of Theorem 5), the collision probability ``‖x‖₂²`` (Equations (1),
 (2)), and the Shannon entropy as a smooth summary of symmetry.
+
+Recorders take observations from a single run (:meth:`MetricRecorder.observe`),
+from a lock-step round of many replicas
+(:meth:`MetricRecorder.observe_ensemble`), or from replicas run one
+after another (:meth:`MetricRecorder.for_replica` routes each replica's
+run).  The last two record the same series for the same replicas.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Dict
 
 import numpy as np
@@ -120,6 +127,15 @@ class MetricRecorder:
         if position < active.size and active[position] == 0:
             self.observe(round_index, counts[position])
 
+    def for_replica(self, replica: int) -> "MetricRecorder | None":
+        """The recorder replica ``replica``'s own run feeds, if any.
+
+        The replica-by-replica engines hand each replica's run this
+        recorder (or none), so it records what the lock-step hook does:
+        the base recorder follows replica 0.
+        """
+        return self if replica == 0 else None
+
     def series(self, name: str) -> np.ndarray:
         """The recorded series of metric ``name`` as an array."""
         return np.asarray(self._values[name])
@@ -136,7 +152,7 @@ class MetricRecorder:
 
 
 class EnsembleMetricRecorder(MetricRecorder):
-    """Per-round metrics of an ensemble run (the lock-step engines' hook).
+    """Per-round metrics of an ensemble run.
 
     Two recording modes:
 
@@ -145,11 +161,14 @@ class EnsembleMetricRecorder(MetricRecorder):
       replica's stopping round (its final configuration is included).
     * ``aggregate="mean"`` — record each metric averaged over the replicas
       still active at the round, an ensemble-level trajectory summary.
+      Each round keeps its replicas' values in replica order and averages
+      them when read, so a lock-step round and ``R`` replica-by-replica
+      runs give the same floats.
 
-    Either way the trajectory metrics the ROADMAP tracks no longer force
-    the sequential path: pass an instance as ``recorder=`` to
-    :func:`repro.engine.ensemble.run_ensemble` (or the counts/agent
-    variants, or the asynchronous ensemble, where the index is the tick).
+    Pass an instance as ``recorder=`` to any synchronous engine or
+    ensemble (:func:`repro.engine.ensemble.run_ensemble`, the
+    replica-by-replica :func:`repro.engine.ensemble.run_replicas`, the
+    kernels, or the asynchronous ensemble, where the index is the tick).
     """
 
     _AGGREGATES = (None, "mean")
@@ -175,6 +194,21 @@ class EnsembleMetricRecorder(MetricRecorder):
             )
         self.replica = int(replica)
         self.aggregate = aggregate
+        #: ``aggregate="mean"``: round → metric → the replicas' values.
+        self._samples: "Dict[int, Dict[str, list]]" = {}
+
+    def observe(self, round_index: int, counts: np.ndarray) -> None:
+        if self.aggregate is None:
+            super().observe(round_index, counts)
+            return
+        if round_index % self.stride != 0:
+            return
+        samples = self._samples.get(round_index)
+        if samples is None:
+            samples = self._samples[round_index] = {name: [] for name in self.names}
+            bisect.insort(self.rounds, int(round_index))
+        for name in self.names:
+            samples[name].append(METRICS[name](counts))
 
     def observe_ensemble(
         self, round_index: int, counts: np.ndarray, active: np.ndarray
@@ -184,11 +218,17 @@ class EnsembleMetricRecorder(MetricRecorder):
             if position < active.size and active[position] == self.replica:
                 self.observe(round_index, counts[position])
             return
-        if round_index % self.stride != 0 or counts.shape[0] == 0:
-            return
-        self.rounds.append(int(round_index))
-        for name in self.names:
-            metric = METRICS[name]
-            self._values[name].append(
-                float(np.mean([metric(row) for row in counts]))
-            )
+        for row in counts:
+            self.observe(round_index, row)
+
+    def for_replica(self, replica: int) -> "MetricRecorder | None":
+        if self.aggregate is None:
+            return self if replica == self.replica else None
+        return self
+
+    def series(self, name: str) -> np.ndarray:
+        if self.aggregate is None:
+            return super().series(name)
+        return np.asarray(
+            [float(np.mean(self._samples[r][name])) for r in self.rounds]
+        )

@@ -35,8 +35,8 @@ __all__ = ["SCHEDULERS", "RNG_MODES", "SimulationPlan"]
 SCHEDULERS = ("synchronous", "asynchronous")
 
 #: Randomness regimes: one shared stream ("batched", fastest) or one
-#: spawned child stream per replica ("per-replica", reproduces the
-#: sequential reference bit-for-bit wherever an engine supports it).
+#: spawned child stream per replica ("per-replica": the sequential loop
+#: once per stream, whichever backend name runs it).
 RNG_MODES = ("batched", "per-replica")
 
 #: A process instance, or a zero-argument factory building one (the
@@ -79,8 +79,9 @@ class SimulationPlan:
     rng / rng_mode:
         Seed material and the randomness regime (:data:`RNG_MODES`).
     recorder:
-        Optional per-round metric recorder; supported by the in-process
-        backends (sequential backends require ``repetitions == 1``).
+        Optional per-round metric recorder; supported by every
+        synchronous non-adversarial backend and by the lock-step
+        asynchronous ones.
     max_rounds:
         Horizon in scheduler units: rounds under ``"synchronous"``,
         *ticks* under ``"asynchronous"``.  ``None`` picks the engine's

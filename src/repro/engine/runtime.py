@@ -23,6 +23,16 @@ runs its cells one after another
 (:class:`repro.study.scheduler.CellScheduler`).  Cells are seeded from
 their index, never from execution order.
 
+Each family has one per-replica loop.  ``rng_mode="per-replica"``
+plans, and batched plans of processes without a vectorized
+``update_ensemble``, run the sequential engine once per spawned stream
+(:func:`~repro.engine.ensemble.run_replicas`,
+:func:`~repro.adversary.robust_runner.run_with_adversary_replicas`)
+under whichever backend name resolved; the lock-step ensembles and the
+kernels advance batched plans only.  So per-replica samples are the same
+on every name by construction, and a per-replica run holds one
+replica's state at a time.
+
 Writing a new backend
 ---------------------
 
@@ -69,14 +79,14 @@ from typing import Protocol
 
 import numpy as np
 
-from ..processes.base import ACAgentProcess, AgentProcess
+from ..processes.base import ACAgentProcess
 from .asynchronous import (
     AsyncEnsembleResult,
     _default_tick_limit,
     run_asynchronous,
     run_asynchronous_ensemble,
 )
-from .ensemble import EnsembleResult, run_ensemble
+from .ensemble import _stack_counts, run_ensemble, run_replicas
 from .kernels import (
     async_kernel_eligible,
     kernel_eligible,
@@ -85,7 +95,7 @@ from .kernels import (
 )
 from .plan import SimulationPlan
 from .rng import per_replica_generators
-from .simulator import _COUNT_BACKEND_SLOT_LIMIT, default_round_limit, run
+from .simulator import _counts_tractable, default_round_limit
 
 __all__ = [
     "Backend",
@@ -126,8 +136,10 @@ _COUNTS_FACTOR = 0.25
 #: plain count chain — AC-processes keep resolving to ``ensemble-counts``
 #: and the kernel wins exactly where it is the only counts-shaped option.
 _KERNEL_FACTOR = 0.35
-#: Mild edge of the ensemble per-replica loop over the sequential loop
-#: (shared stopping masks + retirement compaction).
+#: Discount on an ensemble backend's replica-by-replica runs.  They run
+#: the same loop as the sequential backend; the discount only keeps
+#: per-replica plans resolving to the ensemble names existing stores
+#: recorded.
 _ENSEMBLE_LOOP_FACTOR = 0.9
 
 
@@ -155,35 +167,6 @@ def _async_horizon(plan: SimulationPlan) -> float:
     n = plan.initial.num_nodes
     limit = plan.max_rounds if plan.max_rounds is not None else _default_tick_limit(n)
     return float(min(limit, n * (6.0 * np.sqrt(n) + 48.0)))
-
-
-# ---------------------------------------------------------------------------
-# Capability predicates shared by the specs.
-
-
-def _counts_capable(plan: SimulationPlan, process: AgentProcess) -> bool:
-    """Can the exact count-level chain represent this plan at all?"""
-    return isinstance(process, ACAgentProcess)
-
-
-def _counts_tractable(plan: SimulationPlan, process: AgentProcess) -> bool:
-    """Should ``auto`` consider the count chain (tractable α, narrow slots)?"""
-    return (
-        isinstance(process, ACAgentProcess)
-        and process.supports_count_backend(plan.initial)
-        and plan.initial.num_slots <= _COUNT_BACKEND_SLOT_LIMIT
-    )
-
-
-def _adversary_counts_capable(plan: SimulationPlan, process: AgentProcess) -> bool:
-    """The count-level robust chain's validity rule (mirrors the runner)."""
-    schedule = plan.schedule()
-    return (
-        isinstance(process, ACAgentProcess)
-        and schedule.adversary.supports_counts
-        and type(process).initial_colors is AgentProcess.initial_colors
-        and process.supports_count_backend(plan.initial)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +363,6 @@ def degradation_ladder(name: str) -> "tuple[str, ...]":
 # Backend implementations.
 
 
-def _stack_counts(finals: "list[np.ndarray]") -> np.ndarray:
-    """Stack per-replica count vectors, zero-padding to the widest.
-
-    Processes with auxiliary states (e.g. Undecided dynamics) can project
-    final configurations wider than the initial slot count.
-    """
-    width = max(f.size for f in finals)
-    stacked = np.zeros((len(finals), width), dtype=np.int64)
-    for row, counts in enumerate(finals):
-        stacked[row, : counts.size] = counts
-    return stacked
-
-
 class _BackendBase:
     """Shared plumbing: spec storage, default eligibility, rejections."""
 
@@ -414,19 +384,16 @@ class _BackendBase:
     def eligible(self, plan: SimulationPlan) -> bool:
         if not self.supports(plan):
             return False
-        if self.spec.requires_counts_tractable:
-            process = plan.spawn_process()
-            if self.spec.adversary:
-                if plan.initial.num_slots > _COUNT_BACKEND_SLOT_LIMIT:
-                    return False
-                ceiling = plan.schedule().adversary.color_ceiling(
-                    plan.initial.num_slots
-                )
-                if ceiling > _COUNT_BACKEND_SLOT_LIMIT:
-                    return False
-            elif not _counts_tractable(plan, process):
-                return False
-        return True
+        if not self.spec.requires_counts_tractable:
+            return True
+        process = plan.spawn_process()
+        if self.spec.adversary:
+            from ..adversary.robust_runner import _counts_chain_tractable
+
+            return _counts_chain_tractable(
+                process, plan.initial, plan.schedule().adversary
+            )
+        return _counts_tractable(process, plan.initial)
 
     def rejection(self, plan: SimulationPlan) -> Exception:
         """The error raised when this backend is named but unsupported."""
@@ -449,13 +416,16 @@ class _BackendBase:
         return f"<backend {self.spec.name!r}: {self.spec.description}>"
 
 
-class SequentialSyncBackend(_BackendBase):
-    """The reference path: one :func:`repro.engine.simulator.run` per replica.
+class SyncBackend(_BackendBase):
+    """Synchronous rounds: ``agent``/``counts`` and their ``ensemble-*`` twins.
 
-    Inherently per-replica (one spawned child stream per repetition,
-    fresh process instances from factories), so ``rng_mode`` is moot —
-    every other backend's ``"per-replica"`` mode is defined as
-    reproducing *this* backend bit-for-bit.
+    Sequential names run :func:`repro.engine.ensemble.run_replicas`: the
+    sequential loop once per replica, each on its own spawned stream,
+    fresh process instances from factories.  Ensemble names advance
+    batched plans of vectorizable processes lock-step
+    (:func:`repro.engine.ensemble.run_ensemble`); every other plan they
+    get runs through the same :func:`run_replicas` loop, so per-replica
+    samples are the same on every name by construction.
     """
 
     def supports(self, plan: SimulationPlan) -> bool:
@@ -463,72 +433,8 @@ class SequentialSyncBackend(_BackendBase):
             return False
         if not self._faults_supported(plan):
             return False
-        if plan.recorder is not None and plan.repetitions > 1:
-            return False
         if self.spec.representation == "counts":
-            return _counts_capable(plan, plan.spawn_process())
-        return True
-
-    def cost(self, plan: SimulationPlan) -> float:
-        if self.spec.representation == "counts":
-            per = _COUNTS_FACTOR * plan.initial.num_slots
-        else:
-            per = float(plan.initial.num_nodes)
-        return plan.repetitions * (per + _SEQ_OVERHEAD) * _sync_horizon(plan)
-
-    def execute(self, plan: SimulationPlan) -> ExecutionResult:
-        generators = per_replica_generators(plan.rng, plan.repetitions)
-        times = np.empty(plan.repetitions, dtype=np.int64)
-        stopped = np.zeros(plan.repetitions, dtype=bool)
-        finals = []
-        stop_label = "consensus"
-        for index, generator in enumerate(generators):
-            result = run(
-                plan.spawn_process(),
-                plan.initial,
-                rng=generator,
-                stop=plan.stop,
-                max_rounds=plan.max_rounds,
-                recorder=plan.recorder,
-                backend=self.spec.representation,
-                raise_on_limit=plan.raise_on_limit,
-                faults=plan.faults,
-            )
-            times[index] = result.rounds
-            stopped[index] = result.stopped
-            finals.append(result.final.counts_array())
-            stop_label = result.stop_label
-        final_counts = _stack_counts(finals)
-        raw = EnsembleResult(
-            process_name=plan.spawn_process().name,
-            times=times,
-            stopped=stopped,
-            final_counts=final_counts,
-            backend=self.spec.representation,
-            stop_label=stop_label,
-            rng_mode="per-replica",
-        )
-        return ExecutionResult(
-            plan=plan,
-            backend=self.spec.name,
-            unit="rounds",
-            times=times,
-            stopped=stopped,
-            final_counts=final_counts,
-            raw=raw,
-        )
-
-
-class EnsembleSyncBackend(_BackendBase):
-    """Lock-step vectorized replicas (:func:`repro.engine.ensemble.run_ensemble`)."""
-
-    def supports(self, plan: SimulationPlan) -> bool:
-        if plan.scheduler != "synchronous" or plan.adversary is not None:
-            return False
-        if not self._faults_supported(plan):
-            return False
-        if self.spec.representation == "counts":
-            return _counts_capable(plan, plan.spawn_process())
+            return isinstance(plan.spawn_process(), ACAgentProcess)
         return True
 
     def cost(self, plan: SimulationPlan) -> float:
@@ -539,7 +445,9 @@ class EnsembleSyncBackend(_BackendBase):
         else:
             per = float(plan.initial.num_nodes)
             batched = plan.rng_mode == "batched" and process.has_vectorized_ensemble
-        if batched:
+        if self.spec.kind == "sequential":
+            per_round = plan.repetitions * (per + _SEQ_OVERHEAD)
+        elif batched:
             per_round = plan.repetitions * per + _ROUND_OVERHEAD
         else:
             per_round = (
@@ -548,19 +456,24 @@ class EnsembleSyncBackend(_BackendBase):
         return per_round * _sync_horizon(plan)
 
     def execute(self, plan: SimulationPlan) -> ExecutionResult:
-        result = run_ensemble(
-            plan.spawn_process(),
-            plan.initial,
-            plan.repetitions,
+        common = dict(
             rng=plan.rng,
             stop=plan.stop,
             max_rounds=plan.max_rounds,
             backend=self.spec.representation,
-            rng_mode=plan.rng_mode,
             raise_on_limit=plan.raise_on_limit,
             recorder=plan.recorder,
             faults=plan.faults,
         )
+        if self.spec.kind == "sequential":
+            result = run_replicas(
+                plan.spawn_process, plan.initial, plan.repetitions, **common
+            )
+        else:
+            result = run_ensemble(
+                plan.spawn_process(), plan.initial, plan.repetitions,
+                rng_mode=plan.rng_mode, **common,
+            )
         return ExecutionResult(
             plan=plan,
             backend=self.spec.name,
@@ -790,68 +703,14 @@ class KernelAsyncBackend(_BackendBase):
         )
 
 
-class AdversarySequentialBackend(_BackendBase):
-    """One :func:`run_with_adversary` per replica — the §5 reference path."""
+class AdversaryBackend(_BackendBase):
+    """§5 robust runs: ``adversary`` and the ``ensemble-adversary-*`` names.
 
-    def supports(self, plan: SimulationPlan) -> bool:
-        return (
-            plan.scheduler == "synchronous"
-            and plan.adversary is not None
-            and plan.recorder is None
-        )
-
-    def cost(self, plan: SimulationPlan) -> float:
-        n = plan.initial.num_nodes
-        return plan.repetitions * (n + _SEQ_OVERHEAD) * _sync_horizon(plan)
-
-    def execute(self, plan: SimulationPlan) -> ExecutionResult:
-        from ..adversary.robust_runner import RobustEnsembleResult, run_with_adversary
-
-        schedule = plan.schedule()
-        generators = per_replica_generators(plan.rng, plan.repetitions)
-        results = [
-            run_with_adversary(
-                plan.spawn_process(),
-                plan.initial,
-                schedule,
-                rng=generator,
-                max_rounds=plan.max_rounds or _ADVERSARY_DEFAULT_HORIZON,
-                stable_fraction=plan.stable_fraction,
-                stable_rounds=plan.stable_rounds,
-            )
-            for generator in generators
-        ]
-        raw = RobustEnsembleResult(
-            process_name=results[0].process_name,
-            adversary_repr=results[0].adversary_repr,
-            rounds=np.asarray([r.rounds for r in results], dtype=np.int64),
-            stabilized=np.asarray([r.stabilized for r in results], dtype=bool),
-            winning_color=np.asarray(
-                [r.winning_color for r in results], dtype=np.int64
-            ),
-            winning_fraction=np.asarray(
-                [r.winning_fraction for r in results], dtype=float
-            ),
-            winner_is_valid=np.asarray(
-                [r.winner_is_valid for r in results], dtype=bool
-            ),
-            valid_colors=results[0].valid_colors,
-            backend="agent",
-            rng_mode="per-replica",
-        )
-        return ExecutionResult(
-            plan=plan,
-            backend=self.spec.name,
-            unit="rounds",
-            times=raw.rounds,
-            stopped=raw.stabilized,
-            final_counts=None,
-            raw=raw,
-        )
-
-
-class AdversaryEnsembleBackend(_BackendBase):
-    """Lock-step §5 robust runs (:func:`run_with_adversary_ensemble`)."""
+    ``adversary`` runs :func:`run_with_adversary_replicas`, one
+    :func:`run_with_adversary` per spawned stream.  The ensemble names run
+    :func:`run_with_adversary_ensemble`, which advances batched plans
+    lock-step and hands every other plan to the same replica loop.
+    """
 
     def supports(self, plan: SimulationPlan) -> bool:
         if (
@@ -861,41 +720,50 @@ class AdversaryEnsembleBackend(_BackendBase):
         ):
             return False
         if self.spec.representation == "counts":
-            return plan.rng_mode == "batched" and _adversary_counts_capable(
-                plan, plan.spawn_process()
+            from ..adversary.robust_runner import _counts_chain_capable
+
+            return plan.rng_mode == "batched" and _counts_chain_capable(
+                plan.spawn_process(), plan.initial, plan.schedule().adversary
             )
         return True
 
     def cost(self, plan: SimulationPlan) -> float:
         process = plan.spawn_process()
-        if self.spec.representation == "counts":
+        n = plan.initial.num_nodes
+        if self.spec.kind == "sequential":
+            per_round = plan.repetitions * (n + _SEQ_OVERHEAD)
+        elif self.spec.representation == "counts":
             width = plan.schedule().adversary.color_ceiling(plan.initial.num_slots)
             per_round = plan.repetitions * _COUNTS_FACTOR * width + _ROUND_OVERHEAD
         elif plan.rng_mode == "batched" and process.has_vectorized_ensemble:
-            per_round = plan.repetitions * plan.initial.num_nodes + _ROUND_OVERHEAD
+            per_round = plan.repetitions * n + _ROUND_OVERHEAD
         else:
-            per_round = (
-                plan.repetitions
-                * (plan.initial.num_nodes + _SEQ_OVERHEAD)
-                * _ENSEMBLE_LOOP_FACTOR
-            )
+            per_round = plan.repetitions * (n + _SEQ_OVERHEAD) * _ENSEMBLE_LOOP_FACTOR
         return per_round * _sync_horizon(plan)
 
     def execute(self, plan: SimulationPlan) -> ExecutionResult:
-        from ..adversary.robust_runner import run_with_adversary_ensemble
+        from ..adversary.robust_runner import (
+            run_with_adversary_ensemble,
+            run_with_adversary_replicas,
+        )
 
-        result = run_with_adversary_ensemble(
-            plan.spawn_process(),
-            plan.initial,
-            plan.schedule(),
-            plan.repetitions,
+        common = dict(
             rng=plan.rng,
             max_rounds=plan.max_rounds or _ADVERSARY_DEFAULT_HORIZON,
             stable_fraction=plan.stable_fraction,
             stable_rounds=plan.stable_rounds,
-            backend=self.spec.representation,
-            rng_mode=plan.rng_mode,
         )
+        if self.spec.kind == "sequential":
+            result = run_with_adversary_replicas(
+                plan.spawn_process, plan.initial, plan.schedule(),
+                plan.repetitions, **common,
+            )
+        else:
+            result = run_with_adversary_ensemble(
+                plan.spawn_process(), plan.initial, plan.schedule(),
+                plan.repetitions, backend=self.spec.representation,
+                rng_mode=plan.rng_mode, **common,
+            )
         return ExecutionResult(
             plan=plan,
             backend=self.spec.name,
@@ -929,12 +797,12 @@ def _spec(
 
 
 def _register_default_backends() -> None:
-    register_backend(SequentialSyncBackend(_spec(
+    register_backend(SyncBackend(_spec(
         "agent", "sequential", "synchronous", False, "agent", False,
         "one agent-level run per replica (reference path, every process)",
         faults=True,
     )))
-    register_backend(SequentialSyncBackend(_spec(
+    register_backend(SyncBackend(_spec(
         "counts", "sequential", "synchronous", False, "counts", True,
         "one exact count-level run per replica (AC-processes)",
         faults=True,
@@ -943,16 +811,16 @@ def _register_default_backends() -> None:
         "async", "sequential", "asynchronous", False, "agent", False,
         "one one-node-per-tick run per replica (async reference path)",
     )))
-    register_backend(AdversarySequentialBackend(_spec(
+    register_backend(AdversaryBackend(_spec(
         "adversary", "sequential", "synchronous", True, "agent", False,
         "one §5 robust run per replica (adversary reference path)",
     )))
-    register_backend(EnsembleSyncBackend(_spec(
+    register_backend(SyncBackend(_spec(
         "ensemble-agent", "ensemble", "synchronous", False, "agent", False,
         "(R, n) color matrix, lock-step replicas",
         faults=True,
     )))
-    register_backend(EnsembleSyncBackend(_spec(
+    register_backend(SyncBackend(_spec(
         "ensemble-counts", "ensemble", "synchronous", False, "counts", True,
         "(R, k) counts matrix, one broadcast multinomial per round",
         faults=True,
@@ -961,11 +829,11 @@ def _register_default_backends() -> None:
         "ensemble-async", "ensemble", "asynchronous", False, "agent", False,
         "(R, n) matrix, batch-drawn one-node-per-tick scheduler",
     )))
-    register_backend(AdversaryEnsembleBackend(_spec(
+    register_backend(AdversaryBackend(_spec(
         "ensemble-adversary-agent", "ensemble", "synchronous", True, "agent", False,
         "(R, n) robust runs, vectorized corruption masks",
     )))
-    register_backend(AdversaryEnsembleBackend(_spec(
+    register_backend(AdversaryBackend(_spec(
         "ensemble-adversary-counts", "ensemble", "synchronous", True, "counts", True,
         "(R, k) robust runs, exact count-level corruption laws",
     )))

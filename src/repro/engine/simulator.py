@@ -24,16 +24,16 @@ Backend dispatch across the engine:
 * ``"counts"`` — exact and far cheaper when the slot count is small
   (``O(k)`` per round); AC-processes only.
 * ensemble variants (:mod:`repro.engine.ensemble`) — the same two
-  semantics but advancing *all repetitions lock-step in one array*; wins
-  whenever a measurement repeats runs (benchmarks, sweeps, CDFs), which
-  is nearly always.
+  semantics but advancing *all repetitions lock-step in one array*, from
+  one shared stream; wins whenever a batched measurement repeats runs
+  (benchmarks, sweeps, CDFs), which is nearly always.
 
 Repeated-measurement dispatch lives in the unified runtime
-(:mod:`repro.engine.runtime`): these two functions are registered as the
-``agent`` / ``counts`` sequential backends, and
-:func:`prefers_counts_backend` remains the representation rule the
-registry's cost model mirrors for the ``*-auto`` aliases.  The
-sequential path is the reference for exactness cross-checks.
+(:mod:`repro.engine.runtime`).  Every per-replica plan, whichever
+backend name it resolves to, runs these two functions once per spawned
+stream (:func:`repro.engine.ensemble.run_replicas`), and
+:func:`_counts_tractable` is the one representation rule behind both
+``run(backend="auto")`` and the registry's count backends.
 """
 
 from __future__ import annotations
@@ -118,6 +118,18 @@ def _resolve_stop(stop: "StoppingCondition | None") -> StoppingCondition:
     return stop if stop is not None else Consensus()
 
 
+def _counts_tractable(process: AgentProcess, initial: Configuration) -> bool:
+    """The synchronous family's representation rule: is the exact count
+    chain worth running (an AC-process with a tractable α and a moderate
+    slot count)?  ``"auto"`` here and the runtime's count backends both
+    decide by it."""
+    return (
+        isinstance(process, ACAgentProcess)
+        and initial.num_slots <= _COUNT_BACKEND_SLOT_LIMIT
+        and process.supports_count_backend(initial)
+    )
+
+
 def prefers_counts_backend(
     process: AgentProcess, initial: Configuration, backend: str
 ) -> bool:
@@ -125,15 +137,12 @@ def prefers_counts_backend(
 
     ``backend`` must be ``"auto"``, ``"agent"`` or ``"counts"``.  True when
     the exact count-level chain should be used: forced by ``"counts"``, or
-    chosen by ``"auto"`` for AC-processes with a moderate slot count.
+    chosen by ``"auto"`` when :func:`_counts_tractable` holds.
     """
     if backend not in ("auto", "agent", "counts"):
         raise ValueError(f"unknown backend {backend!r}")
     return backend == "counts" or (
-        backend == "auto"
-        and isinstance(process, ACAgentProcess)
-        and initial.num_slots <= _COUNT_BACKEND_SLOT_LIMIT
-        and process.supports_count_backend(initial)
+        backend == "auto" and _counts_tractable(process, initial)
     )
 
 

@@ -20,6 +20,8 @@ always serialises to the same TOML fragment.
 
 from __future__ import annotations
 
+import numbers
+
 from .models import Byzantine, CrashRecovery, CrashStop, MessageLoss
 from .schedule import FaultSchedule
 
@@ -73,28 +75,28 @@ def canonical_fault_value(value) -> "dict | None":
     out = {}
     for key, default in FAULT_KEYS:
         raw = items.get(key, default)
+        if key == "color" and raw == "none":
+            raw = None
+        if raw is None and key in ("color", "stop"):
+            out[key] = None
+            continue
+        # Checked, not coerced: float(True) or int(2.7) would hash and run
+        # as a value the spec never wrote.
         if key in ("crash", "recover", "loss", "byzantine"):
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                raise TypeError(f"faults.{key} must be a number, got {raw!r}")
             raw = float(raw)
             if not 0.0 <= raw <= 1.0:
                 raise ValueError(
                     f"faults.{key} must be a probability in [0, 1], got {raw!r}"
                 )
-        elif key == "color":
-            if raw == "none":
-                raw = None
-            if raw is not None:
-                if isinstance(raw, bool) or int(raw) != raw or int(raw) < 0:
-                    raise ValueError(
-                        f"faults.color must be a non-negative int, got {raw!r}"
-                    )
-                raw = int(raw)
-        elif key == "start":
+        else:
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
+                raise TypeError(f"faults.{key} must be an int, got {raw!r}")
             raw = int(raw)
-            if raw < 0:
-                raise ValueError("faults.start must be non-negative")
-        elif key == "stop" and raw is not None:
-            raw = int(raw)
-            if raw <= out["start"]:
+            if key in ("color", "start") and raw < 0:
+                raise ValueError(f"faults.{key} must be non-negative")
+            if key == "stop" and raw <= out["start"]:
                 raise ValueError("faults.stop must exceed faults.start")
         out[key] = raw
     if out["recover"] > 0.0 and out["crash"] == 0.0:

@@ -87,8 +87,8 @@ class AgentProcess(abc.ABC):
     is_anonymous: bool = False
     #: True when :meth:`update_ensemble` is a vectorized batched rule (one
     #: shared stream, a handful of array ops for all replicas).  The
-    #: ensemble engine uses this to pick between the batched path and the
-    #: exactness-preserving per-replica loop.
+    #: ensemble engine advances only such processes lock-step; the others
+    #: run replica by replica (:func:`repro.engine.ensemble.run_replicas`).
     has_vectorized_ensemble: bool = False
     #: True when :meth:`update_from_samples` expresses the node rule as a
     #: pure function of the node's own color and its uniform samples.  The
@@ -161,8 +161,8 @@ class AgentProcess(abc.ABC):
         with the single shared generator — a convenience for stepping a
         batch directly.  Note the ensemble *engine* does not call it for
         non-vectorized processes: :func:`repro.engine.ensemble.run_agent_ensemble`
-        falls back to its own per-replica loop with spawned child
-        generators, which reproduces sequential runs bit-for-bit.
+        runs them through :func:`repro.engine.ensemble.run_replicas`, the
+        sequential loop once per spawned child generator.
         """
         return np.stack(
             [self.update(colors[r], rng) for r in range(colors.shape[0])]

@@ -49,7 +49,7 @@ from ..study import StudySpec, spec_hash, validate_study
 from ..study.runner import run_study
 from ..study.store import (
     _journal_line,
-    _parse_journal_line,
+    _scan_journal,
     journal_path,
     load_study_store,
 )
@@ -181,29 +181,14 @@ class JobManager:
     def _replay(self) -> None:
         """Rebuild the job table from the journal's valid prefix."""
         try:
-            with open(self._journal_file, "rb") as handle:
-                raw = handle.read()
+            _header, rows, valid_bytes, torn_bytes = _scan_journal(
+                self._journal_file, _JOBS_KIND
+            )
         except FileNotFoundError:
             return
-        header = None
-        valid_bytes = 0
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                break
-            data = _parse_journal_line(raw[offset : newline + 1])
-            if data is None:
-                break
-            if header is None:
-                if not isinstance(data, dict) or data.get("kind") != _JOBS_KIND:
-                    break
-                header = data
-            else:
-                self._apply(data)
-            offset = newline + 1
-            valid_bytes = offset
-        if valid_bytes < len(raw):
+        for data in rows:
+            self._apply(data)
+        if torn_bytes:
             # Torn tail (the daemon died mid-append): truncate so the
             # next append starts on a clean line boundary.
             with open(self._journal_file, "r+b") as handle:

@@ -166,19 +166,6 @@ def cache_key(cell_id: str, package_version: str) -> str:
     return digest.hexdigest()[:32]
 
 
-def _wrap_entry(row: dict) -> bytes:
-    """CRC-guard an entry exactly like a journal line (see store.py)."""
-    from .store import _journal_line
-
-    return _journal_line(row)
-
-
-def _parse_entry(raw: bytes) -> "dict | None":
-    from .store import _parse_journal_line
-
-    return _parse_journal_line(raw.rstrip(b"\n") + b"\n")
-
-
 class ResultCache:
     """A shared on-disk memo of ok :class:`~repro.study.store.RunRecord`\\ s.
 
@@ -227,7 +214,7 @@ class ResultCache:
         :meth:`gc` evicts least-recently-*used*, not least-recently-
         written.
         """
-        from .store import _decode_record
+        from .store import _decode_record, _parse_journal_line
 
         path = self.entry_path(cell_id)
         try:
@@ -236,7 +223,7 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
-        row = _parse_entry(raw)
+        row = _parse_journal_line(raw)
         record = None
         if row is not None:
             try:
@@ -270,7 +257,7 @@ class ResultCache:
         file then ``os.replace`` — so concurrent writers of the same
         cell last-write-win an identical payload.
         """
-        from .store import _encode_record
+        from .store import _encode_record, _journal_line
 
         if not record.ok or record.degraded_from is not None:
             return False
@@ -280,7 +267,7 @@ class ResultCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
-            handle.write(_wrap_entry(row))
+            handle.write(_journal_line(row))
         os.replace(tmp, path)
         return True
 
@@ -321,12 +308,14 @@ class ResultCache:
         *detected* (and discarded) rather than half-read; plain legacy
         ``{"hits", "misses"}`` files still decode.
         """
+        from .store import _parse_journal_line
+
         try:
             with open(self._stats_path(), "rb") as handle:
                 raw = handle.read()
         except OSError:
             return {"hits": 0, "misses": 0}
-        data = _parse_entry(raw)
+        data = _parse_journal_line(raw)
         if data is None:  # not enveloped: a pre-envelope (legacy) file?
             try:
                 data = json.loads(raw.decode("utf-8"))
@@ -338,10 +327,12 @@ class ResultCache:
             return {"hits": 0, "misses": 0}
 
     def _write_counters(self, counters: Mapping) -> None:
+        from .store import _journal_line
+
         os.makedirs(self.root, exist_ok=True)
         tmp = f"{self._stats_path()}.tmp.{os.getpid()}"
         with open(tmp, "wb") as handle:
-            handle.write(_wrap_entry(dict(counters)))
+            handle.write(_journal_line(dict(counters)))
         os.replace(tmp, self._stats_path())
 
     def flush(self) -> None:

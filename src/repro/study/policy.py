@@ -30,6 +30,7 @@ re-run of the same study sleeps the same schedule.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -158,12 +159,7 @@ def canonical_policy_value(value) -> "dict | None":
     out = {}
     for key, default in POLICY_KEYS:
         raw = items.get(key, default)
-        if key == "deadline_s":
-            if raw == "none":
-                raw = None
-            if raw is not None:
-                raw = float(raw)
-        elif key == "max_attempts":
+        if key == "max_attempts":
             if isinstance(raw, bool) or not isinstance(raw, int):
                 raise TypeError(
                     f"execution.max_attempts must be an int, got {raw!r}"
@@ -173,7 +169,13 @@ def canonical_policy_value(value) -> "dict | None":
                 raise TypeError(
                     f"execution.degrade must be a bool, got {raw!r}"
                 )
+        elif key == "deadline_s" and raw in (None, "none"):
+            raw = None
         else:
+            # Checked, not coerced: float(True) or float("5") would hash
+            # and run as a number the spec never wrote.
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                raise TypeError(f"execution.{key} must be a number, got {raw!r}")
             raw = float(raw)
         out[key] = raw
     ExecutionPolicy(**out)  # validation lives in one place

@@ -69,6 +69,7 @@ overlapping study.
 
 from __future__ import annotations
 
+import copy
 import os
 import signal
 import threading
@@ -196,11 +197,16 @@ def _attempt_plan(cell: StudyCell, attempt: int):
     Retries jitter the rng with a sub-seed derived from the cell seed and
     the attempt number — deterministic (a re-run retries with the same
     streams) but decorrelated from the failing attempt, so a failure tied
-    to one sample path does not repeat verbatim.
+    to one sample path does not repeat verbatim.  Every attempt records
+    into its own copy of the cell's (never used) recorder, so rounds a
+    failed attempt observed stay out of the record.
     """
-    if attempt == 0:
-        return cell.plan
-    return replace(cell.plan, rng=derive_seed(cell.params["seed"], attempt))
+    plan = cell.plan
+    if attempt:
+        plan = replace(plan, rng=derive_seed(cell.params["seed"], attempt))
+    if plan.recorder is not None:
+        plan = replace(plan, recorder=copy.deepcopy(plan.recorder))
+    return plan
 
 
 def _success_record(
@@ -210,10 +216,10 @@ def _success_record(
     degraded_from: "str | None" = None,
 ) -> RunRecord:
     trajectory = None
-    if cell.plan.recorder is not None:
+    if result.plan.recorder is not None:
         trajectory = {
             key: [float(v) for v in series]
-            for key, series in cell.plan.recorder.as_dict().items()
+            for key, series in result.plan.recorder.as_dict().items()
         }
     extras = None
     raw = result.raw
@@ -300,7 +306,7 @@ def _try_degrade(
     the original backend would have produced.
     """
     for fallback in degradation_ladder(resolved_name):
-        fb_plan = replace(cell.plan, backend=fallback)
+        fb_plan = replace(_attempt_plan(cell, 0), backend=fallback)
         if not get_backend(fallback).supports(fb_plan):
             continue
         start = time.perf_counter()

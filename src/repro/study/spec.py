@@ -153,6 +153,10 @@ def _normalize_adversary(value: Any) -> "dict | None":
             )
         budget = value.get("budget")
         if budget is not None:
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+                raise TypeError(
+                    f"axis 'adversary': budget must be an int, got {budget!r}"
+                )
             budget = int(budget)
             if budget < 1:
                 raise ValueError("axis 'adversary': budget must be positive")

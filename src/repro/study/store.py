@@ -152,11 +152,13 @@ class RunRecord:
         Failure *outcomes* must match (status), but the error detail —
         tracebacks carry memory addresses and line numbers — is
         execution-environment noise, not a result.  ``degraded_from`` is
-        likewise environment history (which backend happened to fail),
-        not a result: the per-replica rng contract makes the degraded
-        samples identical, and this predicate is what proves it.
-        ``cache_hit`` is ignored for the same reason — where a result came
-        from is not what it is.
+        likewise environment history (which backend happened to fail).
+        Degradation does change ``resolved_backend``, which this
+        predicate compares, so it cannot equate a degraded record with an
+        undegraded one; the supervision test
+        ``test_transient_exhaustion_degrades_bit_for_bit`` compares their
+        samples instead.  ``cache_hit`` is ignored — where a result came from is
+        not what it is.
         """
         return (
             self.cell_id == other.cell_id
@@ -254,16 +256,20 @@ def _parse_journal_line(raw: bytes) -> "dict | None":
     return data
 
 
-def _scan_journal(path: str) -> "tuple[dict | None, list[dict], int, int]":
+def _scan_journal(
+    path: str, kind: str = _JOURNAL_KIND
+) -> "tuple[dict | None, list[dict], int, int]":
     """Replay a journal file's valid prefix.
 
-    Returns ``(header, record_rows, valid_bytes, torn_bytes)`` where
+    Returns ``(header, rows, valid_bytes, torn_bytes)`` where
     ``valid_bytes`` is the byte length of the intact prefix (safe to
     truncate to before appending) and ``torn_bytes`` how much damaged
-    tail follows it.  A torn line stops the scan — everything after a
-    tear is unreachable garbage by construction (appends are
-    sequential), so salvaging the prefix is lossless up to the record in
-    flight when the writer died.
+    tail follows it.  The first line must be a header whose ``kind`` is
+    ``kind`` (a store journal by default; the daemon's job journal passes
+    its own).  A torn line stops the scan — everything after a tear is
+    unreachable garbage by construction (appends are sequential), so
+    salvaging the prefix is lossless up to the line in flight when the
+    writer died.
     """
     header = None
     rows: "list[dict]" = []
@@ -280,7 +286,7 @@ def _scan_journal(path: str) -> "tuple[dict | None, list[dict], int, int]":
         if data is None:
             break
         if header is None:
-            if not isinstance(data, dict) or data.get("kind") != _JOURNAL_KIND:
+            if not isinstance(data, dict) or data.get("kind") != kind:
                 break  # not a journal header: treat the file as torn
             header = data
         else:

@@ -1,11 +1,11 @@
 """Tests for the vectorized ensemble engine (repro.engine.ensemble).
 
 The load-bearing guarantee: with ``rng_mode="per-replica"`` the ensemble
-engine spawns the same child generators as the sequential
-``repeat_first_passage`` loop and consumes each stream identically, so
-the first-passage samples agree *bit-for-bit* — on the count-level
-backend and on the agent-level per-replica loop (which is also the
-generic fallback for processes without a vectorized batched rule).
+entry points run the sequential loop on the same child generators as
+``repeat_first_passage``, so the first-passage samples agree
+*bit-for-bit* — on the count-level backend and on the agent level (where
+processes without a vectorized batched rule run that way in either
+rng mode).
 """
 
 import numpy as np

@@ -335,14 +335,14 @@ class TestResultCache:
         assert not os.path.exists(path) or cache.get(victim.cell_id) is not None
 
     def test_non_object_entry_is_warned_and_missed(self, tmp_path):
-        from repro.study.cache import _wrap_entry
+        from repro.study.store import _journal_line
 
         cache = ResultCache(str(tmp_path / "cache"))
         cell = compile_study(grid_spec())[0]
         path = cache.entry_path(cell.cell_id)
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as handle:
-            handle.write(_wrap_entry([1, 2]))  # CRC-valid, not a record
+            handle.write(_journal_line([1, 2]))  # CRC-valid, not a record
         with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
             assert cache.get(cell.cell_id) is None
         assert (cache.hits, cache.misses) == (0, 1)

@@ -18,6 +18,7 @@ from repro.core import Configuration
 from repro.engine import (
     BackendSpec,
     Consensus,
+    EnsembleMetricRecorder,
     MetricRecorder,
     SimulationPlan,
     backend_choices,
@@ -198,10 +199,48 @@ class TestExecutionSurface:
         assert result.all_stopped
         assert len(recorder) >= 1
 
-    def test_sequential_recorder_rejected_for_batches(self):
-        recorder = MetricRecorder(names=("num_colors",))
-        with pytest.raises(ValueError):
-            resolve_backend(_plan(recorder=recorder, backend="agent"))
+    @pytest.mark.parametrize(
+        "make_recorder, repetitions",
+        [
+            (lambda: MetricRecorder(names=("num_colors", "max_support")), 9),
+            (lambda: EnsembleMetricRecorder(names=("bias", "entropy"), replica=2), 9),
+            (lambda: EnsembleMetricRecorder(
+                names=("num_colors", "entropy", "collision_probability"),
+                aggregate="mean",
+            ), 9),
+            (lambda: EnsembleMetricRecorder(names=("entropy",), aggregate="mean"), 1),
+        ],
+        ids=["plain", "replica-2", "mean", "mean-R1"],
+    )
+    @pytest.mark.parametrize(
+        "process, sequential, ensemble",
+        [(TwoChoices, "agent", "ensemble-agent"),
+         (ThreeMajority, "counts", "ensemble-counts")],
+    )
+    def test_sequential_backends_record_batches_like_ensembles(
+        self, make_recorder, repetitions, process, sequential, ensemble
+    ):
+        # Recorded per-replica plans run the same replica loop on the
+        # sequential and ensemble names, so they record the same
+        # trajectories (in the same floats) as well as the same samples.
+        recorders, times = [], []
+        for name in (sequential, ensemble):
+            recorder = make_recorder()
+            plan = _plan(
+                process=process, initial=Configuration.balanced(60, 4),
+                repetitions=repetitions, rng_mode="per-replica", recorder=recorder,
+                backend=name,
+            )
+            result = execute(plan)
+            assert result.backend == name
+            recorders.append(recorder)
+            times.append(result.times)
+        assert np.array_equal(times[0], times[1])
+        first, second = recorders
+        assert len(first) > 1 and first.rounds == second.rounds
+        for metric in first.names:
+            a, b = first.series(metric), second.series(metric)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), metric
 
     def test_legacy_auto_is_the_sequential_reference(self):
         initial = Configuration.balanced(120, 3)

@@ -1,14 +1,13 @@
 """Cross-backend equivalence matrix through the unified runtime.
 
 The load-bearing reproducibility contract of the runtime layer: with
-``rng_mode="per-replica"`` every execution strategy consumes the same
-spawned child stream per replica, so the sequential reference path, the
-lock-step ensemble and the plan-resolved ``"auto"`` decision produce
-**bit-for-bit identical**
-first-passage samples — on 3-Majority and Voter (count-level chain) and
-2-Choices (agent-level matrix) alike.  The asynchronous and adversarial
-plan axes are pinned against their sequential reference runners the same
-way.
+``rng_mode="per-replica"`` every backend name runs the same sequential
+loop on the same spawned child stream per replica, so the sequential
+names, the ensemble names and the plan-resolved ``"auto"`` decision
+produce **bit-for-bit identical** first-passage samples — on 3-Majority
+and Voter (count-level chain) and 2-Choices (agent-level) alike.  The
+asynchronous and adversarial plan axes are pinned against their
+sequential reference runners the same way.
 
 Marked ``bench_smoke`` so ``scripts/check.sh``'s dedicated ``plan-matrix``
 step can select exactly this matrix.

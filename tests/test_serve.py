@@ -417,6 +417,16 @@ class TestHTTP:
                 ("record", {"metrics": ["bias"], "stride": 2.7}),
             )
         ]
+        for axis, value in (
+            ("faults", {"crash": True}),
+            ("adversary", {"name": "plant-invalid", "budget": 2.7}),
+        ):
+            payload = tiny_spec().to_dict()
+            payload["axes"][axis] = [value]
+            coerced.append(payload)
+        coerced.append(
+            {**tiny_spec().to_dict(), "execution": {"deadline_s": True}}
+        )
         for payload in (removed, mistyped, bad_replica, *coerced):
             with pytest.raises(ServeError) as info:
                 client.submit(payload)

@@ -44,7 +44,35 @@ MISTYPED_TABLES = [
     {"parallel": {"workers": True}},
     {"parallel": {"workers": 2.5}},
     {"parallel": {"max_inflight": "4"}},
+    {"execution": {"deadline_s": True}},
+    {"execution": {"deadline_s": "5"}},
+    {"execution": {"jitter": "0.5"}},
 ]
+
+#: Axis values float(...) / int(...) used to coerce: a bool rate, a
+#: string rate, a fractional window bound or color.
+MISTYPED_FAULTS = [
+    {"crash": True},
+    {"crash": "0.1"},
+    {"crash": 0.1, "start": 2.7},
+    {"crash": 0.1, "stop": 5.0},
+    {"byzantine": 0.1, "color": 1.0},
+]
+
+#: Spec hashes of well-typed [execution], faults and adversary values.
+WELL_TYPED_HASHES = {
+    "6c4ba1d31ef709b1": {"execution": {"deadline_s": 1.0}},
+    "2c65f63ee346da7e": {"execution": {"deadline_s": 5, "max_attempts": 3}},
+    "d23bd0fd17d8fa36": {"execution": {"backoff_s": 0.1, "backoff_max_s": 10,
+                                       "jitter": 0.25, "degrade": False}},
+    "b51cb1a72c72d384": {"axes": {"faults": {"crash": 0.1, "start": 2, "stop": 10}}},
+    "a1c4c4a61f0b7e1e": {"axes": {"faults": [{"crash": 0.05, "recover": 0.5},
+                                             {"loss": 1, "start": 0}]}},
+    "863522fd28882294": {"axes": {"faults": {"byzantine": 0.02, "color": 1}}},
+    "00a92cf021a7882c": {"axes": {"faults": "crash:p=0.01,recover=0.1,start=3"}},
+    "9e24bc3080d4905a": {"axes": {"adversary": {"name": "plant-invalid", "budget": 2}}},
+    "3773f0355e0a77f0": {"axes": {"adversary": "boost-runner-up"}},
+}
 
 #: Scalars (and ``record`` fields) the hash would coerce with int(...) /
 #: bool(...) / str(...) while the cells used them raw: rejected instead,
@@ -169,6 +197,28 @@ class TestSpec:
         with pytest.raises(ValueError) as info:
             StudySpec.from_dict(payload)
         assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("faults", MISTYPED_FAULTS)
+    def test_fault_axis_types_are_checked_not_coerced(self, faults):
+        with pytest.raises(ValueError) as info:
+            tiny_spec(axes={"process": "voter", "n": 16, "faults": faults})
+        assert isinstance(info.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("budget", [2.7, True, "2"])
+    def test_adversary_budget_must_be_an_int(self, budget):
+        adversary = {"name": "plant-invalid", "budget": budget}
+        with pytest.raises(TypeError, match="budget"):
+            tiny_spec(axes={"process": "voter", "n": 16, "adversary": adversary})
+
+    @pytest.mark.parametrize("expected", sorted(WELL_TYPED_HASHES))
+    def test_well_typed_supervision_and_axis_values_keep_their_hashes(
+        self, expected
+    ):
+        extra = WELL_TYPED_HASHES[expected]
+        axes = {"process": "3-majority", "n": [32, 64], **extra.get("axes", {})}
+        fields = {key: value for key, value in extra.items() if key != "axes"}
+        spec = StudySpec(name="typed", seed=3, repetitions=2, axes=axes, **fields)
+        assert spec_hash(spec) == expected
 
     @pytest.mark.parametrize("scalar", MISTYPED_SCALARS)
     def test_spec_scalar_types_are_checked_not_coerced(self, scalar):
@@ -440,8 +490,9 @@ class TestRunAndResume:
         assert rebuilt.records()[0].trajectory == record.trajectory
 
     def test_recorded_ensembles_run_under_auto(self):
-        # The sequential reference backends record only single-replica
-        # runs, so plain "auto" must not pin a recorded R > 1 cell to them.
+        # Plain "auto" keeps recorded R > 1 cells on the runtime's cost
+        # decision (the ensemble names stores recorded), and recording
+        # changes no sample.
         axes = {
             "process": ["3-majority", "voter", "2-choices"],
             "n": [16, 24],

@@ -357,6 +357,36 @@ class TestDegradation:
         assert "DEGRADED" in text
         assert "ensemble-counts" in text
 
+    @pytest.mark.parametrize("aggregate", [None, "mean"])
+    def test_failed_attempts_leave_no_rounds_in_the_trajectory(
+        self, monkeypatch, aggregate
+    ):
+        # Each attempt, and the degraded rung, records into its own copy
+        # of the cell's recorder: a recorded R > 1 cell whose ensemble
+        # attempts die mid-run degrades to `counts` and keeps exactly
+        # the trajectory a clean `counts` run records.
+        record = {"metrics": ["num_colors", "entropy"]}
+        if aggregate is not None:
+            record["aggregate"] = aggregate
+
+        def dies_mid_run(plan):
+            if plan.backend == "ensemble-counts":
+                plan.recorder.observe(0, np.array([48]))
+                raise MemoryError("ensemble matrix too large")
+            return real_execute(plan)
+
+        monkeypatch.setattr(runner_module, "execute", dies_mid_run)
+        store = run_study(
+            one_cell_spec("ensemble-counts", record=record),
+            policy=fast_policy(max_attempts=2),
+        )
+        (degraded,) = store.records()
+        assert degraded.degraded_from == "ensemble-counts"
+        reference = run_study(one_cell_spec("counts", record=record))
+        (clean,) = reference.records()
+        assert degraded.trajectory == clean.trajectory
+        assert np.array_equal(degraded.times, clean.times)
+
     def test_degradation_disabled_records_failure(self, monkeypatch):
         def disk_full(plan):
             raise OSError("no space left on device")

@@ -20,7 +20,12 @@
 #      ([record] aggregate = "mean", R = 9, 2-Choices and 3-Majority,
 #      per-replica): its cells record R > 1 trajectories through the
 #      replica-by-replica loop, and the resumed store must equal the
-#      uninterrupted one, trajectories included.  Then a 3-point
+#      uninterrupted one, trajectories included.  The same for an
+#      asynchronous per-replica spec (3-Majority, 2-Choices, Voter,
+#      Undecided, 2-Median, h-Majority:3; n = 16, 32; R = 3), so both
+#      loops of the async scheduler run through the CLI: the stride-block
+#      loop of the node-rule processes and the per-tick loop of
+#      h-Majority.  Then a 3-point
 #      `repro sweep -o` round trip: the sweep's study store is
 #      reported, loads with 3 complete cells, and a second identical
 #      `sweep -o` must exit non-zero and leave the store results-equal
@@ -68,7 +73,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit; sweep -o store =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async); sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -103,6 +108,20 @@ EOF
 python -m repro study run "$STUDY_TMP/record.toml" --store "$STUDY_TMP/rfull.json" --quiet
 python -m repro study run "$STUDY_TMP/record.toml" --store "$STUDY_TMP/rpart.json" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/record.toml" --store "$STUDY_TMP/rpart.json" --quiet
+cat > "$STUDY_TMP/async.toml" <<'EOF'
+name = "check.sh async smoke"
+seed = 13
+repetitions = 3
+
+[axes]
+process = ["3-majority", "2-choices", "voter", "undecided-dynamics", "2-median", "h-majority:3"]
+n = [16, 32]
+scheduler = "asynchronous"
+rng_mode = "per-replica"
+EOF
+python -m repro study run "$STUDY_TMP/async.toml" --store "$STUDY_TMP/afull.json" --quiet
+python -m repro study run "$STUDY_TMP/async.toml" --store "$STUDY_TMP/apart.json" --max-cells 1 --quiet
+python -m repro study resume "$STUDY_TMP/async.toml" --store "$STUDY_TMP/apart.json" --quiet
 python -m repro sweep voter --min-n 16 --max-n 64 -r 2 --seed 3 -o "$STUDY_TMP/sweep.json"
 python -m repro study report "$STUDY_TMP/sweep.json"
 cp "$STUDY_TMP/sweep.json" "$STUDY_TMP/sweep.first.json"
@@ -129,14 +148,23 @@ assert len(rfull) == 2 and all(r.trajectory for r in rfull.records()), (
 assert rpart.results_equal(rfull), (
     "resumed recorded store diverged from the uninterrupted run"
 )
+afull = load_study_store(f"{tmp}/afull.json")
+apart = load_study_store(f"{tmp}/apart.json")
+assert afull.is_complete() and apart.is_complete(), "async smoke left cells unrun"
+assert len(afull) == 12 and all(r.ok for r in afull.records()), (
+    "async smoke has missing or failed cells"
+)
+assert apart.results_equal(afull), (
+    "resumed asynchronous store diverged from the uninterrupted run"
+)
 sweep = load_study_store(f"{tmp}/sweep.json")
 assert sweep.is_complete() and len(sweep) == 3, "sweep store is missing cells"
 assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
     "a refused second sweep -o changed the store"
 )
-print("study-smoke OK: resumed stores (plain and recorded) are bit-for-bit "
-      "the uninterrupted ones; sweep -o wrote a 3-cell store and refused to "
-      "clobber it")
+print("study-smoke OK: resumed stores (plain, recorded and asynchronous) "
+      "are bit-for-bit the uninterrupted ones; sweep -o wrote a 3-cell store "
+      "and refused to clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="
 cat > "$STUDY_TMP/faults.toml" <<'EOF'

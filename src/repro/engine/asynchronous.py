@@ -20,10 +20,16 @@ Two facts make this a useful extension rather than a new model:
 Execution paths:
 
 * :func:`run_asynchronous` — one replica.  A tick computes *only the
-  activated node's* update: processes exposing
-  :meth:`~repro.processes.base.AgentProcess.update_from_samples` pay
-  ``O(samples_per_round)`` per tick; the generic fallback runs the full
-  synchronous rule and keeps one entry (correct for every process).
+  activated node's* update.  For every process with a node rule
+  (:meth:`~repro.processes.base.AgentProcess.update_from_samples`) the
+  scheduler draws a whole check stride's activated nodes and sample ids
+  in one bounded ``integers`` call, then applies the ticks in order
+  through that rule.  numpy's bounded draws give the same values however
+  they are split into calls, so this is the per-tick loop's stream
+  exactly (``tests/test_async_streams.py`` pins the fact on every bit
+  generator).  Processes whose tick draws anything else (h-Majority's
+  tie-break floats, lazy Voter's coin) keep the per-tick loop through
+  :meth:`~repro.processes.base.AgentProcess.update_node`.
 * :func:`run_asynchronous_ensemble` — ``R`` replicas lock-step.  The
   randomness for a *batch* of ``B`` ticks (activated nodes and update
   samples for every replica) is drawn in one vectorized step, after which
@@ -121,6 +127,43 @@ def _default_tick_limit(n: int) -> int:
     return 400 * n * n + 10_000
 
 
+#: Most values one ``integers`` call draws for a stride block.  The
+#: values do not depend on how a block is split into calls, so this only
+#: bounds memory (a full-round block holds ``n·s + 1`` ids per tick).
+_MAX_DRAW = 1 << 20
+
+
+def _apply_ticks(
+    process: AgentProcess,
+    colors: np.ndarray,
+    generator: np.random.Generator,
+    ticks: int,
+    rows: int,
+) -> None:
+    """Run ``ticks`` ticks of a node-rule process on ``colors`` in place.
+
+    Each tick's draws are one row of ``1 + rows·s`` ids: the activated
+    node, then :meth:`~repro.processes.base.AgentProcess.tick_sample_rows`
+    rows of ``s`` sample ids, of which the tick reads the node's own (the
+    only row, or row ``node`` of a full round).  Rows come in blocks of
+    at most :data:`_MAX_DRAW` values, and ticks apply in order.
+    """
+    n = colors.shape[0]
+    samples = process.samples_per_round
+    width = 1 + rows * samples
+    rule = process.update_from_samples
+    take = colors.take
+    block = max(1, _MAX_DRAW // width)
+    for start in range(0, ticks, block):
+        size = min(block, ticks - start)
+        draws = generator.integers(0, n, size=(size, width))
+        nodes = draws[:, 0]
+        ids = draws[:, 1:].reshape(size, rows, samples)
+        ids = ids[np.arange(size), nodes if rows > 1 else 0]
+        for node, node_ids in zip(nodes.tolist(), ids):
+            colors[node] = rule(colors[node], take(node_ids), generator)
+
+
 def run_asynchronous(
     process: AgentProcess,
     initial: Configuration,
@@ -132,11 +175,14 @@ def run_asynchronous(
     """Run ``process`` with one uniformly random node activated per tick.
 
     The activated node's new color is its local rule applied to fresh
-    uniform samples — updates depend only on the node's own samples, so
-    :meth:`~repro.processes.base.AgentProcess.update_node` computes just
-    that entry (``O(1)`` for sample-rule processes, full-round fallback
-    otherwise).  ``check_every`` controls how often the stopping condition
-    is evaluated (default: every ``n`` ticks).
+    uniform samples.  For processes with a node rule each check stride's
+    draws are made at once and the ticks applied in order
+    (:func:`_apply_ticks`); the others run
+    :meth:`~repro.processes.base.AgentProcess.update_node` tick by tick.
+    Unless the rule itself draws, both consume the generator exactly as a
+    per-tick loop of ``integers(n)`` and the tick's sample draw does.
+    ``check_every`` controls how often the stopping condition is
+    evaluated (default: every ``n`` ticks).
     """
     generator = as_generator(rng)
     condition = stop if stop is not None else Consensus()
@@ -147,13 +193,19 @@ def run_asynchronous(
         raise ValueError("check_every must be positive")
     colors = process.initial_colors(initial)
     num_slots = initial.num_slots
+    rows = process.tick_sample_rows(n)
     ticks = 0
     counts = process.configuration_of(colors, num_slots).counts_array()
     stopped = condition.satisfied(counts)
     while not stopped and ticks < limit:
-        node = int(generator.integers(n))
-        colors[node] = process.update_node(colors, node, generator)
-        ticks += 1
+        batch = min(stride, limit - ticks)
+        if rows is None:
+            for _ in range(batch):
+                node = int(generator.integers(n))
+                colors[node] = process.update_node(colors, node, generator)
+        else:
+            _apply_ticks(process, colors, generator, batch, rows)
+        ticks += batch
         if ticks % stride == 0:
             counts = process.configuration_of(colors, num_slots).counts_array()
             stopped = condition.satisfied(counts)
@@ -184,7 +236,8 @@ def run_asynchronous_ensemble(
     a handful of ``O(R)`` array operations (gather the sampled colors,
     apply :meth:`~repro.processes.base.AgentProcess.update_from_samples`,
     scatter the new colors, bump the incremental counts) instead of a full
-    ``process.update`` per replica.  Processes without a sample rule fall
+    ``process.update`` per replica.  Processes without
+    :attr:`~repro.processes.base.AgentProcess.has_sample_update` fall
     back to :meth:`~repro.processes.base.AgentProcess.update_node` per
     replica — same semantics, sequential speed.
 

@@ -54,7 +54,10 @@ building these three:
 3. **Gate eligibility on declared capabilities, not process names.**
    These kernels key off ``has_kernel_form`` / ``has_sample_update``
    plus the default color representation; a new process opts in by
-   implementing the law, not by being added to a list.
+   implementing the law, not by being added to a list.  A node rule
+   alone is not enough for the wavefront: 2-Median has
+   ``update_from_samples``, but its asynchronous tick draws a full round,
+   so it keeps ``has_sample_update`` off and stays on ``ensemble-async``.
 4. **Ship the numpy fallback first and register the backend with an
    honest cost.**  The registry's ``auto`` only routes well if the
    kernel's cost formula sits where measurements put it (slightly above

@@ -60,7 +60,7 @@ __all__ = ["async_kernel_eligible", "run_fused_asynchronous_ensemble"]
 
 
 def async_kernel_eligible(process: AgentProcess) -> bool:
-    """The wavefront needs the pure sample rule and default representation."""
+    """The wavefront needs node-sample ticks and the default representation."""
     return (
         process.has_sample_update
         and type(process).initial_colors is AgentProcess.initial_colors
@@ -200,8 +200,9 @@ def run_fused_asynchronous_ensemble(
         raise ValueError("repetitions must be positive")
     if not async_kernel_eligible(process):
         raise TypeError(
-            f"{process.name} has no pure sample rule; the wavefront kernel "
-            "needs update_from_samples and the default color representation"
+            f"{process.name} is not eligible: the wavefront kernel needs ticks "
+            "that draw only the activated node's samples (has_sample_update) "
+            "and the default color representation"
         )
     generator = as_generator(rng)
     condition = stop if stop is not None else Consensus()

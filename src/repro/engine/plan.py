@@ -121,6 +121,8 @@ class SimulationPlan:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.check_every is not None and self.check_every < 1:
+            raise ValueError("check_every must be positive")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; pick one of {SCHEDULERS}"

@@ -99,15 +99,30 @@ def derive_seed(source: RandomSource, stream: int) -> int:
 
     Useful when an API boundary (e.g. a subprocess or a benchmark fixture)
     wants plain integers instead of generator objects.
+
+    The seed comes from child ``stream`` of ``spawn(stream + 1)``.  For an
+    integer source that child is built directly, in ``O(1)``: a fresh
+    ``SeedSequence`` has spawned nothing, so its child ``i`` is its
+    entropy with spawn key ``(i,)``.  ``Generator``, ``SeedSequence`` and
+    ``None`` sources still call ``spawn``, which numbers children from the
+    parent's ``n_children_spawned`` and advances it.
     """
     if stream < 0:
         raise ValueError("stream index must be non-negative")
-    if isinstance(source, np.random.Generator):
-        base = source.bit_generator.seed_seq
-        seq = base if base is not None else np.random.SeedSequence()
-    elif isinstance(source, np.random.SeedSequence):
-        seq = source
+    if isinstance(source, (int, np.integer)):
+        parent = np.random.SeedSequence(int(source))
+        child = np.random.SeedSequence(
+            parent.entropy,
+            spawn_key=parent.spawn_key + (stream,),
+            pool_size=parent.pool_size,
+        )
     else:
-        seq = np.random.SeedSequence(int(source) if source is not None else None)
-    child = seq.spawn(stream + 1)[stream]
+        if isinstance(source, np.random.Generator):
+            base = source.bit_generator.seed_seq
+            seq = base if base is not None else np.random.SeedSequence()
+        elif isinstance(source, np.random.SeedSequence):
+            seq = source
+        else:
+            seq = np.random.SeedSequence(int(source) if source is not None else None)
+        child = seq.spawn(stream + 1)[stream]
     return int(child.generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -674,10 +674,16 @@ class KernelAsyncBackend(_BackendBase):
     def rejection(self, plan: SimulationPlan) -> Exception:
         process = plan.spawn_process()
         if not async_kernel_eligible(process):
+            reason = (
+                "keeps its own color representation"
+                if process.has_sample_update
+                else "draws a full round per asynchronous tick"
+            )
             return TypeError(
-                f"backend 'kernel-async' needs a pure per-sample rule "
-                f"(AgentProcess.update_from_samples); {process.name} does "
-                "not expose one"
+                f"backend 'kernel-async' needs ticks that draw only the "
+                f"activated node's samples (AgentProcess.has_sample_update) "
+                f"and the default color representation; {process.name} "
+                f"{reason}"
             )
         return super().rejection(plan)
 

@@ -16,6 +16,14 @@ offers two execution semantics:
 :class:`AgentProcess` is the common interface; :class:`ACAgentProcess`
 additionally exposes the process function so engines can pick the cheaper
 semantics, and so the framework modules can reason about dominance.
+
+Every uniform-pull process on the complete graph also has a *node rule*,
+:meth:`AgentProcess.update_from_samples`: a node's next color as a
+function of its own color and the colors of its uniform samples, so that
+:meth:`~AgentProcess.update` is :func:`sample_uniform_nodes` followed by
+that rule.  The asynchronous scheduler applies it to one activated node
+per tick; :meth:`AgentProcess.tick_sample_rows` says which ids a tick
+draws for it.
 """
 
 from __future__ import annotations
@@ -90,12 +98,13 @@ class AgentProcess(abc.ABC):
     #: ensemble engine advances only such processes lock-step; the others
     #: run replica by replica (:func:`repro.engine.ensemble.run_replicas`).
     has_vectorized_ensemble: bool = False
-    #: True when :meth:`update_from_samples` expresses the node rule as a
-    #: pure function of the node's own color and its uniform samples.  The
-    #: asynchronous engines use it to update one node in ``O(samples)`` work
-    #: instead of running the full synchronous round and discarding all but
-    #: one entry.  Processes whose rule needs more than (own color, sampled
-    #: colors) — graph topologies, auxiliary per-node state — leave it off.
+    #: True when an asynchronous tick draws only the activated node's
+    #: :attr:`samples_per_round` ids before applying
+    #: :meth:`update_from_samples`.  The lock-step asynchronous engines
+    #: vectorize such ticks across replicas, and the wavefront kernel needs
+    #: it.  2-Median and Undecided leave it off although they have a node
+    #: rule: their tick has always drawn a full round of ids (and reads the
+    #: activated node's row), and keeping that keeps their stored samples.
     has_sample_update: bool = False
     #: True when :meth:`kernel_switch_law` is implemented — the
     #: switch-and-redistribute form consumed by the fused kernels
@@ -123,29 +132,57 @@ class AgentProcess(abc.ABC):
 
         ``own`` holds the updating nodes' current colors (any shape) and
         ``picks`` their sampled colors with a trailing axis of length
-        :attr:`samples_per_round`; the result has ``own``'s shape.  Only
-        meaningful when :attr:`has_sample_update` is set — the asynchronous
-        engines vectorize one-tick-per-replica updates through it.
+        :attr:`samples_per_round`; the result has ``own``'s shape.  Every
+        uniform-pull process implements it, and its :meth:`update` is
+        :func:`sample_uniform_nodes` followed by this rule.  Processes
+        whose round draws anything else (h-Majority's tie-break floats,
+        lazy Voter's coin, graph pulls) leave it out.
         """
         raise NotImplementedError(
             f"{self.name} does not expose a per-sample update rule"
         )
+
+    def tick_sample_rows(self, n: int) -> "int | None":
+        """Rows of :attr:`samples_per_round` ids one asynchronous tick draws.
+
+        A tick first draws its activated node, then
+
+        * ``1`` row, the node's own samples, with :attr:`has_sample_update`;
+        * ``n`` rows, a full round of which the tick reads the activated
+          node's row, for the other processes with a node rule
+          (2-Median, Undecided);
+        * ``None`` when the tick draws anything else: only the full
+          :meth:`update` reproduces its draws.
+
+        Either way the tick consumes the stream the historical per-tick
+        loop did, which is what lets the scheduler draw a whole check
+        stride at once.
+        """
+        if self.has_sample_update:
+            return 1
+        if type(self).update_from_samples is not AgentProcess.update_from_samples:
+            return n
+        return None
 
     def update_node(
         self, colors: np.ndarray, node: int, rng: np.random.Generator
     ) -> int:
         """The next color of ``node`` alone under one asynchronous tick.
 
-        Processes with :attr:`has_sample_update` draw just the node's
-        :attr:`samples_per_round` samples (``O(1)`` work); the generic
-        fallback runs the full synchronous :meth:`update` and keeps the
-        node's entry — correct for every process, since updates depend only
-        on the node's own samples, but ``O(n)`` per tick.
+        Draws what :meth:`tick_sample_rows` says a tick draws and applies
+        :meth:`update_from_samples` to the node's row only: ``O(1)`` rule
+        work for every process with a node rule.  The others run the full
+        synchronous :meth:`update` and keep the node's entry, correct for
+        every process but ``O(n)`` per tick.
         """
-        if self.has_sample_update:
-            ids = rng.integers(0, colors.shape[0], size=self.samples_per_round)
-            return self.update_from_samples(colors[node], colors[ids], rng)
-        return self.update(colors, rng)[node]
+        n = colors.shape[0]
+        rows = self.tick_sample_rows(n)
+        if rows is None:
+            return self.update(colors, rng)[node]
+        ids = rng.integers(0, n, size=(rows, self.samples_per_round))
+        return self.update_from_samples(
+            colors[node], colors[ids[node if rows > 1 else 0]], rng
+        )
 
     def update_ensemble(
         self, colors: np.ndarray, rng: np.random.Generator

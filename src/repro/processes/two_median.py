@@ -29,7 +29,10 @@ class TwoMedian(AgentProcess):
 
     Not an AC-process (the own value enters the median), and not
     color-anonymous (requires ordered values), so only the agent-level
-    semantics exists.
+    semantics exists.  The node rule is :meth:`update_from_samples`, but
+    :attr:`~repro.processes.base.AgentProcess.has_sample_update` stays
+    off: an asynchronous tick draws a full round of samples and reads the
+    activated node's pair, as it always has, so stored streams hold.
     """
 
     name = "2-median"
@@ -37,12 +40,19 @@ class TwoMedian(AgentProcess):
     is_anonymous = False
 
     def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = colors.shape[0]
-        sampled = sample_uniform_nodes(n, 2, rng)
-        first = colors[sampled[:, 0]]
-        second = colors[sampled[:, 1]]
-        stacked = np.stack([colors, first, second], axis=0)
-        return np.median(stacked, axis=0).astype(colors.dtype)
+        sampled = sample_uniform_nodes(colors.shape[0], 2, rng)
+        return self.update_from_samples(colors, colors[sampled], rng)
+
+    def update_from_samples(
+        self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        # The median of three values is the own value clamped to the
+        # interval the two samples span.
+        first, second = picks[..., 0], picks[..., 1]
+        return np.maximum(
+            np.minimum(first, second),
+            np.minimum(np.maximum(first, second), own),
+        )
 
     def has_converged(self, colors: np.ndarray) -> bool:
         """Consensus on a single numerical value.

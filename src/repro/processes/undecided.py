@@ -33,6 +33,10 @@ class UndecidedDynamics(AgentProcess):
     """Agent-level Undecided-State dynamics with one sample per round.
 
     The color vector uses :data:`UNDECIDED` (= -1) for undecided nodes.
+    The node rule is :meth:`update_from_samples`, but
+    :attr:`~repro.processes.base.AgentProcess.has_sample_update` stays
+    off: an asynchronous tick draws a full round of samples and reads the
+    activated node's, as it always has, so stored streams hold.
     """
 
     name = "undecided-dynamics"
@@ -40,21 +44,20 @@ class UndecidedDynamics(AgentProcess):
     is_anonymous = False
 
     def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = colors.shape[0]
-        sampled = sample_uniform_nodes(n, 1, rng)[:, 0]
-        sample_colors = colors[sampled]
-        out = colors.copy()
-        undecided_mask = colors == UNDECIDED
-        # Undecided nodes copy whatever they see (possibly staying undecided).
-        out[undecided_mask] = sample_colors[undecided_mask]
-        # Decided nodes seeing a different decided color become undecided.
-        conflict = (
-            ~undecided_mask
-            & (sample_colors != UNDECIDED)
-            & (sample_colors != colors)
+        sampled = sample_uniform_nodes(colors.shape[0], 1, rng)
+        return self.update_from_samples(colors, colors[sampled], rng)
+
+    def update_from_samples(
+        self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        seen = picks[..., 0]
+        # Undecided nodes copy whatever they see (possibly staying
+        # undecided); decided nodes seeing a different decided color become
+        # undecided, and keep their color otherwise.
+        keep = (seen == UNDECIDED) | (seen == own)
+        return np.where(
+            own == UNDECIDED, seen, np.where(keep, own, UNDECIDED)
         )
-        out[conflict] = UNDECIDED
-        return out
 
     def has_converged(self, colors: np.ndarray) -> bool:
         """Consensus requires a single *real* color and nobody undecided."""

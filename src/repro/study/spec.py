@@ -352,6 +352,8 @@ class StudySpec:
             raise ValueError("repetitions must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.check_every is not None and self.check_every < 1:
+            raise ValueError("check_every must be positive")
         if not 0.5 < self.stable_fraction <= 1.0:
             raise ValueError("stable_fraction must lie in (0.5, 1]")
         if self.stable_rounds < 1:

@@ -24,8 +24,19 @@ from repro.engine import (
     run_asynchronous,
     run_asynchronous_ensemble,
 )
-from repro.processes import ThreeMajority, TwoChoices, TwoMedian, Voter
+from repro.processes import (
+    UNDECIDED,
+    HMajority,
+    ThreeMajority,
+    TwoChoices,
+    TwoMedian,
+    UndecidedDynamics,
+    Voter,
+)
 from repro.processes.three_majority import ThreeMajorityResample
+
+#: Node-rule processes whose asynchronous tick draws a full round.
+_FULL_ROUND = (UndecidedDynamics, TwoMedian)
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +44,13 @@ from repro.processes.three_majority import ThreeMajorityResample
 
 
 @pytest.mark.parametrize(
-    "process_cls", [ThreeMajority, ThreeMajorityResample, TwoChoices, Voter]
+    "process_cls",
+    [ThreeMajority, ThreeMajorityResample, TwoChoices, Voter, *_FULL_ROUND],
 )
 def test_update_from_samples_matches_update(process_cls):
     """The sample rule applied to a full round's picks equals `update`."""
     process = process_cls()
-    assert process.has_sample_update
+    assert process.has_sample_update == (process_cls not in _FULL_ROUND)
     colors = Configuration.biased(151, 5, 13).to_assignment()
     n = colors.size
     seed = 99
@@ -79,11 +91,48 @@ def test_update_node_fallback_is_full_round_slice():
 
 def test_update_from_samples_not_implemented_without_rule():
     with pytest.raises(NotImplementedError):
-        TwoMedian().update_from_samples(
+        HMajority(3).update_from_samples(
             np.zeros(3, dtype=np.int64),
-            np.zeros((3, 2), dtype=np.int64),
+            np.zeros((3, 3), dtype=np.int64),
             np.random.default_rng(0),
         )
+
+
+def test_two_median_rule_is_the_median_of_three():
+    values = np.arange(-2, 4)
+    own, first, second = (
+        grid.ravel() for grid in np.meshgrid(values, values, values)
+    )
+    picks = np.stack([first, second], axis=-1)
+    expected = np.median(np.stack([own, first, second]), axis=0)
+    actual = TwoMedian().update_from_samples(own, picks, np.random.default_rng(0))
+    assert actual.dtype == own.dtype
+    assert np.array_equal(actual, expected.astype(own.dtype))
+
+
+def _undecided_mask_update(colors, sample_colors):
+    """The mask-based Undecided round the node rule replaced."""
+    out = colors.copy()
+    undecided_mask = colors == UNDECIDED
+    out[undecided_mask] = sample_colors[undecided_mask]
+    conflict = (
+        ~undecided_mask
+        & (sample_colors != UNDECIDED)
+        & (sample_colors != colors)
+    )
+    out[conflict] = UNDECIDED
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_undecided_rule_matches_mask_update(dtype):
+    values = np.array([UNDECIDED, 0, 1, 2], dtype=dtype)
+    own, seen = (grid.ravel() for grid in np.meshgrid(values, values))
+    actual = UndecidedDynamics().update_from_samples(
+        own, seen[:, None], np.random.default_rng(0)
+    )
+    assert actual.dtype == own.dtype
+    assert np.array_equal(actual, _undecided_mask_update(own, seen))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,31 @@ class TestRng:
         with pytest.raises(ValueError):
             derive_seed(5, -1)
 
+    def test_derive_seed_int_sources_equal_spawn(self):
+        # Integer sources build child ``stream`` directly; it must be the
+        # child that spawn(stream + 1) hands out.
+        seeds = [0, 1, 11, 2**32, 2**63 - 1, 2**63, 2**63 + 1, np.int64(7),
+                 np.uint64(2**63 - 5)]
+        streams = [0, 1, 2, 63, 999, 1000, 1001, 1500]
+        for seed in seeds:
+            children = np.random.SeedSequence(int(seed)).spawn(max(streams) + 1)
+            for stream in streams:
+                state = children[stream].generate_state(1, dtype=np.uint64)[0]
+                assert derive_seed(seed, stream) == int(state >> 1), (seed, stream)
+
+    def test_derive_seed_spawns_from_seed_sequences(self):
+        # Caller-owned sequences number children from n_children_spawned
+        # and advance it, so repeated derivations differ.
+        seq = np.random.SeedSequence(5)
+        first = derive_seed(seq, 2)
+        assert first == derive_seed(5, 2)
+        assert seq.n_children_spawned == 3
+        assert derive_seed(seq, 2) != first
+        assert seq.n_children_spawned == 6
+        generator = np.random.default_rng(5)
+        assert derive_seed(generator, 0) == derive_seed(5, 0)
+        assert generator.bit_generator.seed_seq.n_children_spawned == 1
+
 
 class TestMetrics:
     def test_num_colors(self):

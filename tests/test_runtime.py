@@ -59,6 +59,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             _plan(max_rounds=0)
 
+    @pytest.mark.parametrize("check_every", [0, -3])
+    def test_rejects_non_positive_check_every(self, check_every):
+        with pytest.raises(ValueError, match="check_every"):
+            _plan(scheduler="asynchronous", check_every=check_every)
+
     def test_adversary_requires_synchronous_scheduler(self):
         with pytest.raises(ValueError):
             _plan(

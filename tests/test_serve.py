@@ -433,6 +433,15 @@ class TestHTTP:
             assert info.value.status == 400, payload
         assert client.jobs() == []
 
+    def test_non_positive_check_every_answers_400(self, served):
+        client, _manager = served
+        for check_every in (0, -3):
+            payload = {**tiny_spec().to_dict(), "check_every": check_every}
+            with pytest.raises(ServeError, match="check_every") as info:
+                client.submit(payload)
+            assert info.value.status == 400
+        assert client.jobs() == []
+
     @pytest.mark.parametrize(
         "damage", [b"#" * 11, b"\xff" * 11], ids=["bad-json", "bad-utf8"]
     )

@@ -185,6 +185,19 @@ class TestSpec:
         with pytest.raises(ValueError):
             tiny_spec(record={"metrics": ["not-a-metric"]})
 
+    @pytest.mark.parametrize("check_every", [0, -3])
+    def test_check_every_must_be_positive(self, check_every):
+        with pytest.raises(ValueError, match="check_every"):
+            tiny_spec(check_every=check_every)
+        payload = {**tiny_spec().to_dict(), "check_every": check_every}
+        with pytest.raises(ValueError, match="check_every"):
+            StudySpec.from_dict(payload)
+
+    def test_valid_check_every_keeps_its_hash(self):
+        hashes = {1: "747149d8c221f17c", 7: "3b23944a22140114", 250: "811a023694c8aa5b"}
+        for check_every, expected in hashes.items():
+            assert spec_hash(tiny_spec(check_every=check_every)) == expected
+
     def test_record_replica_must_exist(self):
         with pytest.raises(ValueError, match="replica 3"):
             tiny_spec(repetitions=3, record={"metrics": ["bias"], "replica": 3})

@@ -25,7 +25,13 @@
 #      Undecided, 2-Median, h-Majority:3; n = 16, 32; R = 3), so both
 #      loops of the async scheduler run through the CLI: the stride-block
 #      loop of the node-rule processes and the per-tick loop of
-#      h-Majority.  Then a 3-point
+#      h-Majority.  The same for a batched recorded spec ([record]
+#      aggregate = "mean"; 3-Majority, 2-Choices, Voter; n = 64,
+#      balanced(k=4); both schedulers; ensemble-auto and kernel-auto;
+#      R = 5): its 12 cells resolve to all five lock-step engines
+#      (ensemble-counts, ensemble-agent, kernel-agent, ensemble-async,
+#      kernel-async), and the resumed store must equal the uninterrupted
+#      one, trajectories included.  Then a 3-point
 #      `repro sweep -o` round trip: the sweep's study store is
 #      reported, loads with 3 complete cells, and a second identical
 #      `sweep -o` must exit non-zero and leave the store results-equal
@@ -73,7 +79,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async); sweep -o store =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -122,6 +128,26 @@ EOF
 python -m repro study run "$STUDY_TMP/async.toml" --store "$STUDY_TMP/afull.json" --quiet
 python -m repro study run "$STUDY_TMP/async.toml" --store "$STUDY_TMP/apart.json" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/async.toml" --store "$STUDY_TMP/apart.json" --quiet
+cat > "$STUDY_TMP/batched.toml" <<'EOF'
+name = "check.sh batched smoke"
+seed = 11
+repetitions = 5
+
+[record]
+metrics = ["num_colors", "entropy"]
+aggregate = "mean"
+
+[axes]
+process = ["3-majority", "2-choices", "voter"]
+n = 64
+workload = { name = "balanced", kwargs = { k = 4 } }
+scheduler = ["synchronous", "asynchronous"]
+backend = ["ensemble-auto", "kernel-auto"]
+rng_mode = "batched"
+EOF
+python -m repro study run "$STUDY_TMP/batched.toml" --store "$STUDY_TMP/bfull.json" --quiet
+python -m repro study run "$STUDY_TMP/batched.toml" --store "$STUDY_TMP/bpart.json" --max-cells 1 --quiet
+python -m repro study resume "$STUDY_TMP/batched.toml" --store "$STUDY_TMP/bpart.json" --quiet
 python -m repro sweep voter --min-n 16 --max-n 64 -r 2 --seed 3 -o "$STUDY_TMP/sweep.json"
 python -m repro study report "$STUDY_TMP/sweep.json"
 cp "$STUDY_TMP/sweep.json" "$STUDY_TMP/sweep.first.json"
@@ -157,14 +183,27 @@ assert len(afull) == 12 and all(r.ok for r in afull.records()), (
 assert apart.results_equal(afull), (
     "resumed asynchronous store diverged from the uninterrupted run"
 )
+bfull = load_study_store(f"{tmp}/bfull.json")
+bpart = load_study_store(f"{tmp}/bpart.json")
+assert bfull.is_complete() and bpart.is_complete(), "batched smoke left cells unrun"
+assert len(bfull) == 12 and all(r.ok and r.trajectory for r in bfull.records()), (
+    "batched smoke has missing or failed cells, or kept no trajectories"
+)
+assert {r.resolved_backend for r in bfull.records()} == {
+    "ensemble-counts", "ensemble-agent", "kernel-agent",
+    "ensemble-async", "kernel-async",
+}, "batched smoke missed a lock-step engine"
+assert bpart.results_equal(bfull), (
+    "resumed batched store diverged from the uninterrupted run"
+)
 sweep = load_study_store(f"{tmp}/sweep.json")
 assert sweep.is_complete() and len(sweep) == 3, "sweep store is missing cells"
 assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
     "a refused second sweep -o changed the store"
 )
-print("study-smoke OK: resumed stores (plain, recorded and asynchronous) "
-      "are bit-for-bit the uninterrupted ones; sweep -o wrote a 3-cell store "
-      "and refused to clobber it")
+print("study-smoke OK: resumed stores (plain, recorded, asynchronous and "
+      "batched) are bit-for-bit the uninterrupted ones; sweep -o wrote a "
+      "3-cell store and refused to clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="
 cat > "$STUDY_TMP/faults.toml" <<'EOF'

@@ -33,10 +33,14 @@ Execution paths:
 * :func:`run_asynchronous_ensemble` — ``R`` replicas lock-step.  The
   randomness for a *batch* of ``B`` ticks (activated nodes and update
   samples for every replica) is drawn in one vectorized step, after which
-  each tick is a handful of ``O(R)`` array operations; counts are
-  maintained incrementally, finished replicas retire from the active
-  matrix, and stopping is checked on the ``check_every`` stride exactly
-  like the sequential scheduler.
+  each tick is a handful of ``O(R)`` array operations, with counts
+  maintained incrementally.  One check stride is the ``advance`` of the
+  synchronous engines' lock-step loop
+  (:func:`repro.engine.ensemble._run_lockstep`): a synchronous round and
+  an asynchronous stride differ only in how far the population moves
+  before the stopping condition is tested.  So finished replicas retire
+  from the active matrix, and stopping is checked on the ``check_every``
+  stride exactly like the sequential scheduler.
 
 Results report ticks; :func:`ticks_to_round_equivalents` converts.
 
@@ -54,7 +58,7 @@ import numpy as np
 
 from ..core.configuration import Configuration
 from ..processes.base import AgentProcess
-from .ensemble import _counts_matrix, narrow_int_dtype
+from .ensemble import _counts_matrix, _run_lockstep, narrow_int_dtype
 from .rng import RandomSource, as_generator
 from .stopping import Consensus, StoppingCondition
 
@@ -241,10 +245,12 @@ def run_asynchronous_ensemble(
     back to :meth:`~repro.processes.base.AgentProcess.update_node` per
     replica — same semantics, sequential speed.
 
-    Replicas whose stopping condition fires at a stride check retire from
-    the active matrix (recording their tick), mirroring the synchronous
-    ensemble's compaction.  All replicas share one ``rng`` stream; each
-    tick consumes fresh variates per replica, so replicas are independent.
+    Each check stride is one ``advance`` of the lock-step loop
+    (:func:`repro.engine.ensemble._run_lockstep`), so replicas whose
+    stopping condition fires at a stride check retire from the active
+    matrix (recording their tick) as in the synchronous ensemble.  All
+    replicas share one ``rng`` stream; each tick consumes fresh variates
+    per replica, so replicas are independent.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -266,33 +272,11 @@ def run_asynchronous_ensemble(
         process.initial_colors(initial).astype(dtype, copy=False),
         (repetitions, 1),
     )
-
-    counts = _counts_matrix(process, colors, num_slots, projected)
-    ticks = np.zeros(repetitions, dtype=np.int64)
-    stopped = np.zeros(repetitions, dtype=bool)
-    final_counts = counts.copy()
-    active = np.arange(repetitions)
-
-    if recorder is not None:
-        recorder.observe_ensemble(0, counts, active)
-
-    def retire(mask: np.ndarray, tick: int) -> None:
-        nonlocal active, colors, counts
-        done = active[mask]
-        ticks[done] = tick
-        stopped[done] = True
-        final_counts[done] = counts[mask]
-        active = active[~mask]
-        colors = colors[~mask]
-        counts = counts[~mask]
-
-    retire(condition.satisfied_ensemble(counts), 0)
-
-    tick = 0
     samples = max(1, int(process.samples_per_round))
-    while active.size and tick < limit:
+
+    def advance(colors, counts, tick):
         batch = min(stride, limit - tick)
-        reps = active.size
+        reps = colors.shape[0]
         rows = np.arange(reps)
         if sample_rule:
             activated = generator.integers(0, n, size=(reps, batch))
@@ -324,19 +308,14 @@ def run_asynchronous_ensemble(
                     if not projected:
                         counts[r, old] -= 1
                         counts[r, new] += 1
-        tick += batch
         if projected:
             counts = _counts_matrix(process, colors, num_slots, projected)
-        if recorder is not None:
-            recorder.observe_ensemble(tick, counts, active)
-        retire(condition.satisfied_ensemble(counts), tick)
+        return colors, counts, tick + batch
 
-    if active.size:
-        # The loop only exits with survivors at the tick limit, and the
-        # last batch already ran a stride check there — so the remaining
-        # replicas are genuinely unstopped; just record their final state.
-        ticks[active] = tick
-        final_counts[active] = counts
+    ticks, stopped, final_counts = _run_lockstep(
+        colors, _counts_matrix(process, colors, num_slots, projected),
+        advance, condition, limit, recorder,
+    )
     return AsyncEnsembleResult(
         process_name=process.name,
         num_nodes=n,

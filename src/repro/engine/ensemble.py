@@ -13,9 +13,15 @@ module amortises it across the whole ensemble:
   matrix advanced by the process's batched ``update_ensemble`` rule
   (3-Majority, 2-Choices, Voter, …).
 
-Per-replica stopping masks (:meth:`StoppingCondition.satisfied_ensemble`)
-record each replica's first-passage round, and finished replicas are
-*compacted out* of the active matrix so they stop paying for rounds.
+Both run through :func:`_run_lockstep`, the one loop of every lock-step
+engine (the asynchronous ensemble and both fused kernels use it too).
+An engine supplies only ``advance``, the draws of one round or one check
+stride in the engine's own order; the loop owns the rest.  Per-replica
+stopping masks (:meth:`StoppingCondition.satisfied_ensemble`) record
+each replica's first-passage time, finished replicas are *compacted
+out* of the active matrix (with their fault-runtime rows) so they stop
+paying for rounds, the recorder sees every round, and the survivors keep
+their counts at the limit.
 
 Both entry points are registered with the unified runtime as the
 ``ensemble-agent`` / ``ensemble-counts`` backends (see
@@ -141,21 +147,63 @@ def _finalize(
     )
 
 
-def _retire(
-    mask: np.ndarray,
-    active: np.ndarray,
-    rounds: int,
-    counts_matrix: np.ndarray,
-    times: np.ndarray,
-    stopped: np.ndarray,
-    final_counts: np.ndarray,
-) -> np.ndarray:
-    """Record finished replicas and return the surviving active indices."""
-    done = active[mask]
-    times[done] = rounds
-    stopped[done] = True
-    final_counts[done] = counts_matrix[mask]
-    return active[~mask]
+def _run_lockstep(
+    state: "np.ndarray | None",
+    counts: np.ndarray,
+    advance,
+    condition: StoppingCondition,
+    limit: int,
+    recorder: "MetricRecorder | None",
+    on_retire=None,
+    widen=None,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The loop every lock-step engine runs: ``(times, stopped, final_counts)``.
+
+    ``counts`` is the ``(R, k)`` counts matrix of ``R`` replicas and
+    ``state`` the rows an engine advances alongside it (the ``(R, n)``
+    colors of the agent-level engines), or ``None`` when the counts are
+    the whole state.  At time 0 and after each ``advance`` the loop
+    hands the active rows to ``recorder.observe_ensemble``, retires the
+    rows whose ``condition.satisfied_ensemble`` fires with that time and
+    their counts, and passes the survivors' mask to ``on_retire`` (a
+    fault runtime drops its rows there).
+
+    ``advance(state, counts, now)`` returns ``(state, counts, later)``:
+    one round for a synchronous engine, one check stride of ticks for an
+    asynchronous one.  It runs while replicas are active and ``now`` is
+    below ``limit``; the replicas left at the limit keep that time,
+    unstopped.  ``widen`` maps counts rows back to the starting width
+    when an engine drops columns (the fused kernel's compaction).
+    """
+    restore = widen if widen is not None else (lambda rows: rows)
+    times = np.zeros(counts.shape[0], dtype=np.int64)
+    stopped = np.zeros(counts.shape[0], dtype=bool)
+    final_counts = counts.copy()
+    active = np.arange(counts.shape[0])
+    now = 0
+    while True:
+        if recorder is not None:
+            recorder.observe_ensemble(now, counts, active)
+        mask = condition.satisfied_ensemble(counts)
+        if mask.any():
+            done = active[mask]
+            times[done] = now
+            stopped[done] = True
+            final_counts[done] = restore(counts[mask])
+            keep = ~mask
+            active = active[keep]
+            counts = counts[keep]
+            if state is not None:
+                state = state[keep]
+            if on_retire is not None:
+                on_retire(keep)
+        if not active.size or now >= limit:
+            break
+        state, counts, now = advance(state, counts, now)
+    if active.size:
+        times[active] = now
+        final_counts[active] = restore(counts)
+    return times, stopped, final_counts
 
 
 def _stack_counts(finals: "list[np.ndarray]") -> np.ndarray:
@@ -277,36 +325,18 @@ def run_counts_ensemble(
         else None
     )
 
-    counts = np.tile(initial.counts_array(), (repetitions, 1))
-    times = np.zeros(repetitions, dtype=np.int64)
-    stopped = np.zeros(repetitions, dtype=bool)
-    final_counts = counts.copy()
-    active = np.arange(repetitions)
-
-    if recorder is not None:
-        recorder.observe_ensemble(0, counts, active)
-    mask = condition.satisfied_ensemble(counts)
-    active = _retire(mask, active, 0, counts, times, stopped, final_counts)
-    counts = counts[~mask]
-
-    rounds = 0
-    while active.size and rounds < limit:
+    def advance(_, counts, rounds):
         if fault_matrix is not None:
             counts = fault_matrix.step_matrix(counts, master, rounds)
         else:
             counts = process.step_counts_ensemble(counts, master)
-        rounds += 1
-        if recorder is not None:
-            recorder.observe_ensemble(rounds, counts, active)
-        mask = condition.satisfied_ensemble(counts)
-        if mask.any():
-            active = _retire(mask, active, rounds, counts, times, stopped, final_counts)
-            counts = counts[~mask]
-            if fault_matrix is not None:
-                fault_matrix.compact(~mask)
-    if active.size:
-        times[active] = rounds
-        final_counts[active] = counts
+        return None, counts, rounds + 1
+
+    times, stopped, final_counts = _run_lockstep(
+        None, np.tile(initial.counts_array(), (repetitions, 1)), advance,
+        condition, limit, recorder,
+        on_retire=None if fault_matrix is None else fault_matrix.compact,
+    )
     return _finalize(
         process, condition, "counts", rng_mode, times, stopped, final_counts,
         limit, raise_on_limit,
@@ -388,46 +418,25 @@ def run_agent_ensemble(
         process.initial_colors(initial).astype(dtype, copy=False),
         (repetitions, 1),
     )
-    counts = _counts_matrix(process, colors, num_slots, projected).astype(
-        dtype, copy=False
-    )
-    times = np.zeros(repetitions, dtype=np.int64)
-    stopped = np.zeros(repetitions, dtype=bool)
-    final_counts = counts.copy()
-    active = np.arange(repetitions)
 
-    if recorder is not None:
-        recorder.observe_ensemble(0, counts, active)
-    mask = condition.satisfied_ensemble(counts)
-    active = _retire(mask, active, 0, counts, times, stopped, final_counts)
-    colors = colors[~mask]
-    counts = counts[~mask]
-
-    rounds = 0
-    while active.size and rounds < limit:
-        if fault_matrix is not None:
-            fault_matrix.round_mask(rounds, master, colors.shape)
-            previous = colors.copy()
-            colors = process.update_ensemble(colors, master)
-            colors = fault_matrix.resolve(previous, colors, master)
-        else:
-            colors = process.update_ensemble(colors, master)
-        rounds += 1
-        counts = _counts_matrix(process, colors, num_slots, projected).astype(
+    def count(colors):
+        return _counts_matrix(process, colors, num_slots, projected).astype(
             dtype, copy=False
         )
-        if recorder is not None:
-            recorder.observe_ensemble(rounds, counts, active)
-        mask = condition.satisfied_ensemble(counts)
-        if mask.any():
-            active = _retire(mask, active, rounds, counts, times, stopped, final_counts)
-            colors = colors[~mask]
-            counts = counts[~mask]
-            if fault_matrix is not None:
-                fault_matrix.compact(~mask)
-    if active.size:
-        times[active] = rounds
-        final_counts[active] = counts
+
+    def advance(colors, _, rounds):
+        if fault_matrix is None:
+            colors = process.update_ensemble(colors, master)
+        else:
+            fault_matrix.round_mask(rounds, master, colors.shape)
+            updated = process.update_ensemble(colors, master)
+            colors = fault_matrix.resolve(colors, updated, master)
+        return colors, count(colors), rounds + 1
+
+    times, stopped, final_counts = _run_lockstep(
+        colors, count(colors), advance, condition, limit, recorder,
+        on_retire=None if fault_matrix is None else fault_matrix.compact,
+    )
     return _finalize(
         process, condition, "agent", rng_mode, times, stopped, final_counts,
         limit, raise_on_limit,

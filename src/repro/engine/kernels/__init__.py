@@ -33,9 +33,14 @@ Writing a kernel
 
 A kernel is an alternative *executor* for semantics some engine already
 defines; the registry treats it as just another backend (see
-"Writing a new backend" in :mod:`repro.engine.runtime`).  The discipline
-that keeps kernels trustworthy, in the order that caught real bugs while
-building these three:
+"Writing a new backend" in :mod:`repro.engine.runtime`).  A lock-step
+kernel supplies only its ``advance`` (one round, or one check stride of
+ticks) and runs through the engines' shared loop,
+:func:`repro.engine.ensemble._run_lockstep`, which owns the round-0
+check, the recorder, replica retirement, the limit and the survivors'
+final counts; ``widen`` restores full-width counts for a kernel that
+drops columns.  The discipline that keeps kernels trustworthy, in the
+order that caught real bugs while building these three:
 
 1. **Name the invariant before vectorizing.**  State exactly what the
    kernel preserves and in which sense — bit-for-bit (same generator

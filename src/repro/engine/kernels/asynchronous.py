@@ -51,7 +51,7 @@ import numpy as np
 from ...core.configuration import Configuration
 from ...processes.base import AgentProcess
 from ..asynchronous import AsyncEnsembleResult, _default_tick_limit
-from ..ensemble import _counts_matrix_fast, narrow_int_dtype
+from ..ensemble import _counts_matrix_fast, _run_lockstep, narrow_int_dtype
 from ..rng import RandomSource, as_generator
 from ..stopping import Consensus, StoppingCondition
 from .numba_support import kernel_mode, njit_or_none
@@ -189,10 +189,12 @@ def run_fused_asynchronous_ensemble(
     """Wavefront-batched one-node-per-tick scheduler for ``R`` replicas.
 
     The engine contract (stopping at check strides, replica retirement,
-    recorder observations, tick accounting) matches
-    :func:`~repro.engine.asynchronous.run_asynchronous_ensemble`; the
-    per-stride randomness is drawn in the same shapes and order, so for
-    processes whose sample rule consumes no extra randomness the two are
+    recorder observations, tick accounting) is shared with
+    :func:`~repro.engine.asynchronous.run_asynchronous_ensemble`, not
+    copied from it: both supply one check stride as the ``advance`` of
+    :func:`repro.engine.ensemble._run_lockstep`.  The per-stride
+    randomness is drawn in the same shapes and order, so for processes
+    whose sample rule consumes no extra randomness the two are
     bit-for-bit identical — the wavefront is purely a faster application
     order within each stride.
     """
@@ -219,35 +221,14 @@ def run_fused_asynchronous_ensemble(
         process.initial_colors(initial).astype(dtype, copy=False),
         (repetitions, 1),
     )
-    counts = _counts_matrix_fast(colors, num_slots)
-    ticks = np.zeros(repetitions, dtype=np.int64)
-    stopped = np.zeros(repetitions, dtype=bool)
-    final_counts = counts.copy()
-    active = np.arange(repetitions)
     buffers = _WaveBuffers()
-
-    if recorder is not None:
-        recorder.observe_ensemble(0, counts, active)
-
-    def retire(mask: np.ndarray, tick: int) -> None:
-        nonlocal active, colors, counts
-        done = active[mask]
-        ticks[done] = tick
-        stopped[done] = True
-        final_counts[done] = counts[mask]
-        active = active[~mask]
-        colors = colors[~mask]
-        counts = counts[~mask]
-
-    retire(condition.satisfied_ensemble(counts), 0)
-
     apply_chunk = (
         _apply_chunk_numba if kernel_mode() == "numba" else _apply_chunk_numpy
     )
-    tick = 0
-    while active.size and tick < limit:
+
+    def advance(colors, _, tick):
         batch = min(stride, limit - tick)
-        reps = active.size
+        reps = colors.shape[0]
         base = (np.arange(reps, dtype=np.int64) * n)[:, None]
         # Same draw shapes and order as the per-tick engine — the streams
         # coincide, only the application strategy differs.
@@ -264,15 +245,12 @@ def run_fused_asynchronous_ensemble(
                 np.arange(hi - lo, dtype=np.int64), (reps, hi - lo)
             ).ravel()
             apply_chunk(process, flat, a, sm, p, generator, buffers)
-        tick += batch
-        counts = _counts_matrix_fast(colors, num_slots)
-        if recorder is not None:
-            recorder.observe_ensemble(tick, counts, active)
-        retire(condition.satisfied_ensemble(counts), tick)
+        return colors, _counts_matrix_fast(colors, num_slots), tick + batch
 
-    if active.size:
-        ticks[active] = tick
-        final_counts[active] = counts
+    ticks, stopped, final_counts = _run_lockstep(
+        colors, _counts_matrix_fast(colors, num_slots), advance, condition,
+        limit, recorder,
+    )
     return AsyncEnsembleResult(
         process_name=process.name,
         num_nodes=n,

@@ -22,11 +22,14 @@ makes the agent acceptance scenario ``O(R·k)`` instead of ``O(R·n)``.
 
 Two entry points:
 
-* :func:`run_fused_agent_ensemble` — the ``kernel-agent`` backend: the
-  lumped chain with the ensemble engine's stopping/retirement contract,
-  plus **active-slot compaction** (zero-support columns drop out of the
-  working matrix, shrinking per-round work from ``O(k)`` to
-  ``O(k_alive)`` on wide slot spaces).
+* :func:`run_fused_agent_ensemble` — the ``kernel-agent`` backend: one
+  lumped round is its ``advance`` through the ensemble engines' lock-step
+  loop (:func:`repro.engine.ensemble._run_lockstep`, which owns stopping
+  and retirement), plus **active-slot compaction**: at the start of each
+  round after the first, zero-support columns drop out of the working
+  matrix, shrinking per-round work from ``O(k)`` to ``O(k_alive)`` on
+  wide slot spaces, and ``widen`` scatters retired rows back to full
+  width.  The kernel decides compaction from its inputs alone.
 * :func:`fused_colors_step` — one batched synchronous round that *keeps*
   the ``(R, n)`` per-node colors (counts → law → one inverse-cdf draw
   per node), for consumers that need node identities, e.g. the §5
@@ -43,7 +46,9 @@ import numpy as np
 
 from ...core.configuration import Configuration
 from ...processes.base import AgentProcess
-from ..ensemble import EnsembleResult, _check_args, _finalize
+from ..ensemble import (
+    EnsembleResult, _check_args, _counts_matrix_fast, _finalize, _run_lockstep,
+)
 from ..metrics import MetricRecorder
 from ..rng import RandomSource, as_generator
 from ..simulator import default_round_limit
@@ -166,18 +171,14 @@ def fused_colors_step(
     coin), at ``O(R·(n + k))`` instead of ``O(R·n·s)``.
     """
     reps, n = colors.shape
-    offsets = (np.arange(reps, dtype=np.int64) * num_slots)[:, None]
-    counts = np.bincount(
-        (colors.astype(np.int64, copy=False) + offsets).ravel(),
-        minlength=reps * num_slots,
-    ).reshape(reps, num_slots)
-    sigma, q = process.kernel_switch_law(counts)
+    sigma, q = process.kernel_switch_law(_counts_matrix_fast(colors, num_slots))
     cum = np.cumsum(q, axis=1)
     cum[:, -1] = 1.0
     destinations = _invert_rows(cum, rng.random((reps, n)))
     destinations = destinations.astype(colors.dtype, copy=False)
     if sigma is None:
         return destinations
+    offsets = (np.arange(reps, dtype=np.int64) * num_slots)[:, None]
     own_sigma = sigma.ravel().take(colors.astype(np.int64, copy=False) + offsets)
     switch = rng.random((reps, n)) < own_sigma
     return np.where(switch, destinations, colors)
@@ -193,7 +194,6 @@ def run_fused_agent_ensemble(
     rng_mode: str = "batched",
     raise_on_limit: bool = True,
     recorder: "MetricRecorder | None" = None,
-    compact: "bool | None" = None,
 ) -> EnsembleResult:
     """The fused agent ensemble: exact lumped counts chain + compaction.
 
@@ -204,11 +204,13 @@ def run_fused_agent_ensemble(
     plans must use the exact-stream engines instead — the runtime routes
     them there automatically.
 
-    ``compact`` controls active-slot compaction (``None`` = automatic:
-    on for wide matrices with absorbing support, compaction-safe stopping
-    conditions and no recorder).  Dropped columns are remembered in a
-    slot map and every replica's ``final_counts`` row is scattered back
-    to the full initial width.
+    Active-slot compaction is on for matrices of at least
+    :data:`_COMPACTION_MIN_SLOTS` slots when the process has absorbing
+    support, the stopping condition is compaction-safe and no recorder
+    runs.  From the second round on, each round first drops the all-zero
+    columns; a slot map remembers which columns are left, and every
+    replica's ``final_counts`` row is scattered back to the full initial
+    width.
     """
     _check_args(repetitions, rng_mode)
     if rng_mode != "batched":
@@ -228,70 +230,36 @@ def run_fused_agent_ensemble(
     master = as_generator(rng)
     num_slots = initial.num_slots
 
-    compactable = (
+    compact = (
         process.kernel_absorbing_support
         and compaction_safe(condition)
         and recorder is None
+        and num_slots >= _COMPACTION_MIN_SLOTS
     )
-    if compact is True and not compactable:
-        raise ValueError(
-            "compaction requires absorbing support, a compaction-safe "
-            "stopping condition and no recorder"
-        )
-    if compact is None:
-        compact = compactable and num_slots >= _COMPACTION_MIN_SLOTS
-
-    counts = np.tile(initial.counts_array(), (repetitions, 1))
-    times = np.zeros(repetitions, dtype=np.int64)
-    stopped = np.zeros(repetitions, dtype=bool)
-    final_counts = counts.copy()
-    active = np.arange(repetitions)
     slot_map = None  # None ⇒ identity (no columns dropped yet)
 
-    def retire(mask: np.ndarray, rounds: int) -> None:
-        nonlocal active, counts
-        done = active[mask]
-        times[done] = rounds
-        stopped[done] = True
-        if slot_map is None:
-            final_counts[done] = counts[mask]
-        else:
-            restored = np.zeros((done.size, num_slots), dtype=final_counts.dtype)
-            restored[:, slot_map] = counts[mask]
-            final_counts[done] = restored
-        active = active[~mask]
-        counts = counts[~mask]
-
-    if recorder is not None:
-        recorder.observe_ensemble(0, counts, active)
-    retire(condition.satisfied_ensemble(counts), 0)
-
-    rounds = 0
-    while active.size and rounds < limit:
-        counts = kernel_step_counts(process, counts, master)
-        rounds += 1
-        if recorder is not None:
-            recorder.observe_ensemble(rounds, counts, active)
-        mask = condition.satisfied_ensemble(counts)
-        if mask.any():
-            retire(mask, rounds)
-        if compact and counts.shape[1] > 8 and active.size:
+    def advance(_, counts, rounds):
+        nonlocal slot_map
+        if compact and rounds and counts.shape[1] > 8:
             alive = counts.any(axis=0)
             if not alive.all():
                 counts = np.ascontiguousarray(counts[:, alive])
                 slot_map = (
-                    np.flatnonzero(alive)
-                    if slot_map is None
-                    else slot_map[alive]
+                    np.flatnonzero(alive) if slot_map is None else slot_map[alive]
                 )
-    if active.size:
-        times[active] = rounds
+        return None, kernel_step_counts(process, counts, master), rounds + 1
+
+    def widen(rows):
         if slot_map is None:
-            final_counts[active] = counts
-        else:
-            restored = np.zeros((active.size, num_slots), dtype=final_counts.dtype)
-            restored[:, slot_map] = counts
-            final_counts[active] = restored
+            return rows
+        restored = np.zeros((rows.shape[0], num_slots), dtype=rows.dtype)
+        restored[:, slot_map] = rows
+        return restored
+
+    times, stopped, final_counts = _run_lockstep(
+        None, np.tile(initial.counts_array(), (repetitions, 1)), advance,
+        condition, limit, recorder, widen=widen,
+    )
     return _finalize(
         process, condition, "kernel-agent", rng_mode, times, stopped,
         final_counts, limit, raise_on_limit,

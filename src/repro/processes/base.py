@@ -19,16 +19,19 @@ semantics, and so the framework modules can reason about dominance.
 
 Every uniform-pull process on the complete graph also has a *node rule*,
 :meth:`AgentProcess.update_from_samples`: a node's next color as a
-function of its own color and the colors of its uniform samples, so that
-:meth:`~AgentProcess.update` is :func:`sample_uniform_nodes` followed by
-that rule.  The asynchronous scheduler applies it to one activated node
-per tick; :meth:`AgentProcess.tick_sample_rows` says which ids a tick
-draws for it.
+function of its own color and the colors of its uniform samples.  Both
+round rules default to it: :meth:`~AgentProcess.update` draws an
+``(n, s)`` block of sample ids (:func:`sample_uniform_nodes`) and
+:meth:`~AgentProcess.update_ensemble` one ``(R, s·n)`` block, then each
+applies the rule to every node.  h-Majority, lazy Voter and graph Voter
+draw something else and override :meth:`~AgentProcess.update`; a
+process with neither raises :class:`NotImplementedError` at its first
+round.  The asynchronous scheduler applies the node rule to one
+activated node per tick; :meth:`AgentProcess.tick_sample_rows` says
+which ids a tick draws for it.
 """
 
 from __future__ import annotations
-
-import abc
 
 import numpy as np
 
@@ -79,12 +82,12 @@ def row_gather(colors: np.ndarray, sampled: np.ndarray) -> np.ndarray:
     return colors.ravel().take(sampled + offsets)
 
 
-class AgentProcess(abc.ABC):
+class AgentProcess:
     """A synchronous update rule executed by every node in parallel.
 
-    Subclasses implement :meth:`update`, mapping the current per-node color
-    vector to the next one.  Updates must be *simultaneous*: every sample
-    observes the pre-round colors.
+    Subclasses implement the node rule :meth:`update_from_samples`, from
+    which both round rules follow, or override :meth:`update`.  Updates
+    must be *simultaneous*: every sample observes the pre-round colors.
     """
 
     #: Human-readable protocol name.
@@ -93,10 +96,13 @@ class AgentProcess(abc.ABC):
     samples_per_round: int = 1
     #: Whether the process is an AC-process in the sense of Definition 1.
     is_anonymous: bool = False
-    #: True when :meth:`update_ensemble` is a vectorized batched rule (one
-    #: shared stream, a handful of array ops for all replicas).  The
-    #: ensemble engine advances only such processes lock-step; the others
-    #: run replica by replica (:func:`repro.engine.ensemble.run_replicas`).
+    #: True when the ensemble engine advances batched runs lock-step
+    #: through :meth:`update_ensemble` (one shared stream, a handful of
+    #: array ops for all replicas); the others run replica by replica
+    #: (:func:`repro.engine.ensemble.run_replicas`).  2-Median and
+    #: Undecided inherit the batched rule but leave this off: their
+    #: batched runs have always gone replica by replica, and keeping that
+    #: keeps their stored samples.
     has_vectorized_ensemble: bool = False
     #: True when an asynchronous tick draws only the activated node's
     #: :attr:`samples_per_round` ids before applying
@@ -117,13 +123,16 @@ class AgentProcess(abc.ABC):
     #: with spontaneous mutation would not.
     kernel_absorbing_support: bool = False
 
-    @abc.abstractmethod
     def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One synchronous round; returns the next color vector.
 
-        ``colors`` is an ``n``-vector of non-negative color ids.  The input
-        array must not be mutated.
+        ``colors`` is an ``n``-vector of color ids.  The input array must
+        not be mutated.  The default draws an ``(n, s)`` block of uniform
+        sample ids (:func:`sample_uniform_nodes`) and applies
+        :meth:`update_from_samples` to every node.
         """
+        sampled = sample_uniform_nodes(colors.shape[0], self.samples_per_round, rng)
+        return self.update_from_samples(colors, colors[sampled], rng)
 
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
@@ -189,21 +198,17 @@ class AgentProcess(abc.ABC):
     ) -> np.ndarray:
         """One synchronous round for an ``(R, n)`` ensemble of replicas.
 
-        Vectorized overrides (3-Majority, 2-Choices, Voter, …) set
-        :attr:`has_vectorized_ensemble` and advance all replicas with a few
-        array operations; replicas remain independent because every row
-        consumes fresh variates from the shared stream.
-
-        The base implementation loops :meth:`update` over the replica rows
-        with the single shared generator — a convenience for stepping a
-        batch directly.  Note the ensemble *engine* does not call it for
-        non-vectorized processes: :func:`repro.engine.ensemble.run_agent_ensemble`
-        runs them through :func:`repro.engine.ensemble.run_replicas`, the
-        sequential loop once per spawned child generator.
+        One ``(R, s·n)`` draw of sample ids from the shared stream,
+        gathered row-wise (:func:`row_gather`), then the node rule: at
+        ``R = 1`` the draws and values of :meth:`update`, and replicas stay
+        independent because every row consumes fresh variates.  The
+        engines use it only for :attr:`has_vectorized_ensemble` processes.
         """
-        return np.stack(
-            [self.update(colors[r], rng) for r in range(colors.shape[0])]
-        )
+        reps, n = colors.shape
+        samples = self.samples_per_round
+        sampled = rng.integers(0, n, size=(reps, samples * n))
+        picks = row_gather(colors, sampled).reshape(reps, n, samples)
+        return self.update_from_samples(colors, picks, rng)
 
     def kernel_switch_law(
         self, counts: np.ndarray

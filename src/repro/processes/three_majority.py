@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ac_process import ThreeMajorityFunction
-from .base import ACAgentProcess, row_gather, sample_uniform_nodes
+from .base import ACAgentProcess
 
 __all__ = ["ThreeMajority", "ThreeMajorityResample"]
 
@@ -47,12 +47,6 @@ class ThreeMajority(ACAgentProcess):
     def __init__(self):
         super().__init__(ThreeMajorityFunction())
 
-    def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = colors.shape[0]
-        sampled = sample_uniform_nodes(n, 3, rng)
-        picks = colors[sampled]
-        return self.update_from_samples(colors, picks, rng)
-
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
@@ -66,14 +60,6 @@ class ThreeMajority(ACAgentProcess):
         # engine — including the wavefront kernel, whose draw *shapes*
         # differ — consume identical streams and stay bit-for-bit.
         return np.where(a == b, a, np.where(b == c, b, np.where(a == c, a, c)))
-
-    def update_ensemble(
-        self, colors: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        reps, n = colors.shape
-        sampled = rng.integers(0, n, size=(reps, 3 * n))
-        picks = row_gather(colors, sampled).reshape(reps, n, 3)
-        return self.update_from_samples(colors, picks, rng)
 
 
 class ThreeMajorityResample(ACAgentProcess):
@@ -103,25 +89,9 @@ class ThreeMajorityResample(ACAgentProcess):
         super().__init__(ThreeMajorityFunction())
         self.name = "3-majority/resample"
 
-    def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = colors.shape[0]
-        sampled = sample_uniform_nodes(n, 3, rng)
-        first = colors[sampled[:, 0]]
-        second = colors[sampled[:, 1]]
-        third = colors[sampled[:, 2]]
-        return np.where(first == second, first, third)
-
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         return np.where(
             picks[..., 0] == picks[..., 1], picks[..., 0], picks[..., 2]
         )
-
-    def update_ensemble(
-        self, colors: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        reps, n = colors.shape
-        sampled = rng.integers(0, n, size=(reps, 3 * n))
-        picks = row_gather(colors, sampled).reshape(reps, n, 3)
-        return self.update_from_samples(colors, picks, rng)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.configuration import Configuration
-from .base import AgentProcess, row_gather, sample_uniform_nodes
+from .base import AgentProcess
 
 __all__ = ["TwoChoices", "TwoChoicesBirthUpper", "two_choices_expected_fractions"]
 
@@ -47,25 +47,10 @@ class TwoChoices(AgentProcess):
     has_kernel_form = True
     kernel_absorbing_support = True
 
-    def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = colors.shape[0]
-        sampled = sample_uniform_nodes(n, 2, rng)
-        first = colors[sampled[:, 0]]
-        second = colors[sampled[:, 1]]
-        return np.where(first == second, first, colors)
-
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         return np.where(picks[..., 0] == picks[..., 1], picks[..., 0], own)
-
-    def update_ensemble(
-        self, colors: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        reps, n = colors.shape
-        sampled = rng.integers(0, n, size=(reps, 2 * n))
-        picks = row_gather(colors, sampled).reshape(reps, n, 2)
-        return self.update_from_samples(colors, picks, rng)
 
     def kernel_switch_law(
         self, counts: np.ndarray

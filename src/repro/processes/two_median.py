@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AgentProcess, sample_uniform_nodes
+from .base import AgentProcess
 
 __all__ = ["TwoMedian"]
 
@@ -38,10 +38,6 @@ class TwoMedian(AgentProcess):
     name = "2-median"
     samples_per_round = 2
     is_anonymous = False
-
-    def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        sampled = sample_uniform_nodes(colors.shape[0], 2, rng)
-        return self.update_from_samples(colors, colors[sampled], rng)
 
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.configuration import Configuration
-from .base import AgentProcess, sample_uniform_nodes
+from .base import AgentProcess
 
 __all__ = ["UndecidedDynamics", "UNDECIDED"]
 
@@ -42,10 +42,6 @@ class UndecidedDynamics(AgentProcess):
     name = "undecided-dynamics"
     samples_per_round = 1
     is_anonymous = False
-
-    def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        sampled = sample_uniform_nodes(colors.shape[0], 1, rng)
-        return self.update_from_samples(colors, colors[sampled], rng)
 
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ac_process import VoterFunction
-from .base import ACAgentProcess, row_gather, sample_uniform_nodes
+from .base import ACAgentProcess
 
 __all__ = ["Voter"]
 
@@ -32,19 +32,7 @@ class Voter(ACAgentProcess):
     def __init__(self):
         super().__init__(VoterFunction())
 
-    def update(self, colors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = colors.shape[0]
-        sampled = sample_uniform_nodes(n, 1, rng)[:, 0]
-        return colors[sampled]
-
     def update_from_samples(
         self, own: np.ndarray, picks: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         return picks[..., 0]
-
-    def update_ensemble(
-        self, colors: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        reps, n = colors.shape
-        sampled = rng.integers(0, n, size=(reps, n))
-        return row_gather(colors, sampled)

@@ -1,10 +1,11 @@
 """Execute compiled study cells through the unified runtime, supervised.
 
 ``run_study`` is the one loop every experiment suite now goes through:
-compile the spec, skip cells an existing store already covers, execute
-the rest via :func:`repro.engine.runtime.execute`, and journal each
-record the moment it exists so an interrupted run loses at most the cell
-in flight.
+compile the spec, skip cells an existing store already covers, resolve
+each remaining cell's backend once
+(:func:`repro.engine.runtime.resolve_backend`) and execute the cell on
+it, and journal each record the moment it exists so an interrupted run
+loses at most the cell in flight.
 
 Supervision (the :class:`~repro.study.policy.ExecutionPolicy`):
 
@@ -22,10 +23,11 @@ Supervision (the :class:`~repro.study.policy.ExecutionPolicy`):
   retry behaviour.
 * **Degradation** — when transient retries exhaust on an ensemble or
   kernel backend, the plan re-resolves down the capability ladder
-  (``ensemble-* → sequential``, ``kernel-* → sequential``); the
-  per-replica rng contract makes the degraded result bit-for-bit
-  identical, and the record's ``degraded_from`` field keeps the
-  provenance honest.
+  (``ensemble-* → sequential``, ``kernel-* → sequential``), and the
+  record's ``degraded_from`` field keeps the provenance honest.  The
+  per-replica rng contract makes a per-replica plan's degraded result
+  bit-for-bit identical; a batched plan keeps its law, not its samples,
+  because the sequential rung consumes the shared stream differently.
 
 Failure isolation: with the default ``on_error="record"`` a cell that
 still fails after all that lands in the store as a ``status="failed"``
@@ -82,12 +84,7 @@ from typing import Callable
 import numpy as np
 
 from ..engine.rng import derive_seed
-from ..engine.runtime import (
-    degradation_ladder,
-    execute,
-    get_backend,
-    resolve_backend,
-)
+from ..engine.runtime import degradation_ladder, get_backend, resolve_backend
 from .cache import resolve_cache
 from .compile import StudyCell, compile_study
 from .policy import (
@@ -146,6 +143,12 @@ class _GracefulStop:
         return False
 
 
+def execute(plan):
+    """Run ``plan`` on the backend its ``backend`` field names: each cell
+    is resolved once, and :func:`_attempt_plan` pins its plans to it."""
+    return get_backend(plan.backend).execute(plan)
+
+
 def _execute_within(plan, deadline_s: "float | None"):
     """``execute(plan)``, raising :class:`CellDeadlineExceeded` past the budget.
 
@@ -191,8 +194,9 @@ def _execute_within(plan, deadline_s: "float | None"):
     return outcome["result"]
 
 
-def _attempt_plan(cell: StudyCell, attempt: int):
-    """The plan for retry ``attempt`` (0 = the pristine compiled plan).
+def _attempt_plan(cell: StudyCell, attempt: int, backend: str):
+    """The plan for retry ``attempt`` (0 = the pristine compiled plan),
+    pinned to the registered ``backend`` already resolved for it.
 
     Retries jitter the rng with a sub-seed derived from the cell seed and
     the attempt number — deterministic (a re-run retries with the same
@@ -201,7 +205,7 @@ def _attempt_plan(cell: StudyCell, attempt: int):
     into its own copy of the cell's (never used) recorder, so rounds a
     failed attempt observed stay out of the record.
     """
-    plan = cell.plan
+    plan = replace(cell.plan, backend=backend)
     if attempt:
         plan = replace(plan, rng=derive_seed(cell.params["seed"], attempt))
     if plan.recorder is not None:
@@ -301,12 +305,13 @@ def _try_degrade(
 ) -> "RunRecord | None":
     """Walk the capability ladder below ``resolved_name``; None if no rung ran.
 
-    The fallback plan keeps the *pristine* rng (attempt 0): under the
-    per-replica contract the degraded result is bit-for-bit the record
-    the original backend would have produced.
+    The fallback plan keeps the *pristine* rng (attempt 0): for a
+    per-replica plan the degraded result is bit-for-bit the record the
+    original backend would have produced; a batched plan keeps its law
+    only.
     """
     for fallback in degradation_ladder(resolved_name):
-        fb_plan = replace(_attempt_plan(cell, 0), backend=fallback)
+        fb_plan = _attempt_plan(cell, 0, fallback)
         if not get_backend(fallback).supports(fb_plan):
             continue
         start = time.perf_counter()
@@ -340,11 +345,13 @@ def _record_cell(
     """
     if on_error == "raise":
         start = time.perf_counter()
-        result = _execute_within(_attempt_plan(cell, 0), policy.deadline_s)
+        plan = _attempt_plan(cell, 0, resolve_backend(cell.plan).spec.name)
+        result = _execute_within(plan, policy.deadline_s)
         return _success_record(cell, result, time.perf_counter() - start)
 
-    # Resolve the backend up front: a resolution error is a config error
-    # (fail fast), and the name anchors the degradation ladder.
+    # Resolve the backend once, up front: a resolution error is a config
+    # error (fail fast), every attempt runs on the backend it names, and
+    # the name anchors the degradation ladder.
     try:
         resolved_name = resolve_backend(cell.plan).spec.name
     except Exception as exc:
@@ -359,7 +366,7 @@ def _record_cell(
         start = time.perf_counter()
         try:
             result = _execute_within(
-                _attempt_plan(cell, attempt), policy.deadline_s
+                _attempt_plan(cell, attempt, resolved_name), policy.deadline_s
             )
         except CellDeadlineExceeded as exc:
             attempt_walls.append(time.perf_counter() - start)

@@ -34,6 +34,7 @@ from repro.engine import (
 )
 from repro.engine.stopping import StoppingCondition
 from repro.processes import (
+    LazyVoter,
     ThreeMajority,
     TwoChoices,
     TwoMedian,
@@ -185,12 +186,13 @@ def test_bias_at_least_single_slot_ensemble():
 
 
 @pytest.mark.parametrize(
-    "process_cls", [ThreeMajority, ThreeMajorityResample, TwoChoices, Voter]
+    "process_cls",
+    [ThreeMajority, ThreeMajorityResample, TwoChoices, Voter, TwoMedian,
+     UndecidedDynamics],
 )
 def test_vectorized_update_ensemble_matches_update_at_r1(process_cls):
     """The batched rule consumes the stream exactly like the scalar rule."""
     process = process_cls()
-    assert process.has_vectorized_ensemble
     colors = Configuration.biased(257, 5, 13).to_assignment()
     scalar = process.update(colors, np.random.default_rng(11))
     batched = process.update_ensemble(colors[None, :], np.random.default_rng(11))
@@ -231,6 +233,12 @@ def test_agent_per_replica_mode_matches_sequential_for_vectorized_process():
         TwoChoices(), initial, 8, rng=77, rng_mode="per-replica"
     )
     assert np.array_equal(ensemble.times, sequential)
+
+
+def test_update_ensemble_without_node_rule_raises():
+    colors = np.tile(Configuration.biased(40, 3, 4).to_assignment(), (3, 1))
+    with pytest.raises(NotImplementedError):
+        LazyVoter().update_ensemble(colors, np.random.default_rng(0))
 
 
 def test_update_ensemble_generic_fallback_shape():

@@ -31,7 +31,11 @@
 #      R = 5): its 12 cells resolve to all five lock-step engines
 #      (ensemble-counts, ensemble-agent, kernel-agent, ensemble-async,
 #      kernel-async), and the resumed store must equal the uninterrupted
-#      one, trajectories included.  Then a 3-point
+#      one, trajectories included.  Then the result cache's counters
+#      round-trip through the CLI: the 2-cell spec runs twice over one
+#      --cache-dir (all misses, then all hits, equal results), `study
+#      cache stats` must report 2 hits and 2 misses, and after `study
+#      cache gc` 0 and 0.  Then a 3-point
 #      `repro sweep -o` round trip: the sweep's study store is
 #      reported, loads with 3 complete cells, and a second identical
 #      `sweep -o` must exit non-zero and leave the store results-equal
@@ -79,7 +83,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); sweep -o store =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); cache counters; sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -96,6 +100,19 @@ python -m repro study run "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/full.json"
 python -m repro study run "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/part.json" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/part.json" --quiet
 python -m repro study report "$STUDY_TMP/part.json"
+python -m repro study run "$STUDY_TMP/smoke.toml" -o "$STUDY_TMP/cold.json" --cache-dir "$STUDY_TMP/cache" --quiet
+python -m repro study run "$STUDY_TMP/smoke.toml" -o "$STUDY_TMP/warm.json" --cache-dir "$STUDY_TMP/cache" --quiet
+python -m repro study cache stats --dir "$STUDY_TMP/cache" | tee "$STUDY_TMP/stats.txt"
+if ! grep -qF "(2 hits / 2 misses since last gc)" "$STUDY_TMP/stats.txt"; then
+    echo "study-smoke FAILED: cache stats did not count 2 hits and 2 misses" >&2
+    exit 1
+fi
+python -m repro study cache gc --dir "$STUDY_TMP/cache"
+python -m repro study cache stats --dir "$STUDY_TMP/cache" | tee "$STUDY_TMP/stats.txt"
+if ! grep -qF "(0 hits / 0 misses since last gc)" "$STUDY_TMP/stats.txt"; then
+    echo "study-smoke FAILED: cache gc did not reset the counters" >&2
+    exit 1
+fi
 cat > "$STUDY_TMP/record.toml" <<'EOF'
 name = "check.sh record smoke"
 seed = 5
@@ -165,6 +182,13 @@ assert full.is_complete() and resumed.is_complete(), "smoke study left cells unr
 assert resumed.results_equal(full), (
     "resumed store diverged from the uninterrupted run"
 )
+cold = load_study_store(f"{tmp}/cold.json")
+warm = load_study_store(f"{tmp}/warm.json")
+assert not any(r.cache_hit for r in cold.records()), "cold run hit the cache"
+assert all(r.cache_hit for r in warm.records()), "warm run missed the cache"
+assert cold.results_equal(full) and warm.results_equal(full), (
+    "cached runs diverged from the uncached one"
+)
 rfull = load_study_store(f"{tmp}/rfull.json")
 rpart = load_study_store(f"{tmp}/rpart.json")
 assert rfull.is_complete() and rpart.is_complete(), "record smoke left cells unrun"
@@ -202,8 +226,9 @@ assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
     "a refused second sweep -o changed the store"
 )
 print("study-smoke OK: resumed stores (plain, recorded, asynchronous and "
-      "batched) are bit-for-bit the uninterrupted ones; sweep -o wrote a "
-      "3-cell store and refused to clobber it")
+      "batched) are bit-for-bit the uninterrupted ones; a warm cached run "
+      "replayed every cell; sweep -o wrote a 3-cell store and refused to "
+      "clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="
 cat > "$STUDY_TMP/faults.toml" <<'EOF'

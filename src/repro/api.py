@@ -281,14 +281,14 @@ def study(
 
     A thin veneer over :func:`repro.study.run_study` that also accepts
     the on-disk spec forms: a path to a ``.toml`` file or a plain dict
-    (e.g. parsed JSON).  See :func:`repro.study.runner.run_study` for
+    (e.g. parsed JSON).  See :func:`repro.study.runner.run_cells` for
     ``store_path`` / ``resume`` / ``max_cells``, the supervision knobs
     ``on_error`` / ``policy`` / ``max_attempts`` / ``deadline_s``, and
     ``cache`` (the shared content-addressed result cache; ``True`` /
     ``False`` / a directory) — in particular, resumed runs complete
     interrupted stores (journal and all) bit-for-bit and re-attempt
     failed or timed-out cells.  ``stop_event`` is the cooperative stop
-    flag of :func:`~repro.study.runner.run_study`: setting it
+    flag of :func:`~repro.study.runner.run_cells`: setting it
     checkpoints the cell in flight and returns a store with
     ``interrupted=True``.
 

@@ -95,7 +95,7 @@ from .kernels import (
 )
 from .plan import SimulationPlan
 from .rng import per_replica_generators
-from .simulator import _counts_tractable, default_round_limit
+from .simulator import _counts_supported, _counts_tractable, default_round_limit
 
 __all__ = [
     "Backend",
@@ -434,7 +434,7 @@ class SyncBackend(_BackendBase):
         if not self._faults_supported(plan):
             return False
         if self.spec.representation == "counts":
-            return isinstance(plan.spawn_process(), ACAgentProcess)
+            return _counts_supported(plan.spawn_process(), plan.initial)
         return True
 
     def cost(self, plan: SimulationPlan) -> float:

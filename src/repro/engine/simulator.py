@@ -118,15 +118,22 @@ def _resolve_stop(stop: "StoppingCondition | None") -> StoppingCondition:
     return stop if stop is not None else Consensus()
 
 
+def _counts_supported(process: AgentProcess, initial: Configuration) -> bool:
+    """Can the exact count chain run at all: an AC-process whose α is
+    tractable from ``initial``?  The runtime's count backends accept a
+    plan by it."""
+    return isinstance(process, ACAgentProcess) and process.supports_count_backend(
+        initial
+    )
+
+
 def _counts_tractable(process: AgentProcess, initial: Configuration) -> bool:
     """The synchronous family's representation rule: is the exact count
-    chain worth running (an AC-process with a tractable α and a moderate
-    slot count)?  ``"auto"`` here and the runtime's count backends both
+    chain worth running (:func:`_counts_supported`, and a moderate slot
+    count)?  ``"auto"`` here and the runtime's count backends both
     decide by it."""
-    return (
-        isinstance(process, ACAgentProcess)
-        and initial.num_slots <= _COUNT_BACKEND_SLOT_LIMIT
-        and process.supports_count_backend(initial)
+    return initial.num_slots <= _COUNT_BACKEND_SLOT_LIMIT and _counts_supported(
+        process, initial
     )
 
 

@@ -8,7 +8,7 @@ speaking a small, versioned JSON wire protocol over HTTP (stdlib
   payloads, the job lifecycle, the ndjson event vocabulary.
 * :class:`JobManager` (``jobs.py``) — the durable job queue: dedup by
   ``spec_hash``, a CRC-journaled ``jobs.jsonl``, ONE executor thread
-  draining submissions through :func:`~repro.study.run_study` with
+  draining submissions through :func:`~repro.study.runner.run_cells` with
   ``resume=True`` — so a killed daemon restarted on the same state dir
   finishes every in-flight job bit-for-bit.
 * :class:`StudyServer` / :func:`serve` (``server.py``) — the HTTP

@@ -1,12 +1,14 @@
-"""The daemon's job queue: a single-writer executor over ``run_study``.
+"""The daemon's job queue: a single-writer executor over ``run_cells``.
 
 :class:`JobManager` owns everything stateful about the service:
 
 * the job table (id → :class:`Job`), keyed by ``spec_hash`` so
-  submission is idempotent and dedup is content-addressed;
+  submission is idempotent and dedup is content-addressed.  ``submit``
+  compiles the spec once — that is the validation — and the job carries
+  those cells to the executor, which drops them when the run ends;
 * a FIFO queue drained by ONE executor thread — the store layer's
   single-writer discipline, lifted to the service: however many HTTP
-  threads accept submissions, exactly one ``run_study`` runs at a time,
+  threads accept submissions, exactly one ``run_cells`` runs at a time,
   its cells one after another (a spec's ``[execution] deadline_s``
   holds here too, off the main thread).  The executor blocks on the
   queue with no timeout;
@@ -23,15 +25,21 @@
       <state_dir>/cache/                 # shared result cache (default)
 
 The job journal reuses the store journal's CRC-guarded line format
-(``{"crc", "data"}`` envelopes, fsync per append) under its own header
-kind, so a killed daemon restarted on the same state dir replays the
-valid prefix, truncates any torn tail, and re-enqueues every job that
-was ``queued`` / ``running`` / ``interrupted`` — in original submission
-order.  The *result* durability is the store journal's: ``run_study``
-with ``resume=True`` completes each re-enqueued job bit-for-bit.
+(``{"crc", "data"}`` envelopes) under its own header kind, so a killed
+daemon restarted on the same state dir replays the valid prefix,
+truncates any torn tail, and re-enqueues every job that was ``queued`` /
+``running`` / ``interrupted`` — in original submission order.  Each
+append is one write and one fsync: a new job's ``submitted`` and
+``queued`` lines go out together before ``submit`` returns (a kill
+inside that write replays as no job or as a queued one), and every
+later state change is fsync'd as it lands.  The *result* durability is
+the store journal's: ``run_cells`` with ``resume=True`` completes each
+re-enqueued job bit-for-bit.  A job of k cells served wholly from the
+result cache thus costs one compile and k + 3 fsyncs: the submit,
+``running``, one per record and ``done``.
 
 Graceful shutdown puts a ``None`` sentinel on the queue (waking an
-idle executor) and sets the running job's stop event; ``run_study``
+idle executor) and sets the running job's stop event; ``run_cells``
 checkpoints the cell in flight, the job lands as ``interrupted``, and
 the next daemon on this state dir picks it back up along with every
 job still queued.
@@ -45,8 +53,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..study import StudySpec, spec_hash, validate_study
-from ..study.runner import run_study
+from ..study import StudySpec, compile_study, spec_hash
+from ..study.runner import run_cells
 from ..study.store import (
     _journal_line,
     _scan_journal,
@@ -73,9 +81,12 @@ class Job:
     error: "str | None" = None
     #: Per-cell status tallies (``degraded``/``cached`` overlap ``ok``).
     counts: dict = field(default_factory=lambda: dict(_ZERO_COUNTS))
-    #: Set to ask the executor (or ``run_study``) to stop this job.
+    #: Set to ask the executor (or ``run_cells``) to stop this job.
     stop: threading.Event = field(default_factory=threading.Event, repr=False)
     cancelled: bool = False
+    #: The cells ``submit`` compiled, until the executor takes them for
+    #: the run; ``None`` for a job replayed from the journal.
+    cells: "list | None" = field(default=None, repr=False)
 
     def view(self) -> dict:
         """The protocol-stamped status payload for this job."""
@@ -153,7 +164,7 @@ class JobManager:
     def close(self) -> None:
         """Graceful shutdown: checkpoint the running job, then stop.
 
-        The running job's stop event makes ``run_study`` finish the cell
+        The running job's stop event makes ``run_cells`` finish the cell
         in flight, journal it, and return with ``interrupted=True``; the
         job lands as ``interrupted`` and a restarted daemon resumes it.
         """
@@ -173,8 +184,9 @@ class JobManager:
 
     # -- the journal -------------------------------------------------------
 
-    def _append(self, data: dict) -> None:
-        self._handle.write(_journal_line(data))
+    def _append(self, *events: dict) -> None:
+        """Journal ``events`` in one write and one fsync."""
+        self._handle.write(b"".join(_journal_line(data) for data in events))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -216,10 +228,20 @@ class JobManager:
             # writer; skipping it degrades to recomputing that job.
             return
 
-    def _set_state(self, job: Job, state: str, error: "str | None" = None) -> None:
+    def _set_state(
+        self,
+        job: Job,
+        state: str,
+        error: "str | None" = None,
+        *,
+        submitted: "dict | None" = None,
+    ) -> None:
+        """Journal the job's new state (after ``submitted``, in one write)."""
         job.state = state
         job.error = error
-        self._append({"event": "state", "id": job.id, "state": state, "error": error})
+        events = [] if submitted is None else [submitted]
+        events.append({"event": "state", "id": job.id, "state": state, "error": error})
+        self._append(*events)
         self._notify()
 
     # -- change notification ----------------------------------------------
@@ -284,8 +306,9 @@ class JobManager:
         unchanged for invalid specs — the server maps those to 400.
         """
         spec = StudySpec.from_dict(spec_payload)
-        summary = validate_study(spec)  # eager whole-grid validation
-        job_id = summary["spec_hash"]
+        # Eager whole-grid validation; the job runs these very cells.
+        cells = compile_study(spec)
+        job_id = spec_hash(spec)
         with self._lock:
             job = self._jobs.get(job_id)
             if job is not None and job.state in ACTIVE_STATES:
@@ -293,18 +316,16 @@ class JobManager:
                 view["attached"] = True
                 return view
             if job is None:
-                job = Job(id=job_id, spec=spec, num_cells=summary["num_cells"])
+                job = Job(id=job_id, spec=spec, num_cells=len(cells))
                 self._jobs[job_id] = job
                 self._order.append(job_id)
-                self._append(
-                    {
-                        "event": "submitted",
-                        "id": job_id,
-                        "spec": spec.to_dict(),
-                        "num_cells": summary["num_cells"],
-                    }
-                )
-                self._set_state(job, "queued")
+                # One write and one fsync before the acknowledgement.
+                self._set_state(job, "queued", submitted={
+                    "event": "submitted",
+                    "id": job_id,
+                    "spec": spec.to_dict(),
+                    "num_cells": len(cells),
+                })
             else:
                 # failed / cancelled / interrupted: re-enqueue; the
                 # executor resumes the checkpointed store bit-for-bit.
@@ -312,6 +333,7 @@ class JobManager:
                 job.stop = threading.Event()
                 self._set_state(job, "queued")
                 job.counts = self._counts_from_disk(job_id)
+            job.cells = cells
             self._queue.put(job_id)
             view = job.view()
             view["attached"] = False
@@ -352,6 +374,7 @@ class JobManager:
                 return  # close()'s wake-up; queued jobs replay next start
             with self._lock:
                 job = self._jobs[job_id]
+                cells, job.cells = job.cells, None
                 if job.cancelled or job.state != "queued":
                     continue  # cancelled while queued (already journaled)
                 job.stop = threading.Event()
@@ -361,19 +384,27 @@ class JobManager:
                     continue
                 self._set_state(job, "running")
                 job.counts = self._counts_from_disk(job_id)
-            self._run(job)
+            self._run(job, cells)
 
-    def _run(self, job: Job) -> None:
+    def _run(self, job: Job, cells: "list | None") -> None:
+        """Run the job's ``cells`` (compiling them for a replayed job).
+
+        The cells live only as long as this call: a finished job keeps
+        no compiled plans.
+        """
         def progress(cell, record) -> None:
-            # run_study calls this after the record's journal line is
+            # run_cells calls this after the record's journal line is
             # fsync'd, so a woken /events reader finds it on disk.
             with self._lock:
                 self._tally(job.counts, record)
                 self._notify()
 
         try:
-            store = run_study(
+            if cells is None:
+                cells = compile_study(job.spec)
+            store = run_cells(
                 job.spec,
+                cells,
                 store_path=self.store_path(job.id),
                 resume=True,
                 progress=progress,

@@ -186,7 +186,8 @@ class _Handler(BaseHTTPRequestHandler):
         between returns at once; an idle wait ends when the next
         ``ping`` is due.  When the job ends the journal has been
         compacted away, so the final catch-up reads the columnar store
-        for any record the tail never surfaced.
+        for any record the tail never surfaced — unless the tail already
+        streamed every cell, in which case the store is not reloaded.
         """
         manager = self.server.manager
         view = manager.view(job_id)  # KeyError → caller's 404
@@ -210,11 +211,13 @@ class _Handler(BaseHTTPRequestHandler):
                 state = manager.state(job_id)
                 if state in TERMINAL_STATES:
                     # Drain what the tail missed: compaction folds the
-                    # journal into the columnar file at run end.
-                    for record in self._final_records(job_id):
-                        if record.cell_id not in sent:
-                            sent.add(record.cell_id)
-                            self._emit(record_event(record))
+                    # journal into the columnar file at run end.  A tail
+                    # that streamed every cell has nothing to drain.
+                    if len(sent) < view["num_cells"]:
+                        for record in self._final_records(job_id):
+                            if record.cell_id not in sent:
+                                sent.add(record.cell_id)
+                                self._emit(record_event(record))
                     self._emit(done_event(manager.view(job_id)))
                     return
                 now = time.monotonic()

@@ -17,8 +17,10 @@ This package makes the set itself a first-class artifact:
 * :class:`StudyStore` / :class:`RunRecord` (``store.py``) — the columnar
   result store with full provenance (spec hash, per-cell seed entropy,
   resolved backend, wall time, package version).
-* :func:`run_study` (``runner.py``) — executes the cells through the
-  unified runtime (:func:`repro.engine.runtime.execute`) under an
+* :func:`run_study` (``runner.py``) — compiles a spec and hands its
+  cells to :func:`~repro.study.runner.run_cells` (which callers holding
+  compiled cells, such as the daemon, call directly); that executes the
+  cells through the unified runtime (:func:`repro.engine.runtime.execute`) under an
   :class:`ExecutionPolicy` (``policy.py``: per-cell deadlines,
   classified backoff retries, backend degradation), isolates
   per-cell failures as ``status="failed"`` / ``"timeout"`` records,

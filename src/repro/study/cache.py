@@ -17,7 +17,16 @@ Storage is a shared directory (``$REPRO_CACHE_DIR``, defaulting to
 ``{"crc", "data"}`` envelope the store journal uses: a torn or mangled
 entry is *ignored with a warning*, never a crash — the cell simply
 re-simulates.  Writes are atomic (temp file + ``os.replace``) so a
-``kill -9`` mid-``put`` can tear at most an invisible temp file.
+``kill -9`` mid-``put`` can tear at most an invisible temp file; each
+writer (process and thread) has its own temp name.
+
+Hit/miss counters live in ``<root>/stats.jsonl``, an append-only log:
+each :meth:`ResultCache.flush` appends one CRC line ``{"hits",
+"misses"}`` in a single ``O_APPEND`` write, with no lock, no read and
+no rename, and :meth:`ResultCache.stats` sums the valid lines.  The log
+grows by one line (about 50 bytes) per flushing run until
+:meth:`ResultCache.gc` clears it.  A ``stats.json`` left by an older
+build still counts, until ``gc`` removes it too.
 
 Like ``[execution]`` and ``[parallel]``, the declarative ``[cache]``
 table is default-elided: caching off (the default) serialises to
@@ -30,17 +39,11 @@ params: caching changes where results come *from*, never what they
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
+import threading
 import warnings
-from typing import Mapping
-
-try:  # POSIX file locking for the shared stats counters (linux/mac).
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX hosts
-    fcntl = None
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -62,7 +65,9 @@ CACHE_KEYS = (
 #: Environment override for the shared cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-_STATS_FILE = "stats.json"
+_STATS_FILE = "stats.jsonl"
+#: The counters file of older builds: one rewritten ``{"hits", "misses"}``.
+_LEGACY_STATS_FILE = "stats.json"
 
 
 def default_cache_dir() -> str:
@@ -174,7 +179,7 @@ class ResultCache:
     clean ok records are stored — failures must re-run, and degraded
     records would pin the *fallback* backend's provenance onto a later
     healthy run.  Hit/miss counters accumulate per process and are
-    folded into ``<root>/stats.json`` by :meth:`flush`; :meth:`gc`
+    appended to ``<root>/stats.jsonl`` by :meth:`flush`; :meth:`gc`
     resets them, so the reported hit rate is "since last gc".
     """
 
@@ -199,7 +204,7 @@ class ResultCache:
         found = []
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for name in filenames:
-                if name.endswith(".json") and name != _STATS_FILE:
+                if name.endswith(".json") and name != _LEGACY_STATS_FILE:
                     found.append(os.path.join(dirpath, name))
         return found
 
@@ -255,7 +260,9 @@ class ResultCache:
         Only clean ok results enter the cache (no failures, no
         timeouts, no degraded provenance).  The write is atomic — temp
         file then ``os.replace`` — so concurrent writers of the same
-        cell last-write-win an identical payload.
+        cell last-write-win an identical payload.  The temp name carries
+        the process and thread id: two writers never share a temp file,
+        so none renames away (or publishes half of) another's.
         """
         from .store import _encode_record, _journal_line
 
@@ -265,7 +272,7 @@ class ResultCache:
         row["cache_hit"] = False  # a replayed hit must not re-stamp itself
         path = self.entry_path(record.cell_id)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "wb") as handle:
             handle.write(_journal_line(row))
         os.replace(tmp, path)
@@ -273,82 +280,64 @@ class ResultCache:
 
     # -- bookkeeping --------------------------------------------------
 
-    def _stats_path(self) -> str:
-        return os.path.join(self.root, _STATS_FILE)
-
-    @contextlib.contextmanager
-    def _stats_lock(self):
-        """Serialise the counters' read-modify-write across writers.
-
-        Multiple scheduler threads flushing their caches, or a daemon
-        plus a foreground CLI run sharing one cache directory, would
-        otherwise interleave read → add → replace and silently drop
-        increments.  An exclusive ``flock`` on a sidecar lock file makes
-        the fold atomic across *processes and threads* (flock locks
-        attach to the open file description, so two handles conflict
-        even in one process); hosts without :mod:`fcntl` fall back to
-        the historical lock-free behaviour.
-        """
-        os.makedirs(self.root, exist_ok=True)
-        if fcntl is None:  # pragma: no cover - non-POSIX hosts
-            yield
-            return
-        with open(os.path.join(self.root, f"{_STATS_FILE}.lock"), "ab") as lock:
-            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
+    def _read_stats_file(self, name: str) -> bytes:
+        try:
+            with open(os.path.join(self.root, name), "rb") as handle:
+                return handle.read()
+        except OSError:
+            return b""
 
     def _read_counters(self) -> dict:
-        """Decode ``stats.json``; damaged or missing counters read as zero.
+        """Sum ``stats.jsonl``'s valid lines and any legacy ``stats.json``.
 
-        The file is CRC-guarded with the same ``{"crc", "data"}``
-        envelope as entries and the store journal, so a torn write is
-        *detected* (and discarded) rather than half-read; plain legacy
-        ``{"hits", "misses"}`` files still decode.
+        A torn or CRC-failing line is skipped and the scan resyncs at
+        the next newline; an unterminated last line is a flush still in
+        flight (or torn) and is skipped too.  A damaged legacy file
+        reads as zero.
         """
         from .store import _parse_journal_line
 
-        try:
-            with open(self._stats_path(), "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return {"hits": 0, "misses": 0}
-        data = _parse_journal_line(raw)
-        if data is None:  # not enveloped: a pre-envelope (legacy) file?
+        lines = self._read_stats_file(_STATS_FILE).split(b"\n")[:-1]
+        rows = [_parse_journal_line(line) for line in lines]
+        legacy = self._read_stats_file(_LEGACY_STATS_FILE)
+        if legacy:
+            row = _parse_journal_line(legacy)
+            if row is None:  # not enveloped: a pre-envelope file?
+                try:
+                    row = json.loads(legacy.decode("utf-8"))
+                except (UnicodeDecodeError, ValueError):
+                    pass
+            rows.append(row)
+        hits = misses = 0
+        for row in rows:
             try:
-                data = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                return {"hits": 0, "misses": 0}
-        try:
-            return {"hits": int(data["hits"]), "misses": int(data["misses"])}
-        except (KeyError, TypeError, ValueError):
-            return {"hits": 0, "misses": 0}
-
-    def _write_counters(self, counters: Mapping) -> None:
-        from .store import _journal_line
-
-        os.makedirs(self.root, exist_ok=True)
-        tmp = f"{self._stats_path()}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.write(_journal_line(dict(counters)))
-        os.replace(tmp, self._stats_path())
+                hits, misses = hits + int(row["hits"]), misses + int(row["misses"])
+            except (KeyError, TypeError, ValueError):
+                continue  # a damaged line counts nothing
+        return {"hits": hits, "misses": misses}
 
     def flush(self) -> None:
-        """Fold this process's hit/miss counters into ``stats.json``.
+        """Append this process's hit/miss counters to ``stats.jsonl``.
 
-        Atomic under concurrent writers: the read-modify-write holds the
-        stats lock, the payload is CRC-enveloped, and the file lands via
-        ``os.replace`` — the same discipline cache entries use.
+        One CRC line in a single ``O_APPEND`` write: concurrent writers
+        (threads, a daemon and a CLI run sharing the directory) each
+        land whole lines, so no count is lost and no lock is needed.
         """
+        from .store import _journal_line
+
         if not (self.hits or self.misses):
             return
-        with self._stats_lock():
-            counters = self._read_counters()
-            counters["hits"] += self.hits
-            counters["misses"] += self.misses
-            self._write_counters(counters)
+        line = _journal_line({"hits": self.hits, "misses": self.misses})
+        os.makedirs(self.root, exist_ok=True)
+        fd = os.open(
+            os.path.join(self.root, _STATS_FILE),
+            os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+            0o666,
+        )
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
         self.hits = 0
         self.misses = 0
 
@@ -413,8 +402,11 @@ class ResultCache:
                     pass
         self.hits = 0
         self.misses = 0
-        with self._stats_lock():
-            self._write_counters({"hits": 0, "misses": 0})
+        for name in (_STATS_FILE, _LEGACY_STATS_FILE):
+            try:
+                os.remove(os.path.join(self.root, name))
+            except FileNotFoundError:
+                pass
         kept_bytes = sum(size for _mtime, size, _path in survivors)
         return {"removed": removed, "entries": len(survivors),
                 "bytes": kept_bytes}

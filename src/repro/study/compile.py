@@ -290,12 +290,12 @@ def _process_factory(value: dict):
 def validate_study(spec: StudySpec) -> dict:
     """Compile-only validation: the whole grid is expanded, nothing runs.
 
-    The shared gate behind ``repro study validate`` and the daemon's
-    ``POST /jobs`` path: every axis value of every cell is resolved
-    eagerly (:func:`compile_study`'s contract), so a typo in the last
-    cell of a large grid is rejected *before* a job is accepted or an
-    hour of simulation starts.  Returns a summary a client can print or
-    a server can ship::
+    The gate behind ``repro study validate``; the daemon's ``POST
+    /jobs`` calls :func:`compile_study` itself and runs the cells it
+    gets.  Every axis value of every cell is resolved eagerly
+    (:func:`compile_study`'s contract), so a typo in the last cell of a
+    large grid is rejected *before* a job is accepted or an hour of
+    simulation starts.  Returns a summary a client can print::
 
         {"name", "spec_hash", "num_cells", "repetitions", "cells"}
 

@@ -98,7 +98,7 @@ from .scheduler import CellScheduler
 from .spec import StudySpec, spec_hash
 from .store import RunRecord, StudyStore, journal_path, load_study_store
 
-__all__ = ["run_study"]
+__all__ = ["run_cells", "run_study"]
 
 _ON_ERROR = ("record", "raise")
 
@@ -403,8 +403,16 @@ def _record_cell(
     )
 
 
-def run_study(
+def run_study(spec: StudySpec, **options) -> StudyStore:
+    """Compile ``spec`` and execute its cells: :func:`run_cells` on
+    :func:`~repro.study.compile.compile_study`'s output, with the same
+    keyword ``options``."""
+    return run_cells(spec, compile_study(spec), **options)
+
+
+def run_cells(
     spec: StudySpec,
+    cells: "list[StudyCell]",
     *,
     store_path: "str | None" = None,
     resume: "bool | str" = False,
@@ -417,12 +425,17 @@ def run_study(
     cache=None,
     stop_event: "threading.Event | None" = None,
 ) -> StudyStore:
-    """Execute a study spec; optionally checkpoint and resume.
+    """Execute a study's compiled cells; optionally checkpoint and resume.
 
     Parameters
     ----------
     spec:
         The declarative study to run.
+    cells:
+        ``compile_study(spec)``, compiled once by the caller: the
+        ``repro serve`` daemon compiles a spec when it validates the
+        submission and runs those cells.  The returned store's
+        :attr:`~repro.study.store.StudyStore.cell_ids` come from them.
     store_path:
         Where to checkpoint results.  Each completed cell appends one
         fsync'd line to a sidecar journal (``<store_path>.journal.jsonl``)
@@ -514,6 +527,7 @@ def run_study(
         )
     if store is None:
         store = StudyStore(spec)
+    store.cell_ids = tuple(cell.cell_id for cell in cells)
     if store_path is not None:
         store.begin_journal(store_path)
     stop = stop_event if stop_event is not None else threading.Event()
@@ -543,7 +557,7 @@ def run_study(
         never reaches the scheduler.
         """
         nonlocal started
-        for cell in compile_study(spec):
+        for cell in cells:
             if stop.is_set():
                 return
             existing = store.get(cell.cell_id)

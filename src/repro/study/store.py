@@ -37,6 +37,14 @@ into the columnar JSON on completion via :meth:`StudyStore.compact`.
 whatever base JSON exists, *salvages* a torn tail (reported via
 :attr:`StudyStore.salvage`, never raised), and resume re-runs only the
 cells the tear actually lost.
+
+Only records are fsync'd, one fsync each: the header goes out with the
+first record's write and is durable from that fsync on.  Compaction
+writes the columnar JSON to a temp file, renames it over the store and
+then unlinks the journal, without an fsync: a ``kill -9`` cannot undo a
+completed write, and until the unlink the journal still holds every
+record.  The columnar JSON is one unindented line (the C encoder's
+output); readers parse it whatever its layout.
 """
 
 from __future__ import annotations
@@ -233,13 +241,17 @@ def journal_path(path: str) -> str:
 
 
 def _journal_line(data: dict) -> bytes:
-    """One CRC-guarded journal line: the CRC covers the canonical data."""
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(canonical.encode("utf-8"))
-    return (
-        json.dumps({"crc": crc, "data": data}, sort_keys=True,
-                   separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    """One CRC-guarded journal line: the CRC covers the canonical data.
+
+    The data is encoded once and its canonical bytes are spliced into the
+    ``{"crc", "data"}`` envelope: byte-for-byte what encoding the whole
+    envelope with sorted keys gives, since ``"crc"`` sorts first and a
+    nested value encodes as it does alone.
+    """
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+    return b'{"crc":%d,"data":%s}\n' % (zlib.crc32(canonical), canonical)
 
 
 def _parse_journal_line(raw: bytes) -> "dict | None":
@@ -384,6 +396,10 @@ class StudyStore:
         #: ``stop_event``) before covering every cell; the store is
         #: checkpointed and ``resume`` completes it bit-for-bit.
         self.interrupted: bool = False
+        #: The ids of every cell the spec compiles to.  A run sets them
+        #: from the cells it compiled; :meth:`is_complete` compiles the
+        #: spec only when they are unset (a store loaded from disk).
+        self.cell_ids: "tuple[str, ...] | None" = None
 
     # -- collection behaviour ---------------------------------------------
 
@@ -441,11 +457,13 @@ class StudyStore:
 
     def is_complete(self) -> bool:
         """Does the store cover every cell the spec expands to, successfully?"""
-        from .compile import compile_study
+        if self.cell_ids is None:
+            from .compile import compile_study
 
+            self.cell_ids = tuple(cell.cell_id for cell in compile_study(self.spec))
         return all(
-            cell.cell_id in self._by_id and self._by_id[cell.cell_id].ok
-            for cell in compile_study(self.spec)
+            cell_id in self._by_id and self._by_id[cell_id].ok
+            for cell_id in self.cell_ids
         )
 
     def column(self, name: str) -> list:
@@ -527,11 +545,15 @@ class StudyStore:
         return store
 
     def save(self, path: str) -> None:
-        """Write the store to ``path`` as JSON (atomically)."""
+        """Write the store to ``path`` as JSON (atomically).
+
+        One unindented ``json.dumps`` runs the C encoder; ``json.dump``
+        and any ``indent`` use the pure-Python one.
+        """
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         tmp_path = f"{path}.tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
         os.replace(tmp_path, path)
 
     # -- crash-safe checkpointing (the journal) ----------------------------
@@ -553,9 +575,13 @@ class StudyStore:
         half-line (which would lose both records).  A fresh journal gets
         a self-contained header line (spec + hash), making the journal
         alone sufficient to rebuild the store if the kill lands before
-        the first compaction.
+        the first compaction.  The header is not fsync'd on its own: it
+        stays buffered and becomes durable with the first record's
+        fsync.  A kill before that leaves no header or a torn one, which
+        loads as "nothing recorded" — and nothing was.
         """
         jpath = journal_path(path)
+        header = None
         if os.path.exists(jpath):
             header, _rows, valid_bytes, torn = _scan_journal(jpath)
             if header is not None and header.get("spec_hash") != self.spec_hash:
@@ -567,30 +593,23 @@ class StudyStore:
             with open(jpath, "r+b") as handle:
                 if torn:
                     handle.truncate(valid_bytes)
-            self._journal = open(jpath, "ab")
-            if header is None:
-                # Nothing valid survived (torn header): start over.
-                self._journal.write(_journal_line(self._journal_header()))
-                self._flush_journal()
-        else:
-            self._journal = open(jpath, "ab")
+        self._journal = open(jpath, "ab")
+        if header is None:
+            # A fresh journal, or nothing valid survived (torn header).
             self._journal.write(_journal_line(self._journal_header()))
-            self._flush_journal()
-
-    def _flush_journal(self) -> None:
-        self._journal.flush()
-        os.fsync(self._journal.fileno())
 
     def checkpoint(self, record: RunRecord) -> None:
         """Append one record to the journal, fsync'd (O(record) bytes).
 
         This is the per-cell durability point: after it returns, a
-        ``kill -9`` cannot lose the record.
+        ``kill -9`` cannot lose the record (nor the header, which the
+        first checkpoint writes and fsyncs along with its record).
         """
         if self._journal is None:
             raise RuntimeError("checkpoint() requires begin_journal() first")
         self._journal.write(_journal_line({"record": _encode_record(record)}))
-        self._flush_journal()
+        self._journal.flush()
+        os.fsync(self._journal.fileno())
 
     def compact(self, path: str) -> None:
         """Fold the journal into the columnar JSON and remove it.

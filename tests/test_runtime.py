@@ -31,7 +31,7 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.engine.runtime import _REGISTRY
-from repro.processes import ThreeMajority, TwoChoices, Voter
+from repro.processes import ThreeMajority, TwoChoices, Voter, make_process
 
 
 def _plan(**overrides):
@@ -175,6 +175,28 @@ class TestResolution:
         for name in ("counts", "ensemble-counts"):
             with pytest.raises(TypeError):
                 resolve_backend(_plan(process=TwoChoices, backend=name))
+
+    def test_counts_backends_reject_h_majority_beyond_its_enumeration_limit(self):
+        # Exact 3-majority enumeration covers at most 12 colors: a named
+        # count backend must refuse a 32-color start when it resolves,
+        # not accept it and raise in the middle of a run.
+        wide = dict(
+            process=lambda: make_process("h-majority:3"),
+            initial=Configuration.singletons(32),
+        )
+        for rng_mode in ("batched", "per-replica"):
+            for name in ("counts", "ensemble-counts"):
+                plan = _plan(backend=name, rng_mode=rng_mode, **wide)
+                assert not get_backend(name).supports(plan)
+                with pytest.raises(ValueError, match="cannot execute"):
+                    resolve_backend(plan)
+            auto = resolve_backend(_plan(rng_mode=rng_mode, **wide))
+            assert auto.spec.representation == "agent"
+            narrow = _plan(
+                backend="counts", rng_mode=rng_mode,
+                process=lambda: make_process("h-majority:3"),
+            )
+            assert resolve_backend(narrow).spec.name == "counts"
 
     def test_axis_mismatch_rejected_with_guidance(self):
         plan = _plan(

@@ -859,11 +859,15 @@ class TestCacheStatsAtomicity:
         cache = ResultCache(cache_dir)
         cache.hits = 5
         cache.flush()
-        stats_path = os.path.join(cache_dir, "stats.json")
-        with open(stats_path, "wb") as handle:
-            handle.write(b'{"crc": 12, "data": {"hits": 999')
+        stats_path = os.path.join(cache_dir, "stats.jsonl")
+        with open(stats_path, "ab") as handle:
+            handle.write(b'{"crc": 12, "data": {"hits": 999')  # torn line
+        cache.hits = 2
+        cache.flush()  # glued onto the torn line: that line is lost too
+        cache.hits = 3
+        cache.flush()
         fresh = ResultCache(cache_dir)
-        assert fresh.stats()["hits"] == 0  # damage reads as zeros, not 999
+        assert fresh.stats()["hits"] == 8  # damage skipped, never 999
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ The reproducible speedup report behind the engine layer, by section:
   the switch-and-redistribute agent kernel vs the sequential and
   lock-step agent paths on the 2-Choices headline (n=2048 k=8 R=50,
   where the plain ensemble only managed ~1×), and the dependency-
-  wavefront async kernel vs the per-tick ensemble loop.  Records the
-  active kernel mode (``numba``/``numpy``) and, in full mode, a
-  ``smoke_reference`` block that ``scripts/check.sh --kernels-check``
-  regression-gates fresh smoke runs against (>20% drop fails).
+  wavefront async kernel vs the per-tick ensemble loop.  In full mode
+  it also records a ``smoke_reference`` block that ``scripts/check.sh
+  --kernels-check`` regression-gates fresh smoke runs against (>20%
+  drop fails).
 
 Each section also records which backend the unified runtime's
 ``resolve_backend`` cost model picks for its representative plan
@@ -71,7 +71,6 @@ from repro.engine import (
     run_fused_asynchronous_ensemble,
     spawn_generators,
 )
-from repro.engine.kernels import HAVE_NUMBA, kernel_mode
 from repro.faults import build_fault_schedule
 from repro.processes import ThreeMajority, TwoChoices
 from repro.study import StudySpec, load_spec, run_study
@@ -531,7 +530,7 @@ def _measure_kernel_sync(scenario) -> dict:
     initial = scenario["initial"]()
     repetitions = scenario["repetitions"]
     stop = Consensus()
-    # Warm-ups (and, when numba is present, JIT compilation).
+    # Warm-ups.
     repeat_first_passage(lambda: factory(), initial, stop, 1, rng=SEED, backend="agent")
     run_agent_ensemble(factory(), initial, 2, rng=SEED)
     kernel_result = run_fused_agent_ensemble(factory(), initial, 2, rng=SEED)
@@ -622,8 +621,6 @@ def _measure_kernels(scenario, smoke_reference: bool = False) -> dict:
     """The fused-kernel section; in full mode also records the smoke-size
     baselines that ``--kernels-check`` regression-gates against."""
     entry = {
-        "mode": kernel_mode(),
-        "numba_available": HAVE_NUMBA,
         "sync": _measure_kernel_sync(scenario["sync"]),
         "async": _measure_kernel_async(scenario["async"]),
     }
@@ -692,8 +689,7 @@ def bench_engine_throughput(benchmark):
 def _kernels_check(report_path: "pathlib.Path") -> int:
     """Regression gate for scripts/check.sh: re-measure the smoke-size
     kernel scenarios and fail on a >20% drop vs the committed report's
-    ``kernels.smoke_reference`` block.  Run under both ``REPRO_NO_NUMBA``
-    settings so the numpy fallback is gated too."""
+    ``kernels.smoke_reference`` block."""
     report_path = pathlib.Path(report_path)
     if not report_path.exists():
         print(f"FAIL: no recorded report at {report_path}")
@@ -727,7 +723,7 @@ def _kernels_check(report_path: "pathlib.Path") -> int:
             print(
                 f"{status}: {label} {measured}x "
                 f"(recorded {recorded}x, floor {round(floor, 2)}x, "
-                f"mode={fresh['mode']}, attempt {attempt + 1})"
+                f"attempt {attempt + 1})"
             )
             if measured < floor:
                 failures.append(label)
@@ -826,7 +822,7 @@ def main() -> int:
         f"kernel-agent {kernels['sync']['speedup_vs_sequential']}x, "
         f"kernel-async {kernels['async']['speedup_vs_ensemble']}x, "
         f"study warm-cache {study['warm_speedup']}x "
-        f"(cpu_count={report['cpu_count']}, kernel_mode={kernels['mode']})"
+        f"(cpu_count={report['cpu_count']})"
     )
     return 0
 

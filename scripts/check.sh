@@ -25,7 +25,10 @@
 #      Undecided, 2-Median, h-Majority:3; n = 16, 32; R = 3), so both
 #      loops of the async scheduler run through the CLI: the stride-block
 #      loop of the node-rule processes and the per-tick loop of
-#      h-Majority.  The same for a batched recorded spec ([record]
+#      h-Majority.  `repro study validate` must refuse (exit non-zero)
+#      a recorded asynchronous per-replica spec (3-Majority; n = 16,
+#      32), whose cells no registered backend executes.  The same as
+#      above for a batched recorded spec ([record]
 #      aggregate = "mean"; 3-Majority, 2-Choices, Voter; n = 64,
 #      balanced(k=4); both schedulers; ensemble-auto and kernel-auto;
 #      R = 5): its 12 cells resolve to all five lock-step engines
@@ -68,11 +71,10 @@
 #      fused-kernel section, and the runtime's resolved-backend record
 #      per section).
 #   8. kernels-smoke — the fused-kernel regression gate: re-measures the
-#      smoke-size kernel scenarios under REPRO_NO_NUMBA=0 and =1 and
+#      smoke-size kernel scenarios once (the kernels are numpy-only) and
 #      fails on a >20% speedup drop vs the baselines recorded in the
-#      committed BENCH_engine.json (kernels.smoke_reference).  Both env
-#      settings run so the pure-numpy fallback is gated alongside the
-#      JIT path.
+#      committed BENCH_engine.json (kernels.smoke_reference), after
+#      three attempts.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh -k engine  # extra args forwarded to the tier-1 run
@@ -145,6 +147,24 @@ EOF
 python -m repro study run "$STUDY_TMP/async.toml" --store "$STUDY_TMP/afull.json" --quiet
 python -m repro study run "$STUDY_TMP/async.toml" --store "$STUDY_TMP/apart.json" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/async.toml" --store "$STUDY_TMP/apart.json" --quiet
+cat > "$STUDY_TMP/async-recorded.toml" <<'EOF'
+name = "check.sh recorded async smoke"
+seed = 13
+repetitions = 3
+
+[record]
+metrics = ["num_colors"]
+
+[axes]
+process = "3-majority"
+n = [16, 32]
+scheduler = "asynchronous"
+rng_mode = "per-replica"
+EOF
+if python -m repro study validate "$STUDY_TMP/async-recorded.toml"; then
+    echo "study-smoke FAILED: validate accepted cells no backend executes" >&2
+    exit 1
+fi
 cat > "$STUDY_TMP/batched.toml" <<'EOF'
 name = "check.sh batched smoke"
 seed = 11
@@ -277,6 +297,5 @@ python scripts/supervision_smoke.py
 echo "== serve-smoke: daemon SIGKILL -> restart resume + dedup + cache =="
 python scripts/serve_smoke.py
 python benchmarks/bench_engine_throughput.py --smoke
-echo "== kernels-smoke: fused-kernel regression gate (numba + numpy fallback) =="
-REPRO_NO_NUMBA=0 python benchmarks/bench_engine_throughput.py --kernels-check
-REPRO_NO_NUMBA=1 python benchmarks/bench_engine_throughput.py --kernels-check
+echo "== kernels-smoke: fused-kernel regression gate =="
+python benchmarks/bench_engine_throughput.py --kernels-check

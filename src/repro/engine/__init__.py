@@ -15,7 +15,7 @@
 * :mod:`repro.engine.kernels` — fused single-pass kernels: the agent
   ensemble lumped exactly to a counts chain, the async tick loop resolved
   in conflict-free wavefronts (registered as ``kernel-agent`` /
-  ``kernel-async``, pure numpy with optional numba acceleration);
+  ``kernel-async``, pure numpy);
 * :mod:`repro.engine.plan` / :mod:`repro.engine.runtime` — the unified
   runtime: declarative :class:`SimulationPlan`\\ s executed by the
   cheapest registered :class:`Backend` whose declared capabilities

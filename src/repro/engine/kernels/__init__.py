@@ -20,13 +20,10 @@ the cost model:
   preserving fused round (counts → law → one inverse-cdf draw per node)
   the §5 adversary runner uses for its honest step.
 
-Every kernel is pure numpy by default; numba, when importable and not
-disabled via ``REPRO_NO_NUMBA=1``, accelerates only deterministic
-transforms so both modes consume the caller's generator identically
-(:mod:`.numba_support`).  ``rng_mode="per-replica"`` plans never reach a
-kernel: the kernels reorder stream consumption, so the runtime routes
-exact-stream requests to the established engines and the bit-for-bit
-runtime-matrix contract is untouched.
+Every kernel is pure numpy.  ``rng_mode="per-replica"`` plans never
+reach a kernel: the kernels reorder stream consumption, so the runtime
+routes exact-stream requests to the established engines and the
+bit-for-bit runtime-matrix contract is untouched.
 
 Writing a kernel
 ----------------
@@ -52,10 +49,7 @@ order that caught real bugs while building these three:
 2. **Keep every random draw on the caller's generator, in a documented
    shape order.**  Drawing ``(R, B)`` activations then ``(R, B, s)``
    samples — the same order as the engine being replaced — is what makes
-   the bitwise test even possible.  Never draw inside numba: its stream
-   is not the numpy stream, and the mode flag must stay a speed knob
-   (``REPRO_NO_NUMBA=1`` flips the implementation, never the numbers'
-   distribution).
+   the bitwise test even possible.
 3. **Gate eligibility on declared capabilities, not process names.**
    These kernels key off ``has_kernel_form`` / ``has_sample_update``
    plus the default color representation; a new process opts in by
@@ -63,16 +57,15 @@ order that caught real bugs while building these three:
    alone is not enough for the wavefront: 2-Median has
    ``update_from_samples``, but its asynchronous tick draws a full round,
    so it keeps ``has_sample_update`` off and stays on ``ensemble-async``.
-4. **Ship the numpy fallback first and register the backend with an
-   honest cost.**  The registry's ``auto`` only routes well if the
-   kernel's cost formula sits where measurements put it (slightly above
-   the counts chain, far below the agent gather); BENCH_engine.json's
-   ``kernels`` section and the ``kernels-smoke`` step of
-   ``scripts/check.sh`` keep the recorded numbers honest.
+4. **Register the backend with an honest cost.**  The registry's
+   ``auto`` only routes well if the kernel's cost formula sits where
+   measurements put it (slightly above the counts chain, far below the
+   agent gather); BENCH_engine.json's ``kernels`` section and the
+   ``kernels-smoke`` step of ``scripts/check.sh`` keep the recorded
+   numbers honest.
 """
 
 from .asynchronous import async_kernel_eligible, run_fused_asynchronous_ensemble
-from .numba_support import HAVE_NUMBA, force_numpy, kernel_mode
 from .sync import (
     compaction_safe,
     fused_colors_step,
@@ -82,13 +75,10 @@ from .sync import (
 )
 
 __all__ = [
-    "HAVE_NUMBA",
     "async_kernel_eligible",
     "compaction_safe",
-    "force_numpy",
     "fused_colors_step",
     "kernel_eligible",
-    "kernel_mode",
     "kernel_step_counts",
     "run_fused_agent_ensemble",
     "run_fused_asynchronous_ensemble",

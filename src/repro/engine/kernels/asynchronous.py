@@ -37,11 +37,6 @@ own node.  Ticks are processed in chunks smaller than the check stride:
 conflict-chain depth grows with chunk length, and ~1/8 of ``n`` ticks
 per chunk keeps the wave count low while the arrays stay wide enough to
 amortise numpy dispatch.
-
-With numba active (:mod:`.numba_support`) the wave *schedule* — a
-deterministic function of the drawn ticks — is computed by a single
-compiled scan instead of iterated array passes; the grouping it produces
-is provably the same, so both modes consume the generator identically.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ from ..asynchronous import AsyncEnsembleResult, _default_tick_limit
 from ..ensemble import _counts_matrix_fast, _run_lockstep, narrow_int_dtype
 from ..rng import RandomSource, as_generator
 from ..stopping import Consensus, StoppingCondition
-from .numba_support import kernel_mode, njit_or_none
 
 __all__ = ["async_kernel_eligible", "run_fused_asynchronous_ensemble"]
 
@@ -77,29 +71,6 @@ def _chunk_ticks(reps: int, n: int, batch: int) -> int:
     return max(1, min(batch, target, cap))
 
 
-def _wave_schedule_scalar(a, sm, last_act, last_read, wave):  # pragma: no cover
-    m, s = sm.shape
-    w = 0
-    for t in range(m):
-        w = last_act[a[t]]
-        if last_read[a[t]] > w:
-            w = last_read[a[t]]
-        for j in range(s):
-            lw = last_act[sm[t, j]]
-            if lw > w:
-                w = lw
-        w += 1
-        wave[t] = w
-        last_act[a[t]] = w
-        for j in range(s):
-            if w > last_read[sm[t, j]]:
-                last_read[sm[t, j]] = w
-    return w if m else 0
-
-
-_wave_schedule_numba = njit_or_none(_wave_schedule_scalar)
-
-
 class _WaveBuffers:
     """Per-node scratch arrays, reallocated only when the flat size changes."""
 
@@ -113,11 +84,9 @@ class _WaveBuffers:
         self.big = np.iinfo(np.int64).max
         self.first_act = np.full(size, self.big, dtype=np.int64)
         self.first_read = np.full(size, self.big, dtype=np.int64)
-        self.last_act = np.zeros(size, dtype=np.int64)
-        self.last_read = np.zeros(size, dtype=np.int64)
 
 
-def _apply_chunk_numpy(process, flat, a, sm, p, rng, buffers) -> None:
+def _apply_chunk(process, flat, a, sm, p, rng, buffers) -> None:
     """Dynamic wavefront: fire, apply, compact, repeat until drained."""
     first_act = buffers.first_act
     first_read = buffers.first_read
@@ -149,31 +118,6 @@ def _apply_chunk_numpy(process, flat, a, sm, p, rng, buffers) -> None:
         a = a[keep]
         p = p[keep]
         sm = sm[keep]
-
-
-def _apply_chunk_numba(process, flat, a, sm, p, rng, buffers) -> None:
-    """Scheduled wavefront: one compiled scan yields each tick's wave, the
-    groups are then applied in wave order — the identical grouping (and
-    within-wave original order) the dynamic pass produces."""
-    if a.size == 0:
-        return
-    wave = np.empty(a.size, dtype=np.int64)
-    _wave_schedule_numba(a, sm, buffers.last_act, buffers.last_read, wave)
-    buffers.last_act[a] = 0
-    for j in range(sm.shape[1]):
-        buffers.last_read[sm[:, j]] = 0
-    order = np.argsort(wave, kind="stable")
-    bounds = np.searchsorted(wave[order], np.arange(2, wave[order[-1]] + 2))
-    lo = 0
-    for hi in bounds:
-        fire = order[lo:hi]
-        lo = hi
-        if fire.size == 0:
-            continue
-        targets = a[fire]
-        flat[targets] = process.update_from_samples(
-            flat[targets], flat[sm[fire]], rng
-        )
 
 
 def run_fused_asynchronous_ensemble(
@@ -222,9 +166,6 @@ def run_fused_asynchronous_ensemble(
         (repetitions, 1),
     )
     buffers = _WaveBuffers()
-    apply_chunk = (
-        _apply_chunk_numba if kernel_mode() == "numba" else _apply_chunk_numpy
-    )
 
     def advance(colors, _, tick):
         batch = min(stride, limit - tick)
@@ -244,7 +185,7 @@ def run_fused_asynchronous_ensemble(
             p = np.broadcast_to(
                 np.arange(hi - lo, dtype=np.int64), (reps, hi - lo)
             ).ravel()
-            apply_chunk(process, flat, a, sm, p, generator, buffers)
+            _apply_chunk(process, flat, a, sm, p, generator, buffers)
         return colors, _counts_matrix_fast(colors, num_slots), tick + batch
 
     ticks, stopped, final_counts = _run_lockstep(

@@ -1,78 +1,16 @@
-"""Optional numba acceleration for the fused kernels.
+"""The kernel-mode names ``perfbench/run.py`` reads for its box block.
 
-The kernels in this package are written twice where it pays:
-
-* a **pure-numpy** implementation — always present, always correct, the
-  reference the test-suite validates;
-* an optional **numba** ``@njit`` implementation of the draw-free inner
-  transforms (wave scheduling, row-wise cdf inversion).
-
-The split keeps one hard invariant: **all randomness is drawn from the
-caller's ``numpy.random.Generator``**, never inside numba.  Numba's own
-RNG is a separate stream, so a draw inside an ``@njit`` body would make
-results depend on which mode is active.  By jitting only deterministic
-transforms, both modes consume the generator identically and produce
-*identical* results — the mode is purely a speed knob.
-
-Selection happens at import: numba is used when importable and the
-``REPRO_NO_NUMBA`` environment variable is unset/``0``.  Tests (and
-benchmarks comparing modes) can force the numpy path in-process with
-:func:`force_numpy`, which is what lets one pytest run exercise both
-implementations on a machine that has numba installed.
+Every kernel in this package has one pure-numpy implementation, so the
+mode is always ``"numpy"``.  Nothing in ``repro`` imports this module:
+it keeps the two names the benchmark's ``box`` block imports, until the
+benchmark change that drops that import (ROADMAP item 1) deletes it.
 """
 
-from __future__ import annotations
+__all__ = ["HAVE_NUMBA", "kernel_mode"]
 
-import os
-from contextlib import contextmanager
-
-__all__ = ["HAVE_NUMBA", "NUMBA_DISABLED", "force_numpy", "kernel_mode", "njit_or_none"]
-
-#: ``REPRO_NO_NUMBA=1`` (or any non-``0`` value) disables numba even when
-#: it is importable — the support-matrix escape hatch.
-NUMBA_DISABLED = os.environ.get("REPRO_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via REPRO_NO_NUMBA")
-    import numba as _numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    _numba = None
-    HAVE_NUMBA = False
-
-# Runtime override depth (force_numpy nests safely).
-_FORCED_NUMPY = 0
+HAVE_NUMBA = False
 
 
 def kernel_mode() -> str:
-    """The implementation the kernels will dispatch to: ``"numba"`` or ``"numpy"``."""
-    return "numba" if (HAVE_NUMBA and not _FORCED_NUMPY) else "numpy"
-
-
-@contextmanager
-def force_numpy():
-    """Temporarily dispatch every kernel to its pure-numpy implementation.
-
-    A no-op when numba is absent (the numpy path is already active); used
-    by the test-suite to cross-validate both modes in one process.
-    """
-    global _FORCED_NUMPY
-    _FORCED_NUMPY += 1
-    try:
-        yield
-    finally:
-        _FORCED_NUMPY -= 1
-
-
-def njit_or_none(function):
-    """``numba.njit(cache=True)`` when numba is active at import, else ``None``.
-
-    Kernels keep the compiled variant alongside the numpy one and pick at
-    call time via :func:`kernel_mode` — never baking the decision in, so
-    :func:`force_numpy` works after import.
-    """
-    if not HAVE_NUMBA:
-        return None
-    return _numba.njit(cache=True)(function)
+    """The kernels' implementation: always ``"numpy"``."""
+    return "numpy"

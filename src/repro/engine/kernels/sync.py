@@ -35,9 +35,7 @@ Two entry points:
   per node), for consumers that need node identities, e.g. the §5
   adversary's corruption masks.
 
-Randomness always comes from the caller's generator; numba (when
-active — see :mod:`.numba_support`) only accelerates the deterministic
-inverse-cdf transform, so both modes produce identical streams.
+Randomness always comes from the caller's generator.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from ..metrics import MetricRecorder
 from ..rng import RandomSource, as_generator
 from ..simulator import default_round_limit
 from ..stopping import AllOf, AnyOf, BiasAtLeast, ColorsAtMost, Consensus, MaxSupportAbove, StoppingCondition
-from .numba_support import kernel_mode, njit_or_none
 
 __all__ = [
     "compaction_safe",
@@ -110,7 +107,7 @@ def kernel_step_counts(
     return counts - switchers + arrivals
 
 
-def _invert_rows_numpy(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _invert_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise inverse-cdf: ``out[r, i] = searchsorted(cum[r], u[r, i])``.
 
     One flat ``searchsorted`` over all rows at once: row ``r``'s cdf is
@@ -126,33 +123,6 @@ def _invert_rows_numpy(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
         (cum + row_shift).ravel(), (u + row_shift).ravel(), side="right"
     )
     return (flat_idx - np.repeat(np.arange(reps) * k, n)).reshape(reps, n)
-
-
-def _invert_rows_scalar(cum, u, out):  # pragma: no cover - compiled path
-    reps, n = u.shape
-    k = cum.shape[1]
-    for r in range(reps):
-        for i in range(n):
-            lo, hi = 0, k
-            value = u[r, i]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if value < cum[r, mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            out[r, i] = lo
-
-
-_invert_rows_numba = njit_or_none(_invert_rows_scalar)
-
-
-def _invert_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if kernel_mode() == "numba":
-        out = np.empty(u.shape, dtype=np.int64)
-        _invert_rows_numba(cum, u, out)
-        return out
-    return _invert_rows_numpy(cum, u)
 
 
 def fused_colors_step(

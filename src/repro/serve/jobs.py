@@ -4,8 +4,10 @@
 
 * the job table (id → :class:`Job`), keyed by ``spec_hash`` so
   submission is idempotent and dedup is content-addressed.  ``submit``
-  compiles the spec once — that is the validation — and the job carries
-  those cells to the executor, which drops them when the run ends;
+  compiles the spec and resolves its cells once — that is the
+  validation — and the job carries those cells to the executor, which
+  drops them when the run ends.  A job's counts are read from its store
+  when a daemon replays the journal, and again when each run ends;
 * a FIFO queue drained by ONE executor thread — the store layer's
   single-writer discipline, lifted to the service: however many HTTP
   threads accept submissions, exactly one ``run_cells`` runs at a time,
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..study import StudySpec, compile_study, spec_hash
+from ..study.compile import _resolve_cells
 from ..study.runner import run_cells
 from ..study.store import (
     _journal_line,
@@ -142,12 +145,12 @@ class JobManager:
             self._append({"kind": _JOBS_KIND, "protocol": PROTOCOL_VERSION})
         for job_id in self._order:
             job = self._jobs[job_id]
+            job.counts = self._counts_from_disk(job_id)
             if job.state in ("queued", "running", "interrupted"):
                 # A killed daemon's in-flight work: re-enqueue with a
                 # fresh journaled 'queued' so the file replays the same
                 # way next time.
                 self._set_state(job, "queued")
-                job.counts = self._counts_from_disk(job_id)
                 self._queue.put(job_id)
 
     # -- lifecycle ---------------------------------------------------------
@@ -302,12 +305,14 @@ class JobManager:
     def submit(self, spec_payload: Mapping) -> dict:
         """Validate, dedup and enqueue one spec; return the job view.
 
-        Raises the compiler's ``ValueError``/``KeyError``/``TypeError``
-        unchanged for invalid specs — the server maps those to 400.
+        Raises the compiler's (and the backend registry's) ``ValueError``/
+        ``KeyError``/``TypeError`` unchanged for invalid specs — the
+        server maps those to 400.
         """
         spec = StudySpec.from_dict(spec_payload)
-        # Eager whole-grid validation; the job runs these very cells.
+        # Eager whole-grid validation, backends too; the job runs these.
         cells = compile_study(spec)
+        _resolve_cells(cells)
         job_id = spec_hash(spec)
         with self._lock:
             job = self._jobs.get(job_id)
@@ -332,7 +337,6 @@ class JobManager:
                 job.cancelled = False
                 job.stop = threading.Event()
                 self._set_state(job, "queued")
-                job.counts = self._counts_from_disk(job_id)
             job.cells = cells
             self._queue.put(job_id)
             view = job.view()
@@ -383,7 +387,6 @@ class JobManager:
                     self._set_state(job, "interrupted")
                     continue
                 self._set_state(job, "running")
-                job.counts = self._counts_from_disk(job_id)
             self._run(job, cells)
 
     def _run(self, job: Job, cells: "list | None") -> None:
@@ -416,6 +419,7 @@ class JobManager:
             )
         except Exception as exc:  # the runner itself failed
             with self._lock:
+                job.counts = self._counts_from_disk(job.id)
                 self._set_state(job, "failed", error=f"{type(exc).__name__}: {exc}")
             return
         with self._lock:

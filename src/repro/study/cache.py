@@ -18,7 +18,8 @@ Storage is a shared directory (``$REPRO_CACHE_DIR``, defaulting to
 entry is *ignored with a warning*, never a crash — the cell simply
 re-simulates.  Writes are atomic (temp file + ``os.replace``) so a
 ``kill -9`` mid-``put`` can tear at most an invisible temp file; each
-writer (process and thread) has its own temp name.
+writer (process and thread) has its own temp name.  ``stats`` counts
+an orphaned temp file's bytes, and ``gc`` collects it like an entry.
 
 Hit/miss counters live in ``<root>/stats.jsonl``, an append-only log:
 each :meth:`ResultCache.flush` appends one CRC line ``{"hits",
@@ -199,14 +200,16 @@ class ResultCache:
         key = cache_key(cell_id, self.package_version)
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def _entries(self) -> "list[str]":
-        """Every entry file currently on disk (stats sidecar excluded)."""
-        found = []
+    def _files(self) -> "tuple[list[str], list[str]]":
+        """Entry and ``put`` temp files on disk (stats sidecars excluded)."""
+        entries, temps = [], []
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for name in filenames:
                 if name.endswith(".json") and name != _LEGACY_STATS_FILE:
-                    found.append(os.path.join(dirpath, name))
-        return found
+                    entries.append(os.path.join(dirpath, name))
+                elif ".json.tmp." in name:
+                    temps.append(os.path.join(dirpath, name))
+        return entries, temps
 
     # -- the memo -----------------------------------------------------
 
@@ -262,7 +265,8 @@ class ResultCache:
         file then ``os.replace`` — so concurrent writers of the same
         cell last-write-win an identical payload.  The temp name carries
         the process and thread id: two writers never share a temp file,
-        so none renames away (or publishes half of) another's.
+        so none renames away (or publishes half of) another's.  It is
+        False, too, when a concurrent :meth:`gc` took the temp file.
         """
         from .store import _encode_record, _journal_line
 
@@ -275,7 +279,10 @@ class ResultCache:
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "wb") as handle:
             handle.write(_journal_line(row))
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except FileNotFoundError:
+            return False
         return True
 
     # -- bookkeeping --------------------------------------------------
@@ -343,9 +350,9 @@ class ResultCache:
 
     def stats(self) -> dict:
         """Entries, bytes on disk, and the hit rate since the last gc."""
-        entries = self._entries()
+        entries, temps = self._files()
         total_bytes = 0
-        for path in entries:
+        for path in entries + temps:
             try:
                 total_bytes += os.path.getsize(path)
             except OSError:
@@ -368,15 +375,17 @@ class ResultCache:
         """Bound the cache: expire by age, then LRU-evict to a byte budget.
 
         Age and recency both read the entry mtime, which :meth:`get`
-        refreshes on every hit.  Resets the hit/miss counters — the
-        advertised rate is "since last gc".
+        refreshes on every hit; ``put`` temp files follow the same rules
+        and count in ``removed`` and ``bytes``, not ``entries``.  Resets
+        the hit/miss counters — the advertised rate is "since last gc".
         """
         import time
 
         now = time.time()
+        entries, temps = self._files()
         survivors = []
         removed = 0
-        for path in self._entries():
+        for path in entries + temps:
             try:
                 stat = os.stat(path)
             except OSError:
@@ -408,5 +417,6 @@ class ResultCache:
             except FileNotFoundError:
                 pass
         kept_bytes = sum(size for _mtime, size, _path in survivors)
-        return {"removed": removed, "entries": len(survivors),
+        kept_entries = sum(path.endswith(".json") for _m, _s, path in survivors)
+        return {"removed": removed, "entries": kept_entries,
                 "bytes": kept_bytes}

@@ -34,7 +34,7 @@ from ..engine.batch import first_passage_plan
 from ..engine.metrics import EnsembleMetricRecorder
 from ..engine.plan import SimulationPlan
 from ..engine.rng import derive_seed
-from ..engine.runtime import backend_choices
+from ..engine.runtime import backend_choices, resolve_backend
 from ..engine.stopping import (
     BiasAtLeast,
     ColorsAtMost,
@@ -287,13 +287,24 @@ def _process_factory(value: dict):
     return lambda: make_process(name, **kwargs)
 
 
+def _resolve_cells(cells: "list[StudyCell]") -> None:
+    """Resolve each cell's backend as the runner will, raising the
+    registry's ``ValueError``/``TypeError`` prefixed with the cell.  Not
+    part of :func:`compile_study`: every ``grid`` pass compiles."""
+    for cell in cells:
+        try:
+            resolve_backend(cell.plan)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"cell {cell.index} ({cell.label()}): {exc}") from None
+
+
 def validate_study(spec: StudySpec) -> dict:
     """Compile-only validation: the whole grid is expanded, nothing runs.
 
     The gate behind ``repro study validate``; the daemon's ``POST
-    /jobs`` calls :func:`compile_study` itself and runs the cells it
-    gets.  Every axis value of every cell is resolved eagerly
-    (:func:`compile_study`'s contract), so a typo in the last cell of a
+    /jobs`` calls :func:`compile_study` and :func:`_resolve_cells`
+    itself and runs the cells it gets.  Every axis value and backend of
+    every cell is resolved eagerly, so a typo in the last cell of a
     large grid is rejected *before* a job is accepted or an hour of
     simulation starts.  Returns a summary a client can print::
 
@@ -304,6 +315,7 @@ def validate_study(spec: StudySpec) -> dict:
     ``TypeError`` unchanged.
     """
     cells = compile_study(spec)
+    _resolve_cells(cells)
     return {
         "name": spec.name,
         "spec_hash": spec_hash(spec),

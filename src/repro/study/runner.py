@@ -534,16 +534,18 @@ def run_cells(
     started = 0
 
     def finish(cell: StudyCell, record: RunRecord) -> None:
-        """Land one record: store, journal, memoize, report.
+        """Land one record: store, memoize, journal, report.
 
         Called only on the thread running the study, so the store (and
-        its journal) has exactly one writer.
+        its journal) has exactly one writer.  The cache goes first: a
+        kill between the two writes then leaves a cached record that a
+        resume replays as a hit, never a journaled one the cache lacks.
         """
         store.add(record)
-        if store_path is not None:
-            store.checkpoint(record)
         if result_cache is not None and not record.cache_hit:
             result_cache.put(record)
+        if store_path is not None:
+            store.checkpoint(record)
         if progress is not None:
             progress(cell, record)
 

@@ -7,17 +7,24 @@
   indented encoding held; indented stores still load.
 * The fsync points: one per ``submit``, one per checkpointed record and
   none for a journal header.  A daemon job compiles its spec once, and a
-  cache-served one does 6 fsyncs and 1 rename for its 3 cells.
+  cache-served one does 6 fsyncs and 1 rename for its 3 cells.  A daemon
+  job loads its store once per run, and a restarted daemon reports the
+  counts of finished jobs.
+* A record is memoized before its journal line: a study killed at its
+  first cache write resumes to a cache that serves a renamed copy whole.
 * Every crash point of the two merged writes replays to a consistent
   state: a store journal's header plus first record, and the daemon's
   ``submitted`` plus ``queued`` lines.
 * The append-only cache counters (``stats.jsonl`` plus a legacy
-  ``stats.json``), per-writer cache temp files, and ``/events`` skipping
-  the store reload when its tail streamed every cell.
+  ``stats.json``), per-writer cache temp files (counted by ``stats``,
+  collected by ``gc``), and ``/events`` skipping the store reload when
+  its tail streamed every cell.
 """
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -25,6 +32,7 @@ import warnings
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,6 +247,48 @@ def test_cache_served_job_compiles_once_six_fsyncs_one_rename(
     assert len(renames) == 1
 
 
+def test_a_job_loads_its_store_once_and_a_restart_keeps_its_counts(
+    tmp_path, monkeypatch
+):
+    loads = []
+    real_load = jobs_module.load_study_store
+
+    def counting_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    for module in (jobs_module, runner_module):
+        monkeypatch.setattr(module, "load_study_store", counting_load)
+    state = str(tmp_path / "state")
+    broken = StudySpec(
+        name="one broken cell", seed=5, repetitions=2,
+        axes={"process": ["3-majority"], "n": [24], "max_rounds": [40],
+              "rng_mode": ["per-replica"], "faults": ["none", {"crash": 1.0}]},
+    )
+    manager = JobManager(state, cache=False)
+    manager.start()
+    try:
+        done = manager.submit(_spec().to_dict())["id"]
+        assert _finish(manager, done)["counts"]["ok"] == 3
+        assert len(loads) == 1  # inside run_cells
+        failed = manager.submit(broken.to_dict())["id"]
+        assert _finish(manager, failed)["state"] == "failed"
+        del loads[:]
+        assert manager.submit(broken.to_dict())["state"] == "queued"
+        final = _finish(manager, failed)
+        assert len(loads) == 1  # a resubmitted job: run_cells again
+    finally:
+        manager.close()
+    assert (final["counts"]["ok"], final["counts"]["failed"]) == (1, 1)
+    restarted = JobManager(state, cache=False)
+    try:
+        assert restarted.view(done)["state"] == "done"
+        assert restarted.view(done)["counts"]["ok"] == 3
+        assert restarted.view(failed)["counts"] == final["counts"]
+    finally:
+        restarted.close()
+
+
 # ---------------------------------------------------------------------------
 # Every crash point of the two merged writes
 # ---------------------------------------------------------------------------
@@ -377,6 +427,78 @@ def test_threads_putting_one_cell_never_share_a_temp_file(tmp_path):
     assert cached is not None and cached.same_results(record)
     entry = cache.entry_path(record.cell_id)
     assert os.listdir(os.path.dirname(entry)) == [os.path.basename(entry)]
+
+
+@pytest.mark.parametrize("kill", ["before the write", "after the write"])
+def test_a_kill_at_the_first_put_resumes_to_a_wholly_cached_rename(
+    tmp_path, kill
+):
+    """Killed inside its first ``ResultCache.put``, a study resumes over
+    the same cache to the uninterrupted results, and a renamed copy of
+    its spec is then served wholly from the cache."""
+    spec, path, cache = _spec(), str(tmp_path / "s.json"), str(tmp_path / "c")
+    write_first = "real_put(self, record)" if kill == "after the write" else ""
+    probe = (
+        "import os\n"
+        "from repro.study import ResultCache, StudySpec, run_study\n"
+        "real_put = ResultCache.put\n"
+        "def put(self, record):\n"
+        f"    {write_first}\n"
+        "    os._exit(3)\n"
+        "ResultCache.put = put\n"
+        f"run_study(StudySpec.from_dict({spec.to_dict()!r}),\n"
+        f"          store_path={path!r}, cache={cache!r})\n"
+    )
+    killed = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert killed.returncode == 3, killed.stderr
+    resumed = run_study(spec, store_path=path, resume=True, cache=cache)
+    assert resumed.results_equal(run_study(spec))
+    renamed = run_study(_spec(name="renamed"), cache=cache)
+    assert [r.cache_hit for r in renamed.records()] == [True, True, True]
+
+
+def test_gc_and_stats_collect_an_orphaned_put_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path / "cache"), package_version="orphans")
+    (record, *_rest) = run_study(_spec(n=(24,))).records()
+
+    def killed_before_the_rename(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed_before_the_rename)
+    with pytest.raises(OSError, match="killed"):
+        cache.put(record)
+    monkeypatch.undo()
+    entry_dir = os.path.dirname(cache.entry_path(record.cell_id))
+    (orphan,) = os.listdir(entry_dir)
+    assert ".json.tmp." in orphan
+    stats = cache.stats()
+    size = os.path.getsize(os.path.join(entry_dir, orphan))
+    assert (stats["entries"], stats["bytes"]) == (0, size)
+    assert cache.gc(max_age_s=0, max_bytes=0) == {
+        "removed": 1, "entries": 0, "bytes": 0,
+    }
+    assert os.listdir(entry_dir) == []
+
+
+def test_a_put_whose_temp_file_was_collected_is_not_cached(
+    tmp_path, monkeypatch
+):
+    cache = ResultCache(str(tmp_path / "cache"), package_version="collected")
+    (record, *_rest) = run_study(_spec(n=(24,))).records()
+    real_replace = os.replace
+
+    def collected_before_the_rename(src, dst):
+        os.remove(src)  # a concurrent gc got to the temp file first
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", collected_before_the_rename)
+    assert cache.put(record) is False
+    monkeypatch.undo()
+    assert cache.get(record.cell_id) is None
+    assert cache.stats()["entries"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,9 @@ Three invariants, in decreasing strictness:
 * **exact in distribution** — the switch-and-redistribute lumping and the
   fused colors step are identically distributed to the agent-level
   engines; cross-validated with KS / z-score checks.
-* **contract** — eligibility gates, rng-mode rejections, compaction
-  bookkeeping, and the numba/numpy mode switch (``REPRO_NO_NUMBA``).
+* **contract** — eligibility gates, rng-mode rejections and compaction
+  bookkeeping.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -32,13 +28,10 @@ from repro.engine import (
     run_counts_ensemble,
 )
 from repro.engine.kernels import (
-    HAVE_NUMBA,
     async_kernel_eligible,
     compaction_safe,
-    force_numpy,
     fused_colors_step,
     kernel_eligible,
-    kernel_mode,
     kernel_step_counts,
     run_fused_agent_ensemble,
     run_fused_asynchronous_ensemble,
@@ -378,73 +371,3 @@ def test_fused_agent_rejects_per_replica_mode():
             Voter(), Configuration.balanced(60, 3), 4, rng=0,
             rng_mode="per-replica",
         )
-
-
-def test_force_numpy_context():
-    before = kernel_mode()
-    with force_numpy():
-        assert kernel_mode() == "numpy"
-        with force_numpy():  # reentrant
-            assert kernel_mode() == "numpy"
-        assert kernel_mode() == "numpy"
-    assert kernel_mode() == before
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_numba_mode_matches_numpy_fallback_bitwise():
-    initial = Configuration.biased(200, 4, 20)
-    with force_numpy():
-        fallback = run_fused_agent_ensemble(
-            TwoChoices(), initial, 30, rng=SEED, max_rounds=20_000
-        )
-    accelerated = run_fused_agent_ensemble(
-        TwoChoices(), initial, 30, rng=SEED, max_rounds=20_000
-    )
-    assert np.array_equal(fallback.times, accelerated.times)
-    assert np.array_equal(fallback.final_counts, accelerated.final_counts)
-    with force_numpy():
-        fallback_async = run_fused_asynchronous_ensemble(
-            Voter(), Configuration.balanced(128, 2), 6, rng=SEED,
-            max_ticks=2000,
-        )
-    accelerated_async = run_fused_asynchronous_ensemble(
-        Voter(), Configuration.balanced(128, 2), 6, rng=SEED, max_ticks=2000,
-    )
-    assert np.array_equal(fallback_async.ticks, accelerated_async.ticks)
-    assert np.array_equal(
-        fallback_async.final_counts, accelerated_async.final_counts
-    )
-
-
-def test_repro_no_numba_env_forces_numpy_mode():
-    """``REPRO_NO_NUMBA=1`` pins the numpy fallback at import time, and the
-    kernels still produce the identical (generator-stream) results."""
-    script = (
-        "import numpy as np\n"
-        "from repro.core import Configuration\n"
-        "from repro.engine.kernels import kernel_mode, HAVE_NUMBA\n"
-        "from repro.engine.kernels import run_fused_asynchronous_ensemble\n"
-        "from repro.processes import Voter\n"
-        "assert kernel_mode() == 'numpy', kernel_mode()\n"
-        "assert not HAVE_NUMBA\n"
-        "r = run_fused_asynchronous_ensemble(\n"
-        "    Voter(), Configuration.balanced(60, 3), 4, rng=%d, max_ticks=500)\n"
-        "print(','.join(map(str, r.ticks)))\n" % SEED
-    )
-    env = dict(os.environ, REPRO_NO_NUMBA="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (
-            os.path.join(os.path.dirname(__file__), "..", "src"),
-            env.get("PYTHONPATH", ""),
-        ) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    subprocess_ticks = [int(v) for v in proc.stdout.strip().split(",")]
-    engine = run_asynchronous_ensemble(
-        Voter(), Configuration.balanced(60, 3), 4, rng=SEED, max_ticks=500
-    )
-    assert subprocess_ticks == engine.ticks.tolist()

@@ -283,11 +283,14 @@ class TestExecutionSurface:
     def test_import_leaves_multiprocessing_unloaded(self, module):
         # Every backend runs in-process, and scipy / networkx are imported
         # inside the few functions that call them: no start-up path pays
-        # for a process pool or for either library.
+        # for a process pool or for either library.  Nothing in repro
+        # imports kernels.numba_support either: it only keeps the two
+        # names perfbench/run.py reads.
         probe = (
             f"import sys, {module}\n"
-            "print(sorted({'multiprocessing', 'scipy', 'networkx'}\n"
-            "             & {m.split('.')[0] for m in sys.modules}))"
+            "loaded = set(sys.modules) | {m.split('.')[0] for m in sys.modules}\n"
+            "print(sorted({'multiprocessing', 'scipy', 'networkx',\n"
+            "              'repro.engine.kernels.numba_support'} & loaded))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],

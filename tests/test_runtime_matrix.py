@@ -27,7 +27,6 @@ from repro.engine import (
     run_asynchronous_ensemble,
     spawn_generators,
 )
-from repro.engine.kernels import HAVE_NUMBA, force_numpy, kernel_mode
 from repro.faults import (
     Byzantine,
     CrashRecovery,
@@ -296,64 +295,31 @@ def test_active_byzantine_cross_backend_equivalence(
         ), backend
 
 
-#: Every kernel implementation mode available in this environment.  The
-#: numpy fallback is always exercised (forced even when numba is
-#: importable); the numba mode only runs where the dependency exists —
-#: both modes consume the generator identically, so their results must
-#: agree bit for bit wherever both run.
-KERNEL_MODES = [pytest.param("numpy", id="numpy-fallback")] + (
-    [pytest.param("numba", id="numba")] if HAVE_NUMBA else []
-)
-
-
-def _kernel_mode_context(mode):
-    import contextlib
-
-    return force_numpy() if mode == "numpy" else contextlib.nullcontext()
-
-
-@pytest.mark.parametrize("mode", KERNEL_MODES)
-def test_kernel_backends_exercised_in_each_mode(mode):
-    """Both kernel backends run under each implementation mode, and the
-    numba mode (when present) reproduces the numpy fallback bit for bit."""
-    sync_plan = _plan(
+def test_kernel_backends_exercised():
+    """Both kernel backends resolve by name and run their batched plans."""
+    sync_result = execute(_plan(
         TwoChoices, Configuration.biased(120, 4, 24), "kernel-agent",
         rng_mode="batched",
-    )
-    async_plan = _plan(
+    ))
+    async_result = execute(_plan(
         Voter, Configuration.balanced(128, 2), "kernel-async",
         repetitions=4, scheduler="asynchronous", max_rounds=4000,
         rng_mode="batched",
-    )
-    with force_numpy():
-        sync_reference = execute(sync_plan)
-        async_reference = execute(async_plan)
-    with _kernel_mode_context(mode):
-        assert kernel_mode() == mode
-        sync_result = execute(sync_plan)
-        async_result = execute(async_plan)
+    ))
     assert sync_result.backend == "kernel-agent"
     assert async_result.backend == "kernel-async"
-    assert np.array_equal(sync_result.times, sync_reference.times)
-    assert np.array_equal(sync_result.final_counts, sync_reference.final_counts)
-    assert np.array_equal(async_result.times, async_reference.times)
-    assert np.array_equal(
-        async_result.final_counts, async_reference.final_counts
-    )
 
 
-@pytest.mark.parametrize("mode", KERNEL_MODES)
-def test_kernel_agent_statistically_matches_sequential(mode):
+def test_kernel_agent_statistically_matches_sequential():
     """KS-style cross-validation: the lumped chain's first-passage sample
     is drawn from the same distribution as the per-replica agent runs."""
     from scipy.stats import ks_2samp
 
     initial = Configuration.biased(120, 4, 24)
-    with _kernel_mode_context(mode):
-        kernel = execute(_plan(
-            TwoChoices, initial, "kernel-agent",
-            repetitions=160, rng_mode="batched",
-        ))
+    kernel = execute(_plan(
+        TwoChoices, initial, "kernel-agent",
+        repetitions=160, rng_mode="batched",
+    ))
     sequential = execute(_plan(
         TwoChoices, initial, "agent", repetitions=160,
         rng_mode="per-replica", rng=SEED + 1,

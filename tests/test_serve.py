@@ -19,7 +19,8 @@ The service contract under test, end to end:
   pings while idle;
 * the satellite pieces: graceful SIGTERM in ``run_study`` (exit 0,
   checkpoint intact), atomic cache stats counters under concurrent
-  writers, and compile-only ``validate``.
+  writers, and compile-only ``validate``, which also refuses a cell no
+  backend accepts (as ``POST /jobs`` does).
 """
 
 import http.client
@@ -35,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.cli import main as cli_main
 from repro.engine.runtime import execute as real_execute
 from repro.serve import (
     JOB_STATES,
@@ -892,3 +894,34 @@ class TestValidateVerb:
         bad["axes"]["n"] = [24, 32, -5]  # the *last* cell is broken
         with pytest.raises((KeyError, TypeError, ValueError)):
             api.validate(bad)
+
+    def test_a_cell_no_backend_accepts_is_refused_at_validation(
+        self, tmp_path, served
+    ):
+        """A recorded per-replica asynchronous spec compiles, but no
+        registered backend executes its cells: ``validate``, the CLI and
+        ``POST /jobs`` refuse it before anything runs."""
+        spec = tiny_spec(
+            name="recorded async",
+            record={"metrics": ["num_colors"]},
+            axes={
+                "process": ["3-majority"],
+                "n": [16, 24],
+                "scheduler": ["asynchronous"],
+                "rng_mode": ["per-replica"],
+            },
+        )
+        with pytest.raises(ValueError, match="cell 0 .*no registered backend"):
+            api.validate(spec)
+        spec_path = str(tmp_path / "spec.toml")
+        save_spec(spec, spec_path)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["study", "validate", spec_path])
+        assert str(info.value.code).startswith("invalid spec: cell 0")
+        assert "\n" not in str(info.value.code)
+        client, _manager = served
+        with pytest.raises(ServeError) as info:
+            client.submit(spec)
+        assert info.value.status == 400
+        assert "no registered backend" in str(info.value)
+        assert client.jobs() == []

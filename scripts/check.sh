@@ -38,7 +38,10 @@
 #      round-trip through the CLI: the 2-cell spec runs twice over one
 #      --cache-dir (all misses, then all hits, equal results), `study
 #      cache stats` must report 2 hits and 2 misses, and after `study
-#      cache gc` 0 and 0.  Then a 3-point
+#      cache gc` 0 and 0.  Then a warm run over that cache is cut after
+#      one cell (--max-cells 1) and resumed over it: the store must equal
+#      the cold one with every record a hit (a run of hits lands as one
+#      journal write).  Then a 3-point
 #      `repro sweep -o` round trip: the sweep's study store is
 #      reported, loads with 3 complete cells, and a second identical
 #      `sweep -o` must exit non-zero and leave the store results-equal
@@ -85,7 +88,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); cache counters; sweep -o store =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); cache counters; cut warm run resumed from the cache; sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -115,6 +118,8 @@ if ! grep -qF "(0 hits / 0 misses since last gc)" "$STUDY_TMP/stats.txt"; then
     echo "study-smoke FAILED: cache gc did not reset the counters" >&2
     exit 1
 fi
+python -m repro study run "$STUDY_TMP/smoke.toml" -o "$STUDY_TMP/cut.json" --cache-dir "$STUDY_TMP/cache" --max-cells 1 --quiet
+python -m repro study resume "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/cut.json" --cache-dir "$STUDY_TMP/cache" --quiet
 cat > "$STUDY_TMP/record.toml" <<'EOF'
 name = "check.sh record smoke"
 seed = 5
@@ -209,6 +214,11 @@ assert all(r.cache_hit for r in warm.records()), "warm run missed the cache"
 assert cold.results_equal(full) and warm.results_equal(full), (
     "cached runs diverged from the uncached one"
 )
+cut = load_study_store(f"{tmp}/cut.json")
+assert cut.results_equal(cold), "a cut warm run resumed to other results"
+assert all(r.cache_hit for r in cut.records()), (
+    "a cut warm run simulated a cell on resume"
+)
 rfull = load_study_store(f"{tmp}/rfull.json")
 rpart = load_study_store(f"{tmp}/rpart.json")
 assert rfull.is_complete() and rpart.is_complete(), "record smoke left cells unrun"
@@ -247,8 +257,8 @@ assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
 )
 print("study-smoke OK: resumed stores (plain, recorded, asynchronous and "
       "batched) are bit-for-bit the uninterrupted ones; a warm cached run "
-      "replayed every cell; sweep -o wrote a 3-cell store and refused to "
-      "clobber it")
+      "replayed every cell, also when cut and resumed; sweep -o wrote a "
+      "3-cell store and refused to clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="
 cat > "$STUDY_TMP/faults.toml" <<'EOF'

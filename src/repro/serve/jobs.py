@@ -7,7 +7,9 @@
   compiles the spec and resolves its cells once — that is the
   validation — and the job carries those cells to the executor, which
   drops them when the run ends.  A job's counts are read from its store
-  when a daemon replays the journal, and again when each run ends;
+  when a daemon replays the journal, and again when each run ends; a
+  run starts without the failed and timed-out tallies, since it
+  re-attempts those cells;
 * a FIFO queue drained by ONE executor thread — the store layer's
   single-writer discipline, lifted to the service: however many HTTP
   threads accept submissions, exactly one ``run_cells`` runs at a time,
@@ -31,14 +33,18 @@ The job journal reuses the store journal's CRC-guarded line format
 daemon restarted on the same state dir replays the valid prefix,
 truncates any torn tail, and re-enqueues every job that was ``queued`` /
 ``running`` / ``interrupted`` — in original submission order.  Each
-append is one write and one fsync: a new job's ``submitted`` and
-``queued`` lines go out together before ``submit`` returns (a kill
-inside that write replays as no job or as a queued one), and every
-later state change is fsync'd as it lands.  The *result* durability is
-the store journal's: ``run_cells`` with ``resume=True`` completes each
-re-enqueued job bit-for-bit.  A job of k cells served wholly from the
-result cache thus costs one compile and k + 3 fsyncs: the submit,
-``running``, one per record and ``done``.
+append is one write: a new job's ``submitted`` and ``queued`` lines go
+out together, fsync'd before ``submit`` returns (a kill inside that
+write replays as no job or as a queued one), and every later state
+change is fsync'd as it lands — except ``running``, which replays
+exactly as ``queued`` does and so becomes durable with the job's next
+fsync'd line.  The *result* durability is the store journal's:
+``run_cells`` with ``resume=True`` completes each re-enqueued job
+bit-for-bit.  A job of k cells served wholly from the result cache thus
+costs one compile and 5 fsyncs: the submit, one for its k records (a
+run of hits is one journal write), two for the compacted store (the
+file, then its directory) and ``done``.  A job that simulates its k
+cells does k + 4.
 
 Graceful shutdown puts a ``None`` sentinel on the queue (waking an
 idle executor) and sets the running job's stop event; ``run_cells``
@@ -187,11 +193,12 @@ class JobManager:
 
     # -- the journal -------------------------------------------------------
 
-    def _append(self, *events: dict) -> None:
-        """Journal ``events`` in one write and one fsync."""
+    def _append(self, *events: dict, sync: bool = True) -> None:
+        """Journal ``events`` in one write, fsync'd unless ``sync`` is false."""
         self._handle.write(b"".join(_journal_line(data) for data in events))
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        if sync:
+            os.fsync(self._handle.fileno())
 
     def _replay(self) -> None:
         """Rebuild the job table from the journal's valid prefix."""
@@ -239,12 +246,17 @@ class JobManager:
         *,
         submitted: "dict | None" = None,
     ) -> None:
-        """Journal the job's new state (after ``submitted``, in one write)."""
+        """Journal the job's new state (after ``submitted``, in one write).
+
+        ``running`` is not fsync'd: a replayed ``running`` job is
+        re-enqueued exactly as a ``queued`` one, so losing the line
+        loses nothing.
+        """
         job.state = state
         job.error = error
         events = [] if submitted is None else [submitted]
         events.append({"event": "state", "id": job.id, "state": state, "error": error})
-        self._append(*events)
+        self._append(*events, sync=state != "running")
         self._notify()
 
     # -- change notification ----------------------------------------------
@@ -386,6 +398,9 @@ class JobManager:
                     # Too late to start: leave it for the next daemon.
                     self._set_state(job, "interrupted")
                     continue
+                # run_cells re-attempts every non-ok cell and progress
+                # tallies each new record, so drop the old non-ok tallies.
+                job.counts["failed"] = job.counts["timeout"] = 0
                 self._set_state(job, "running")
             self._run(job, cells)
 

@@ -20,6 +20,9 @@ re-simulates.  Writes are atomic (temp file + ``os.replace``) so a
 ``kill -9`` mid-``put`` can tear at most an invisible temp file; each
 writer (process and thread) has its own temp name.  ``stats`` counts
 an orphaned temp file's bytes, and ``gc`` collects it like an entry.
+Nothing here is fsync'd, so that guarantee covers process kills only:
+an OS crash can lose an entry (the cell then re-simulates) or a counter
+line.
 
 Hit/miss counters live in ``<root>/stats.jsonl``, an append-only log:
 each :meth:`ResultCache.flush` appends one CRC line ``{"hits",

@@ -4,8 +4,9 @@
 compile the spec, skip cells an existing store already covers, resolve
 each remaining cell's backend once
 (:func:`repro.engine.runtime.resolve_backend`) and execute the cell on
-it, and journal each record the moment it exists so an interrupted run
-loses at most the cell in flight.
+it, and journal each simulated record the moment it exists (a run of
+cache hits in one write) so an interrupted run loses at most the cell in
+flight.
 
 Supervision (the :class:`~repro.study.policy.ExecutionPolicy`):
 
@@ -64,9 +65,12 @@ Cells run one after another through the
 :class:`~repro.study.scheduler.CellScheduler` loop on the calling
 thread, which is the store's single writer.  With a cache enabled
 (:mod:`repro.study.cache`), every pending cell is looked up before it is
-dispatched — a hit is journaled immediately with ``cache_hit=True`` and
-never simulates — and every fresh clean record is memoized for the next
-overlapping study.
+dispatched — a hit is stamped ``cache_hit=True`` and never simulates —
+and every fresh clean record is memoized for the next overlapping study.
+A run of consecutive hits lands as one journal write and one fsync,
+before the next miss is simulated or when the scan ends; ``progress``
+fires for each of them after that fsync.  A kill inside that write
+loses only hits, which a resume replays from the cache.
 """
 
 from __future__ import annotations
@@ -437,11 +441,12 @@ def run_cells(
         submission and runs those cells.  The returned store's
         :attr:`~repro.study.store.StudyStore.cell_ids` come from them.
     store_path:
-        Where to checkpoint results.  Each completed cell appends one
-        fsync'd line to a sidecar journal (``<store_path>.journal.jsonl``)
-        — O(record) bytes, crash-safe at any byte offset — and the
-        journal compacts into the columnar JSON at ``store_path`` when
-        the run finishes (or raises).  ``None`` keeps the store in
+        Where to checkpoint results.  Each simulated cell, and each run
+        of consecutive cache hits, appends its lines to a sidecar
+        journal (``<store_path>.journal.jsonl``) in one write and one
+        fsync — O(record) bytes, crash-safe at any byte offset — and
+        the journal compacts into the columnar JSON at ``store_path``
+        when the run finishes (or raises).  ``None`` keeps the store in
         memory only.
     resume:
         ``False`` starts fresh (and refuses to clobber an existing store
@@ -458,7 +463,8 @@ def run_cells(
         programmatic interruption used by the resume tests and the
         ``--max-cells`` CLI knob for budgeted sessions).
     progress:
-        Optional callback invoked after each executed cell.
+        Optional callback invoked for each landed record — simulated or
+        a cache hit — once the fsync covering its journal line returns.
     on_error:
         ``"record"`` (default) isolates failures: a cell that raises is
         retried per the policy and, failing that, recorded as
@@ -533,57 +539,66 @@ def run_cells(
     stop = stop_event if stop_event is not None else threading.Event()
     started = 0
 
-    def finish(cell: StudyCell, record: RunRecord) -> None:
-        """Land one record: store, memoize, journal, report.
+    def land(batch: "list[tuple[StudyCell, RunRecord]]") -> None:
+        """Land records: store, memoize, journal (one fsync), report.
 
         Called only on the thread running the study, so the store (and
         its journal) has exactly one writer.  The cache goes first: a
         kill between the two writes then leaves a cached record that a
         resume replays as a hit, never a journaled one the cache lacks.
+        ``progress`` sees a record only once its line is fsync'd.
         """
-        store.add(record)
-        if result_cache is not None and not record.cache_hit:
-            result_cache.put(record)
+        if not batch:
+            return
+        for _cell, record in batch:
+            store.add(record)
+            if result_cache is not None and not record.cache_hit:
+                result_cache.put(record)
         if store_path is not None:
-            store.checkpoint(record)
+            store.checkpoint(*(record for _cell, record in batch))
         if progress is not None:
-            progress(cell, record)
+            for cell, record in batch:
+                progress(cell, record)
 
     def pending_cells():
         """The cells this run must execute, cache hits already landed.
 
         Skips cells an existing store covers, caps *started* work at
-        ``max_cells`` (hits count: they produce new records), and lands
-        cache hits inline — a hit re-stamps the current compile's index
-        (an overlapping spec may order shared cells differently) and
-        never reaches the scheduler.
+        ``max_cells`` (hits count: they produce new records), and
+        collects cache hits — a hit re-stamps the current compile's
+        index (an overlapping spec may order shared cells differently)
+        and never reaches the scheduler.  Each run of consecutive hits
+        lands as one checkpoint before the next miss is simulated, or
+        when the scan ends, so the journal keeps cell order.
         """
         nonlocal started
+        hits = []
         for cell in cells:
             if stop.is_set():
-                return
+                break
             existing = store.get(cell.cell_id)
             if existing is not None and existing.ok:
                 continue
             if max_cells is not None and started >= max_cells:
-                return
+                break
+            started += 1
             if result_cache is not None:
                 cached = result_cache.get(cell.cell_id)
                 if cached is not None:
-                    started += 1
-                    finish(
-                        cell,
-                        replace(cached, index=cell.index, cache_hit=True),
+                    hits.append(
+                        (cell, replace(cached, index=cell.index, cache_hit=True))
                     )
                     continue
-            started += 1
+            land(hits)
+            hits = []
             yield cell
+        land(hits)
 
     try:
         with _GracefulStop(stop):
             run_cell = partial(_record_cell, on_error=on_error, policy=live_policy)
             for cell, record in CellScheduler(run_cell).run(pending_cells()):
-                finish(cell, record)
+                land([(cell, record)])
         if stop.is_set():
             # Interrupted *and unfinished*: a stop landing after the last
             # cell checkpointed is a completed run, not an interruption.

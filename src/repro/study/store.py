@@ -29,22 +29,24 @@ Crash safety: the journal
 Rewriting the whole JSON after every cell is O(cells²) bytes and leaves
 a window where a hard kill tears the only copy.  The runner therefore
 checkpoints through an append-only sidecar journal
-(``<store>.journal.jsonl``): one CRC-guarded, fsync'd JSON line per
-record, preceded by a self-contained header (spec + hash), compacted
-into the columnar JSON on completion via :meth:`StudyStore.compact`.
-``kill -9`` at any byte offset loses at most the record in flight:
+(``<store>.journal.jsonl``): one CRC-guarded JSON line per record,
+preceded by a self-contained header (spec + hash), compacted into the
+columnar JSON on completion via :meth:`StudyStore.compact`.
+``kill -9`` at any byte offset loses at most the write in flight:
 :func:`load_study_store` replays the journal's valid prefix on top of
 whatever base JSON exists, *salvages* a torn tail (reported via
 :attr:`StudyStore.salvage`, never raised), and resume re-runs only the
 cells the tear actually lost.
 
-Only records are fsync'd, one fsync each: the header goes out with the
-first record's write and is durable from that fsync on.  Compaction
-writes the columnar JSON to a temp file, renames it over the store and
-then unlinks the journal, without an fsync: a ``kill -9`` cannot undo a
-completed write, and until the unlink the journal still holds every
-record.  The columnar JSON is one unindented line (the C encoder's
-output); readers parse it whatever its layout.
+Each :meth:`StudyStore.checkpoint` appends its records' lines in one
+write and one fsync: one simulated record, or a run of cache hits,
+which a resume replays from the cache if the write was torn.  The
+header goes out with the first checkpoint's write and is durable
+from that fsync on.  Compaction fsyncs the columnar JSON's temp file,
+renames it over the store, fsyncs the directory and only then unlinks
+the journal, so even an OS crash leaves one of the two on disk.  The
+columnar JSON is one unindented line (the C encoder's output); readers
+parse it whatever its layout.
 """
 
 from __future__ import annotations
@@ -545,16 +547,25 @@ class StudyStore:
         return store
 
     def save(self, path: str) -> None:
-        """Write the store to ``path`` as JSON (atomically).
+        """Write the store to ``path`` as JSON, atomically and durably.
 
-        One unindented ``json.dumps`` runs the C encoder; ``json.dump``
-        and any ``indent`` use the pure-Python one.
+        The temp file is fsync'd before the rename and the directory
+        after it, so the new store is on disk when this returns.  One
+        unindented ``json.dumps`` runs the C encoder; ``json.dump`` and
+        any ``indent`` use the pure-Python one.
         """
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         tmp_path = f"{path}.tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
+        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     # -- crash-safe checkpointing (the journal) ----------------------------
 
@@ -576,7 +587,7 @@ class StudyStore:
         a self-contained header line (spec + hash), making the journal
         alone sufficient to rebuild the store if the kill lands before
         the first compaction.  The header is not fsync'd on its own: it
-        stays buffered and becomes durable with the first record's
+        stays buffered and becomes durable with the first checkpoint's
         fsync.  A kill before that leaves no header or a torn one, which
         loads as "nothing recorded" — and nothing was.
         """
@@ -598,25 +609,33 @@ class StudyStore:
             # A fresh journal, or nothing valid survived (torn header).
             self._journal.write(_journal_line(self._journal_header()))
 
-    def checkpoint(self, record: RunRecord) -> None:
-        """Append one record to the journal, fsync'd (O(record) bytes).
+    def checkpoint(self, *records: RunRecord) -> None:
+        """Append ``records`` to the journal in one write and one fsync.
 
-        This is the per-cell durability point: after it returns, a
-        ``kill -9`` cannot lose the record (nor the header, which the
-        first checkpoint writes and fsyncs along with its record).
+        This is the durability point: after it returns, a ``kill -9``
+        cannot lose the records (nor the header, which the first
+        checkpoint writes and fsyncs along with its records).  A kill
+        inside the write leaves a prefix of its lines, which loads as
+        the records it holds.
         """
         if self._journal is None:
             raise RuntimeError("checkpoint() requires begin_journal() first")
-        self._journal.write(_journal_line({"record": _encode_record(record)}))
+        self._journal.write(
+            b"".join(
+                _journal_line({"record": _encode_record(record)})
+                for record in records
+            )
+        )
         self._journal.flush()
         os.fsync(self._journal.fileno())
 
     def compact(self, path: str) -> None:
         """Fold the journal into the columnar JSON and remove it.
 
-        Crash-window safe: ``save`` lands atomically *before* the unlink,
-        so a kill between the two leaves both files agreeing — replay
-        converges via :meth:`_absorb`.
+        Crash-window safe: ``save`` lands atomically and durably
+        *before* the unlink, so a kill (or an OS crash) between the two
+        leaves both files agreeing — replay converges via
+        :meth:`_absorb`.
         """
         self.save(path)
         if self._journal is not None:
@@ -632,7 +651,7 @@ def load_study_store(path: str) -> StudyStore:
 
     Loads the base JSON (when present), then replays the sidecar
     journal's valid prefix on top — so a run killed before compaction
-    loses at most the record in flight.  A torn journal tail is
+    loses at most the write in flight.  A torn journal tail is
     *salvaged*: the intact records load and the damage is reported via
     :attr:`StudyStore.salvage`, never raised.  A base file that exists
     but cannot be decoded — truncated JSON, a hand-edit that dropped a

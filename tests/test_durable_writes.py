@@ -5,16 +5,21 @@
   envelope encoded around it) that earlier builds wrote.
 * A compacted store is one unindented line that parses to what the
   indented encoding held; indented stores still load.
-* The fsync points: one per ``submit``, one per checkpointed record and
-  none for a journal header.  A daemon job compiles its spec once, and a
-  cache-served one does 6 fsyncs and 1 rename for its 3 cells.  A daemon
-  job loads its store once per run, and a restarted daemon reports the
-  counts of finished jobs.
+* The fsync points, by the file each one covers: one per ``submit``,
+  one per checkpoint (a simulated record, or a run of cache hits) and
+  none for a journal header, then the compacted store and its
+  directory.  A hit/hit/miss/hit/hit pass checkpoints 3 times, in cell
+  order, and ``progress`` sees no record before its fsync.  A daemon
+  job compiles its spec once; a cache-served 3-cell job does 5 fsyncs
+  and 1 rename, a fresh one 7 fsyncs.  A daemon job loads its store
+  once per run, and a restarted daemon reports the counts of finished
+  jobs.
 * A record is memoized before its journal line: a study killed at its
   first cache write resumes to a cache that serves a renamed copy whole.
-* Every crash point of the two merged writes replays to a consistent
-  state: a store journal's header plus first record, and the daemon's
-  ``submitted`` plus ``queued`` lines.
+* Every crash point of the grouped writes replays to a consistent
+  state: a store journal's header plus first record, a warm run's
+  header plus all its hits (resumed from the cache alone), and the
+  daemon's ``submitted`` plus ``queued`` lines.
 * The append-only cache counters (``stats.jsonl`` plus a legacy
   ``stats.json``), per-writer cache temp files (counted by ``stats``,
   collected by ``gc``), and ``/events`` skipping the store reload when
@@ -182,20 +187,107 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _fsynced_paths(monkeypatch, root) -> list:
+    """Stub ``os.fsync`` to record the path under ``root`` each call's
+    descriptor is open on, relative to ``root`` (``"."`` for itself)."""
+    paths = []
+
+    def naming(fd):
+        opened = os.fstat(fd)
+        candidates = [root] + [
+            os.path.join(dirpath, name)
+            for dirpath, dirnames, filenames in os.walk(root)
+            for name in dirnames + filenames
+        ]
+        (match,) = [
+            os.path.relpath(path, root)
+            for path in candidates
+            if os.path.samestat(os.stat(path), opened)
+        ]
+        paths.append(match)
+
+    monkeypatch.setattr(os, "fsync", naming)
+    return paths
+
+
 def test_one_fsync_per_checkpointed_record_none_for_the_header(
     tmp_path, monkeypatch
 ):
-    fsyncs = _count_calls(monkeypatch, os, "fsync")
+    fsyncs = _fsynced_paths(monkeypatch, str(tmp_path))
     spec = _spec()
     run_study(spec, store_path=str(tmp_path / "full.json"))
-    assert len(fsyncs) == 3
+    # Three records, then the compacted store's file and directory.
+    assert fsyncs == ["full.json.journal.jsonl"] * 3 + ["full.json.tmp", "."]
     part = str(tmp_path / "part.json")
     del fsyncs[:]
     run_study(spec, store_path=part, max_cells=1)
-    assert len(fsyncs) == 1
+    assert fsyncs == ["part.json.journal.jsonl", "part.json.tmp", "."]
     del fsyncs[:]
     resumed = run_study(spec, store_path=part, resume=True)
-    assert resumed.is_complete() and len(fsyncs) == 2
+    assert resumed.is_complete()
+    assert fsyncs == ["part.json.journal.jsonl"] * 2 + ["part.json.tmp", "."]
+
+
+def _hits_around_a_miss(tmp_path):
+    """A 5-cell spec, its cold store, and a cache of every cell but the
+    middle one: a warm pass over it goes hit, hit, miss, hit, hit."""
+    spec = StudySpec(
+        name="hits around a miss", seed=3, repetitions=1,
+        axes={"process": ["voter"], "n": [4, 5, 6, 7, 8],
+              "rng_mode": ["per-replica"]},
+    )
+    cache = ResultCache(str(tmp_path / "cache"))
+    cold = run_study(spec, cache=cache)
+    os.remove(cache.entry_path(cold.records()[2].cell_id))
+    return spec, cache, cold
+
+
+def test_a_run_of_hits_lands_with_one_fsync_in_cell_order(
+    tmp_path, monkeypatch
+):
+    spec, cache, cold = _hits_around_a_miss(tmp_path)
+    lines = []
+    real_compact = StudyStore.compact
+
+    def compact_after_reading(self, path):
+        with open(journal_path(path), "rb") as handle:
+            lines.extend(handle.read().splitlines())
+        real_compact(self, path)
+
+    monkeypatch.setattr(StudyStore, "compact", compact_after_reading)
+    fsyncs = _fsynced_paths(monkeypatch, str(tmp_path))
+    warm = run_study(spec, store_path=str(tmp_path / "s.json"), cache=cache)
+    assert [r.cache_hit for r in warm.records()] == [True, True, False, True, True]
+    assert warm.results_equal(cold)
+    # Hits 0-1, the miss, hits 3-4; then the compacted store.
+    assert fsyncs == ["s.json.journal.jsonl"] * 3 + ["s.json.tmp", "."]
+    rows = [json.loads(line)["data"]["record"] for line in lines[1:]]
+    assert [row["index"] for row in rows] == [0, 1, 2, 3, 4]
+
+
+def test_progress_sees_no_record_before_the_fsync_covering_it(
+    tmp_path, monkeypatch
+):
+    spec, cache, _cold = _hits_around_a_miss(tmp_path)
+    path = str(tmp_path / "s.json")
+    jpath = journal_path(path)
+    synced = set()
+
+    def fsync_noting_the_journal(fd):
+        if os.path.samestat(os.fstat(fd), os.stat(jpath)):
+            with open(jpath, "rb") as handle:
+                lines = handle.read().splitlines()[1:]
+            synced.update(json.loads(line)["data"]["record"]["index"] for line in lines)
+
+    monkeypatch.setattr(os, "fsync", fsync_noting_the_journal)
+    seen = []
+
+    def progress(_cell, record):
+        assert record.index in synced, (record.index, sorted(synced))
+        seen.append(record.index)
+
+    run_study(spec, store_path=path, cache=cache, progress=progress)
+    assert seen == [0, 1, 2, 3, 4]
 
 
 def test_submit_journals_both_lines_with_one_fsync(tmp_path, monkeypatch):
@@ -216,7 +308,7 @@ def test_submit_journals_both_lines_with_one_fsync(tmp_path, monkeypatch):
     assert events[1]["state"] == "queued"
 
 
-def test_cache_served_job_compiles_once_six_fsyncs_one_rename(
+def test_cache_served_job_compiles_once_five_fsyncs_one_rename(
     tmp_path, monkeypatch
 ):
     compiles = []
@@ -228,13 +320,16 @@ def test_cache_served_job_compiles_once_six_fsyncs_one_rename(
 
     for module in (compile_module, runner_module, jobs_module):
         monkeypatch.setattr(module, "compile_study", counting_compile)
-    manager = JobManager(str(tmp_path / "state"))  # cache in the state dir
+    state = str(tmp_path / "state")
+    manager = JobManager(state)  # cache in the state dir
+    fsyncs = _fsynced_paths(monkeypatch, state)
     manager.start()
     try:
         cold = manager.submit(_spec(name="cold").to_dict())
         assert _finish(manager, cold["id"])["state"] == "done"
         assert compiles == ["cold"]
-        fsyncs = _count_calls(monkeypatch, os, "fsync")
+        cold_fsyncs = fsyncs[:]
+        del fsyncs[:]
         renames = _count_calls(monkeypatch, os, "replace")
         warm = manager.submit(_spec(name="warm").to_dict())
         final = _finish(manager, warm["id"])
@@ -242,9 +337,19 @@ def test_cache_served_job_compiles_once_six_fsyncs_one_rename(
         manager.close()
     assert final["state"] == "done" and final["counts"]["cached"] == 3
     assert compiles == ["cold", "warm"]
-    # submit, running, one per record, done; only compaction renames.
-    assert len(fsyncs) == 6
-    assert len(renames) == 1
+    # submit; each record (the three hits in one write); the compacted
+    # store's file and directory; done.  `running` is never fsync'd.
+    cold_store = f"stores/{cold['id']}.store.json"
+    assert cold_fsyncs == (
+        ["jobs.jsonl"] + [f"{cold_store}.journal.jsonl"] * 3
+        + [f"{cold_store}.tmp", "stores", "jobs.jsonl"]
+    )
+    warm_store = f"stores/{warm['id']}.store.json"
+    assert fsyncs == [
+        "jobs.jsonl", f"{warm_store}.journal.jsonl", f"{warm_store}.tmp",
+        "stores", "jobs.jsonl",
+    ]
+    assert len(renames) == 1  # only compaction renames
 
 
 def test_a_job_loads_its_store_once_and_a_restart_keeps_its_counts(
@@ -290,8 +395,23 @@ def test_a_job_loads_its_store_once_and_a_restart_keeps_its_counts(
 
 
 # ---------------------------------------------------------------------------
-# Every crash point of the two merged writes
+# Every crash point of the grouped writes
 # ---------------------------------------------------------------------------
+
+
+def _first_journal_write(spec, path, cache=None) -> bytes:
+    """Run ``spec`` into a store at ``path``; return its journal as the
+    first ``progress`` call found it: the run's first write."""
+    jpath = journal_path(path)
+    written = []
+
+    def first_write(_cell, _record):
+        if not written:
+            with open(jpath, "rb") as handle:
+                written.append(handle.read())
+
+    run_study(spec, store_path=path, cache=cache, progress=first_write)
+    return written[0]
 
 
 def test_every_crash_point_of_the_first_journal_write_resumes(
@@ -309,15 +429,7 @@ def test_every_crash_point_of_the_first_journal_write_resumes(
     reference = run_study(spec)
     path = str(tmp_path / "s.json")
     jpath = journal_path(path)
-    written = []
-
-    def first_write(_cell, _record):
-        if not written:
-            with open(jpath, "rb") as handle:
-                written.append(handle.read())
-
-    run_study(spec, store_path=path, progress=first_write)
-    (raw,) = written
+    raw = _first_journal_write(spec, path)
     header_bytes = raw.index(b"\n") + 1
     assert raw.count(b"\n") == 2  # the header and the first record line
     cells = compile_study(spec)
@@ -334,6 +446,48 @@ def test_every_crash_point_of_the_first_journal_write_resumes(
         resumed = run_cells(spec, cells, store_path=path, resume=True)
         assert resumed.results_equal(reference), cut
         assert not os.path.exists(jpath)
+        os.remove(path)
+
+
+def test_every_crash_point_of_a_run_of_hits_resumes_from_the_cache(
+    tmp_path, monkeypatch
+):
+    """A kill inside a warm run's one write, its journal header plus all
+    three hits, leaves a prefix of those bytes.  Each loads as the whole
+    hit lines it holds (the resume lands only the other cells), and the
+    resume over the same cache restores the cold results from hits
+    alone: simulating any cell raises."""
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    spec = StudySpec(
+        name="crash points of hits", seed=3, repetitions=1,
+        axes={"process": ["voter"], "n": [4, 6, 8], "rng_mode": ["per-replica"]},
+    )
+    cache = ResultCache(str(tmp_path / "cache"))
+    cold = run_study(spec, cache=cache)
+    path = str(tmp_path / "s.json")
+    jpath = journal_path(path)
+    raw = _first_journal_write(spec, path, cache)
+    line_ends = [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
+    assert len(line_ends) == 4  # the header and the three hits
+
+    def simulate(_plan):
+        raise AssertionError("a resume simulated a cell")
+
+    monkeypatch.setattr(runner_module, "execute", simulate)
+    cells = compile_study(spec)
+    os.remove(path)
+    for cut in range(len(raw) + 1):
+        with open(jpath, "wb") as handle:
+            handle.write(raw[:cut])
+        landed = []
+        resumed = run_cells(
+            spec, cells, store_path=path, resume=True, cache=cache,
+            progress=lambda _cell, record: landed.append(record.index),
+        )
+        kept = sum(end <= cut for end in line_ends[1:])
+        assert landed == [0, 1, 2][kept:], cut
+        assert resumed.results_equal(cold), cut
+        assert all(r.cache_hit for r in resumed.records()), cut
         os.remove(path)
 
 

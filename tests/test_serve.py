@@ -303,6 +303,39 @@ class TestJobManager:
                 successor.close()
             assert successor.load_store(job_id).results_equal(run_study(spec))
 
+    def test_a_rerun_never_counts_more_cells_than_the_job_has(self, tmp_path):
+        """A resubmitted job re-attempts its failed cell: while it runs,
+        its counts must not hold the old failure and the new one."""
+        broken = tiny_spec(
+            name="serve recount",
+            axes={"process": ["3-majority"], "n": [24], "max_rounds": [40],
+                  "rng_mode": ["per-replica"],
+                  "faults": ["none", {"crash": 1.0}]},
+        )
+        manager = JobManager(str(tmp_path / "state"), cache=False)
+        snapshots = []
+        original_tally = manager._tally
+
+        def tally_and_snapshot(counts, record):
+            original_tally(counts, record)
+            snapshots.append(dict(counts))
+
+        manager.start()
+        try:
+            job_id = manager.submit(broken.to_dict())["id"]
+            assert finish(manager, job_id)["state"] == "failed"
+            manager._tally = tally_and_snapshot
+            assert manager.submit(broken.to_dict())["state"] == "queued"
+            final = finish(manager, job_id)
+        finally:
+            manager.close()
+        assert final["state"] == "failed"
+        assert (final["counts"]["ok"], final["counts"]["failed"]) == (1, 1)
+        assert snapshots  # the rerun's record, then the end-of-run recount
+        for counts in snapshots:
+            cells = counts["ok"] + counts["failed"] + counts["timeout"]
+            assert cells <= final["num_cells"], counts
+
     def test_cache_inside_state_dir_gives_full_hits_on_rename(self, tmp_path):
         state = str(tmp_path / "state")
         manager = JobManager(state)  # cache=True → <state>/cache

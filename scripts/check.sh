@@ -60,9 +60,11 @@
 #      an uninterrupted run.
 #   6. serve-smoke — the service contract end-to-end: a daemon
 #      subprocess accepts studies/consensus_scaling.toml over HTTP,
-#      streams ndjson progress, is SIGKILL'd mid-run, and a second
-#      daemon on the same state dir resumes the job to a store
-#      bit-for-bit equal to an uninterrupted foreground run; then
+#      streams ndjson progress, is SIGKILL'd mid-run, and jobs.jsonl is
+#      torn (half a line, no newline) before a second daemon on the
+#      same state dir resumes the job to a store bit-for-bit equal to
+#      an uninterrupted foreground run (every jobs.jsonl line must then
+#      decode, and the file end in a newline); then
 #      resubmission dedup (attach, no recompute) and 5 renamed copies
 #      served at 100% cache hits from the state-dir result cache, whose
 #      median submit→done time must stay under 0.08 s (the event stream

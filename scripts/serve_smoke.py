@@ -13,11 +13,15 @@ service produces.
 Part B — kill/restart durability.  A daemon subprocess starts on a
 fresh state dir, the spec is submitted over HTTP, and the ndjson event
 stream is followed until the first ``record`` lands — then the daemon
-is SIGKILL'd (no ``finally``, no checkpointing courtesy).  A second
+is SIGKILL'd (no ``finally``, no checkpointing courtesy), and the first
+half of a valid line, without its newline, is appended to
+``jobs.jsonl`` as a write torn by the kill would leave it.  A second
 daemon on the *same* state dir must replay its job journal, re-enqueue
 the in-flight job, finish it, and serve a result store
 ``results_equal`` to Part A's — while a reconnected watcher sees the
 journal's valid prefix replayed plus the new records, no duplicates.
+Afterwards every line of ``jobs.jsonl`` decodes and the file ends in a
+newline: the torn half-line was cut, not appended after.
 
 Part C — content-addressed dedup.  Resubmitting the finished spec
 attaches to the done job (no recomputation); submitting a *renamed*
@@ -46,6 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import api
 from repro.serve import ServeClient, ServeError
 from repro.study import StudySpec, load_spec
+from repro.study.store import _journal_line, _parse_journal_line
 
 SPEC_PATH = os.path.join(
     os.path.dirname(__file__), "..", "studies", "consensus_scaling.toml"
@@ -103,6 +108,11 @@ def part_b_kill_restart(tmp: str, reference) -> str:
         daemon.wait()
         daemon.stdout.close()
     print(f"part B: SIGKILL'd the daemon after {streamed_before} streamed record(s)")
+    jobs_journal = os.path.join(state_dir, "jobs.jsonl")
+    torn = _journal_line({"event": "state", "id": job_id, "state": "cancelled"})
+    with open(jobs_journal, "ab") as handle:
+        handle.write(torn[: len(torn) // 2])
+    print(f"part B: tore jobs.jsonl with {len(torn) // 2} bytes of a half line")
 
     daemon, url = start_daemon(state_dir)
     try:
@@ -125,11 +135,19 @@ def part_b_kill_restart(tmp: str, reference) -> str:
             f"{len(seen)} records on the reattached stream) — results "
             "bit-for-bit the foreground run"
         )
-        return state_dir, job_id
     finally:
         daemon.send_signal(signal.SIGTERM)
         daemon.wait()
         daemon.stdout.close()
+    with open(jobs_journal, "rb") as handle:
+        raw = handle.read()
+    assert raw.endswith(b"\n"), "jobs.jsonl does not end in a newline"
+    lines = raw.splitlines(keepends=True)
+    assert all(_parse_journal_line(line) is not None for line in lines), (
+        "jobs.jsonl holds a line that does not decode"
+    )
+    print(f"part B: all {len(lines)} lines of jobs.jsonl decode after the restart")
+    return state_dir, job_id
 
 
 def part_c_dedup_and_cache(tmp: str, state_dir: str, job_id: str, reference):

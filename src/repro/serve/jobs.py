@@ -28,13 +28,14 @@
       <state_dir>/stores/<id>.store.json # one study store per job
       <state_dir>/cache/                 # shared result cache (default)
 
-The job journal reuses the store journal's CRC-guarded line format
-(``{"crc", "data"}`` envelopes) under its own header kind, so a killed
-daemon restarted on the same state dir replays the valid prefix,
-truncates any torn tail, and re-enqueues every job that was ``queued`` /
-``running`` / ``interrupted`` — in original submission order.  Each
-append is one write: a new job's ``submitted`` and ``queued`` lines go
-out together, fsync'd before ``submit`` returns (a kill inside that
+The job journal is a store journal under its own header kind, adopted
+and appended by the store journal's own steps, so a killed daemon
+restarted on the same state dir replays the valid prefix, truncates
+any torn tail, and re-enqueues every job that was ``queued`` /
+``running`` / ``interrupted`` — in original submission order.  Its
+header is durable with the first submit's fsync.  Each append is one
+write: a new job's ``submitted`` and ``queued`` lines go out together,
+fsync'd before ``submit`` returns (a kill inside that
 write replays as no job or as a queued one), and every later state
 change is fsync'd as it lands — except ``running``, which replays
 exactly as ``queued`` does and so becomes durable with the job's next
@@ -65,8 +66,9 @@ from ..study import StudySpec, compile_study, spec_hash
 from ..study.compile import _resolve_cells
 from ..study.runner import run_cells
 from ..study.store import (
-    _journal_line,
-    _scan_journal,
+    _UNDECODABLE,
+    _adopt_journal,
+    _append_journal,
     journal_path,
     load_study_store,
 )
@@ -143,12 +145,15 @@ class JobManager:
         self._queue: "queue.Queue[str | None]" = queue.Queue()
         self._shutdown = threading.Event()
         self._thread: "threading.Thread | None" = None
-        self._handle = None
 
-        self._replay()
-        self._handle = open(self._journal_file, "ab")
-        if not self._jobs and self._handle.tell() == 0:
-            self._append({"kind": _JOBS_KIND, "protocol": PROTOCOL_VERSION})
+        # Rebuild the job table from the journal's valid prefix.
+        events, self._handle = _adopt_journal(
+            self._journal_file,
+            {"kind": _JOBS_KIND, "protocol": PROTOCOL_VERSION},
+            decode=lambda event: event,
+        )
+        for event in events:
+            self._apply(event)
         for job_id in self._order:
             job = self._jobs[job_id]
             job.counts = self._counts_from_disk(job_id)
@@ -193,29 +198,6 @@ class JobManager:
 
     # -- the journal -------------------------------------------------------
 
-    def _append(self, *events: dict, sync: bool = True) -> None:
-        """Journal ``events`` in one write, fsync'd unless ``sync`` is false."""
-        self._handle.write(b"".join(_journal_line(data) for data in events))
-        self._handle.flush()
-        if sync:
-            os.fsync(self._handle.fileno())
-
-    def _replay(self) -> None:
-        """Rebuild the job table from the journal's valid prefix."""
-        try:
-            _header, rows, valid_bytes, torn_bytes = _scan_journal(
-                self._journal_file, _JOBS_KIND
-            )
-        except FileNotFoundError:
-            return
-        for data in rows:
-            self._apply(data)
-        if torn_bytes:
-            # Torn tail (the daemon died mid-append): truncate so the
-            # next append starts on a clean line boundary.
-            with open(self._journal_file, "r+b") as handle:
-                handle.truncate(valid_bytes)
-
     def _apply(self, data: dict) -> None:
         """One replayed journal event → the in-memory job table."""
         try:
@@ -233,7 +215,7 @@ class JobManager:
                 if job is not None and data["state"] in JOB_STATES:
                     job.state = data["state"]
                     job.error = data.get("error")
-        except (KeyError, TypeError, ValueError):
+        except _UNDECODABLE:
             # A malformed-but-CRC-valid line means a newer (or buggy)
             # writer; skipping it degrades to recomputing that job.
             return
@@ -256,7 +238,7 @@ class JobManager:
         job.error = error
         events = [] if submitted is None else [submitted]
         events.append({"event": "state", "id": job.id, "state": state, "error": error})
-        self._append(*events, sync=state != "running")
+        _append_journal(self._handle, *events, sync=state != "running")
         self._notify()
 
     # -- change notification ----------------------------------------------

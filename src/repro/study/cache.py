@@ -225,7 +225,7 @@ class ResultCache:
         :meth:`gc` evicts least-recently-*used*, not least-recently-
         written.
         """
-        from .store import _decode_record, _parse_journal_line
+        from .store import _UNDECODABLE, _decode_record, _parse_journal_line
 
         path = self.entry_path(cell_id)
         try:
@@ -239,7 +239,7 @@ class ResultCache:
         if row is not None:
             try:
                 record = _decode_record(row)
-            except (KeyError, TypeError, ValueError):
+            except _UNDECODABLE:
                 record = None
         if record is None or record.cell_id != cell_id:
             warnings.warn(
@@ -305,7 +305,7 @@ class ResultCache:
         flight (or torn) and is skipped too.  A damaged legacy file
         reads as zero.
         """
-        from .store import _parse_journal_line
+        from .store import _UNDECODABLE, _parse_journal_line
 
         lines = self._read_stats_file(_STATS_FILE).split(b"\n")[:-1]
         rows = [_parse_journal_line(line) for line in lines]
@@ -322,32 +322,27 @@ class ResultCache:
         for row in rows:
             try:
                 hits, misses = hits + int(row["hits"]), misses + int(row["misses"])
-            except (KeyError, TypeError, ValueError):
+            except _UNDECODABLE:
                 continue  # a damaged line counts nothing
         return {"hits": hits, "misses": misses}
 
     def flush(self) -> None:
         """Append this process's hit/miss counters to ``stats.jsonl``.
 
-        One CRC line in a single ``O_APPEND`` write: concurrent writers
+        One CRC line in a single ``O_APPEND`` write, through the
+        journals' append without its fsync: concurrent writers
         (threads, a daemon and a CLI run sharing the directory) each
         land whole lines, so no count is lost and no lock is needed.
         """
-        from .store import _journal_line
+        from .store import _append_journal
 
         if not (self.hits or self.misses):
             return
-        line = _journal_line({"hits": self.hits, "misses": self.misses})
         os.makedirs(self.root, exist_ok=True)
-        fd = os.open(
-            os.path.join(self.root, _STATS_FILE),
-            os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-            0o666,
-        )
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
+        with open(os.path.join(self.root, _STATS_FILE), "ab") as handle:
+            _append_journal(
+                handle, {"hits": self.hits, "misses": self.misses}, sync=False
+            )
         self.hits = 0
         self.misses = 0
 

@@ -38,21 +38,28 @@ whatever base JSON exists, *salvages* a torn tail (reported via
 :attr:`StudyStore.salvage`, never raised), and resume re-runs only the
 cells the tear actually lost.
 
-Each :meth:`StudyStore.checkpoint` appends its records' lines in one
-write and one fsync: one simulated record, or a run of cache hits,
-which a resume replays from the cache if the write was torn.  The
-header goes out with the first checkpoint's write and is durable
-from that fsync on.  Compaction fsyncs the columnar JSON's temp file,
-renames it over the store, fsyncs the directory and only then unlinks
-the journal, so even an OS crash leaves one of the two on disk.  The
-columnar JSON is one unindented line (the C encoder's output); readers
-parse it whatever its layout.
+Every CRC-line journal (this one, the daemon's ``jobs.jsonl`` and the
+cache's ``stats.jsonl``) has one walk over its valid lines, one adopt
+step (read once, refuse a foreign header, truncate the torn tail,
+buffer a header if none is there) and one append (one write, a flush,
+an optional fsync).  The CRC covers the data bytes as written, so a
+line whose bytes differ from them is torn even if it decodes to the
+same value.  Each :meth:`StudyStore.checkpoint` appends its records'
+lines in one write and one fsync: one simulated record, or a run of
+cache hits, which a resume replays from the cache if the write was
+torn.  The header goes out with the first checkpoint's write and is
+durable from that fsync on.  Compaction fsyncs the columnar JSON's
+temp file, renames it over the store, fsyncs the directory and only
+then unlinks the journal, so even an OS crash leaves one of the two on
+disk.  The columnar JSON is one unindented line (the C encoder's
+output); readers parse it whatever its layout.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -256,70 +263,103 @@ def _journal_line(data: dict) -> bytes:
     return b'{"crc":%d,"data":%s}\n' % (zlib.crc32(canonical), canonical)
 
 
-def _parse_journal_line(raw: bytes) -> "dict | None":
-    """Decode one journal line; ``None`` when torn or CRC-mismatched."""
+#: A line as :func:`_journal_line` writes it: the CRC, then the data
+#: bytes it covers (the ``stats.jsonl`` reader splits off the newline).
+_LINE = re.compile(rb'\{"crc":([0-9]{1,10}),"data":(.*)\}\n?', re.DOTALL)
+
+#: What decoding a CRC-valid row that is not what its reader expects raises.
+_UNDECODABLE = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
+def _parse_journal_line(raw: bytes):
+    """Decode one journal line; ``None`` when torn, damaged or too deep."""
+    match = _LINE.fullmatch(raw)
+    if match is None or zlib.crc32(match[2]) != int(match[1]):
+        return None
     try:
-        wrapper = json.loads(raw.decode("utf-8"))
-        crc = wrapper["crc"]
-        data = wrapper["data"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+        return json.loads(match[2])
+    except (ValueError, RecursionError):
         return None
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    if zlib.crc32(canonical.encode("utf-8")) != crc:
-        return None
-    return data
 
 
-def _scan_journal(
-    path: str, kind: str = _JOURNAL_KIND
-) -> "tuple[dict | None, list[dict], int, int]":
-    """Replay a journal file's valid prefix.
+def _record_of(data) -> RunRecord:
+    """The record on a store journal's line after the header."""
+    return _decode_record(data["record"])
 
-    Returns ``(header, rows, valid_bytes, torn_bytes)`` where
-    ``valid_bytes`` is the byte length of the intact prefix (safe to
-    truncate to before appending) and ``torn_bytes`` how much damaged
-    tail follows it.  The first line must be a header whose ``kind`` is
-    ``kind`` (a store journal by default; the daemon's job journal passes
-    its own).  A torn line stops the scan — everything after a tear is
-    unreachable garbage by construction (appends are sequential), so
-    salvaging the prefix is lossless up to the line in flight when the
-    writer died.
+
+def _walk_journal(raw: bytes, kind: str, decode=_record_of, header=None):
+    """The one walk: ``(header, values, end)`` of ``raw``'s valid lines.
+
+    Without a ``header`` the first line must be one of ``kind``.  Each
+    later line's data goes through ``decode`` into ``values``; ``end``
+    is the offset just past the last line kept.  The walk stops at the
+    first unterminated, damaged or undecodable line.
     """
-    header = None
-    rows: "list[dict]" = []
-    valid_bytes = 0
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    offset = 0
-    while offset < len(raw):
-        newline = raw.find(b"\n", offset)
+    values = []
+    end = 0
+    while True:
+        newline = raw.find(b"\n", end)
         if newline < 0:
-            break  # unterminated final line: torn mid-write
-        line = raw[offset : newline + 1]
-        data = _parse_journal_line(line)
+            break
+        data = _parse_journal_line(raw[end : newline + 1])
         if data is None:
             break
-        if header is None:
-            if not isinstance(data, dict) or data.get("kind") != kind:
-                break  # not a journal header: treat the file as torn
-            header = data
-        else:
-            rows.append(data)
-        offset = newline + 1
-        valid_bytes = offset
-    return header, rows, valid_bytes, len(raw) - valid_bytes
+        try:
+            if header is None:
+                if data["kind"] != kind:
+                    break
+                header = data
+            else:
+                values.append(decode(data))
+        except _UNDECODABLE:
+            break
+        end = newline + 1
+    return header, values, end
+
+
+def _adopt_journal(path: str, header: dict, decode=_record_of):
+    """The one adopt step: open ``path`` to append; ``(values, handle)``.
+
+    Refuses (``ValueError``) a header of this kind with another
+    ``spec_hash``, truncates what follows the walked prefix, and buffers
+    ``header`` when the file has none.
+    """
+    handle = open(path, "a+b")
+    handle.seek(0)
+    raw = handle.read()
+    found, values, end = _walk_journal(raw, header["kind"], decode)
+    if found is not None and found.get("spec_hash") != header.get("spec_hash"):
+        handle.close()
+        raise ValueError(
+            f"journal {path} belongs to spec_hash {found.get('spec_hash')!r}, "
+            f"not {header.get('spec_hash')!r}; remove it to start over"
+        )
+    if end < len(raw):
+        handle.truncate(end)
+    if found is None:
+        handle.write(_journal_line(header))
+    return values, handle
+
+
+def _append_journal(handle, *data, sync: bool = True) -> None:
+    """The one append: a line per item in one write, a flush, and an
+    fsync unless ``sync`` is false."""
+    handle.write(b"".join(_journal_line(item) for item in data))
+    handle.flush()
+    if sync:
+        os.fsync(handle.fileno())
 
 
 class JournalReader:
     """Incrementally tail a store journal's valid prefix, while it grows.
 
-    The live counterpart of :func:`_scan_journal`: where the scan reads a
-    dead journal once, the reader is *re-pollable* — it remembers the
-    byte offset of the last complete, CRC-valid line and each
-    :meth:`poll` decodes only what landed since.  An incomplete or
-    CRC-failing tail line is treated as *in flight* (the writer may be
-    mid-``write``), so the offset never advances past it; the next poll
-    retries from the same place.  That is the consistency contract the
+    The live use of :func:`_walk_journal`: where a load walks a dead
+    journal once, the reader is *re-pollable* — it remembers the byte
+    offset of the last complete, CRC-valid line and each :meth:`poll`
+    walks only what landed since.  An incomplete or CRC-failing tail
+    line is treated as *in flight* (the writer may be mid-``write``), so
+    the offset never advances past it; the next poll retries from the
+    same place.  That is the consistency contract the
     daemon's ``/events`` endpoint leans on: a reader attaching mid-run
     replays the journal's valid prefix first, then streams records as
     their fsync'd lines complete, and never observes a torn record.
@@ -355,26 +395,10 @@ class JournalReader:
                 raw = handle.read()
         except OSError:
             return []
-        records: "list[RunRecord]" = []
-        scanned = 0
-        while scanned < len(raw):
-            newline = raw.find(b"\n", scanned)
-            if newline < 0:
-                break  # unterminated: the record in flight, not ours yet
-            data = _parse_journal_line(raw[scanned : newline + 1])
-            if data is None:
-                break  # CRC mismatch: mid-write (or torn) — retry later
-            if self.header is None:
-                if not isinstance(data, dict) or data.get("kind") != _JOURNAL_KIND:
-                    break  # not a journal header: refuse to tail garbage
-                self.header = data
-            else:
-                try:
-                    records.append(_decode_record(data["record"]))
-                except (KeyError, TypeError, ValueError, IndexError):
-                    break  # cannot happen via our writer; stop at damage
-            scanned = newline + 1
-        self._offset += scanned
+        self.header, records, end = _walk_journal(
+            raw, _JOURNAL_KIND, header=self.header
+        )
+        self._offset += end
         return records
 
 
@@ -387,7 +411,7 @@ class StudyStore:
         self.spec = spec
         self.spec_hash = spec_hash(spec)
         self.package_version = package_version or __version__
-        self._records: "list[RunRecord]" = []
+        #: One record per cell; a replaced cell keeps its place.
         self._by_id: "dict[str, RunRecord]" = {}
         self._journal = None
         #: Set by :func:`load_study_store` when a torn journal tail was
@@ -406,33 +430,25 @@ class StudyStore:
     # -- collection behaviour ---------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_id)
 
     def __iter__(self):
         return iter(self.records())
 
     def records(self) -> "list[RunRecord]":
         """Records sorted by cell index (whatever order they completed in)."""
-        return sorted(self._records, key=lambda r: r.index)
-
-    def completed_ids(self) -> "frozenset[str]":
-        return frozenset(self._by_id)
+        return sorted(self._by_id.values(), key=lambda r: r.index)
 
     def get(self, cell_id: str) -> "RunRecord | None":
         return self._by_id.get(cell_id)
 
     def add(self, record: RunRecord) -> None:
         existing = self._by_id.get(record.cell_id)
-        if existing is not None:
-            if existing.ok:
-                raise ValueError(f"cell {record.cell_id} is already recorded")
-            # A non-ok record is a placeholder: a retry (resume) replaces
-            # it in place, keeping one record per cell.
-            self._records[self._records.index(existing)] = record
-            self._by_id[record.cell_id] = record
-            return
-        self._records.append(record)
-        self._by_id[record.cell_id] = record
+        if existing is not None and existing.ok:
+            raise ValueError(f"cell {record.cell_id} is already recorded")
+        # A non-ok record is a placeholder: a retry (resume) replaces it
+        # in place, keeping one record per cell.
+        self._absorb(record)
 
     def _absorb(self, record: RunRecord) -> None:
         """Journal replay upsert: the journal's view of a cell wins.
@@ -441,12 +457,6 @@ class StudyStore:
         leaves the same record in both files; replaying must converge,
         not raise "already recorded".
         """
-        existing = self._by_id.get(record.cell_id)
-        if existing is None:
-            self._records.append(record)
-            self._by_id[record.cell_id] = record
-            return
-        self._records[self._records.index(existing)] = record
         self._by_id[record.cell_id] = record
 
     def failed(self) -> "list[RunRecord]":
@@ -581,33 +591,20 @@ class StudyStore:
     def begin_journal(self, path: str) -> None:
         """Open (or adopt) the sidecar journal for a store at ``path``.
 
-        A pre-existing journal — a crashed run's — is truncated to its
-        valid byte prefix first, so new appends never glue onto a torn
-        half-line (which would lose both records).  A fresh journal gets
-        a self-contained header line (spec + hash), making the journal
+        A pre-existing journal — a crashed run's — is cut back to the
+        prefix :func:`load_study_store` reads, so new appends never glue
+        onto a torn half-line (which would lose both records) or land
+        behind a line the load stops at.  A fresh journal gets a
+        self-contained header line (spec + hash), making the journal
         alone sufficient to rebuild the store if the kill lands before
         the first compaction.  The header is not fsync'd on its own: it
         stays buffered and becomes durable with the first checkpoint's
         fsync.  A kill before that leaves no header or a torn one, which
         loads as "nothing recorded" — and nothing was.
         """
-        jpath = journal_path(path)
-        header = None
-        if os.path.exists(jpath):
-            header, _rows, valid_bytes, torn = _scan_journal(jpath)
-            if header is not None and header.get("spec_hash") != self.spec_hash:
-                raise ValueError(
-                    f"journal {jpath} belongs to spec_hash "
-                    f"{header.get('spec_hash')!r}, not {self.spec_hash!r}; "
-                    "remove it to start over"
-                )
-            with open(jpath, "r+b") as handle:
-                if torn:
-                    handle.truncate(valid_bytes)
-        self._journal = open(jpath, "ab")
-        if header is None:
-            # A fresh journal, or nothing valid survived (torn header).
-            self._journal.write(_journal_line(self._journal_header()))
+        _records, self._journal = _adopt_journal(
+            journal_path(path), self._journal_header()
+        )
 
     def checkpoint(self, *records: RunRecord) -> None:
         """Append ``records`` to the journal in one write and one fsync.
@@ -620,14 +617,9 @@ class StudyStore:
         """
         if self._journal is None:
             raise RuntimeError("checkpoint() requires begin_journal() first")
-        self._journal.write(
-            b"".join(
-                _journal_line({"record": _encode_record(record)})
-                for record in records
-            )
+        _append_journal(
+            self._journal, *({"record": _encode_record(r)} for r in records)
         )
-        self._journal.flush()
-        os.fsync(self._journal.fileno())
 
     def compact(self, path: str) -> None:
         """Fold the journal into the columnar JSON and remove it.
@@ -684,17 +676,12 @@ def load_study_store(path: str) -> StudyStore:
         if store is None:
             raise FileNotFoundError(path)
         return store
-    header, rows, _valid_bytes, torn_bytes = _scan_journal(jpath)
-    if header is None:
+    with open(jpath, "rb") as handle:
+        raw = handle.read()
+    header, records, end = _walk_journal(raw, _JOURNAL_KIND)
+    if header is None and store is None:
         # Even the header is torn: the journal carries nothing usable.
-        if store is None:
-            raise FileNotFoundError(path)
-        store.salvage = {
-            "journal": jpath,
-            "records_salvaged": 0,
-            "bytes_discarded": torn_bytes,
-        }
-        return store
+        raise FileNotFoundError(path)
     if store is None:
         try:
             spec = StudySpec.from_dict(header["spec"])
@@ -704,30 +691,23 @@ def load_study_store(path: str) -> StudyStore:
                 f"({type(exc).__name__}: {exc}); remove it and re-run."
             ) from exc
         store = StudyStore(spec, package_version=header.get("package_version"))
-    if header.get("spec_hash") != store.spec_hash:
+    if header is not None and header.get("spec_hash") != store.spec_hash:
         raise ValueError(
             f"journal {jpath} belongs to spec_hash "
             f"{header.get('spec_hash')!r} but the store at {path} hashes to "
             f"{store.spec_hash!r}; refusing to mix two studies"
         )
     salvaged = 0
-    for row in rows:
-        try:
-            record = _decode_record(row["record"])
-        except (KeyError, TypeError, ValueError, IndexError):
-            # A structurally-broken (but CRC-valid) row cannot happen via
-            # our writer; treat it like a tear at this point.
-            torn_bytes += 1
-            break
+    for record in records:
         existing = store.get(record.cell_id)
         if existing is not None and existing.ok and existing.same_results(record):
             continue  # compaction-crash duplicate
         store._absorb(record)
         salvaged += 1
-    if torn_bytes:
+    if end < len(raw):
         store.salvage = {
             "journal": jpath,
             "records_salvaged": salvaged,
-            "bytes_discarded": torn_bytes,
+            "bytes_discarded": len(raw) - end,
         }
     return store

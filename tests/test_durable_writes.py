@@ -19,7 +19,13 @@
 * Every crash point of the grouped writes replays to a consistent
   state: a store journal's header plus first record, a warm run's
   header plus all its hits (resumed from the cache alone), and the
-  daemon's ``submitted`` plus ``queued`` lines.
+  daemon's ``submitted`` plus ``queued`` lines.  A daemon job killed
+  right after any of its journal appends resumes to the uninterrupted
+  store, and ``jobs.jsonl``'s header is durable with the first submit.
+* The journal decoders, fuzzed: a line decodes to what was written; a
+  damaged, cut or too deeply nested line, or a CRC-valid row that is no
+  record, never raises; arbitrary bytes never raise; and a reader of a
+  journal cut at any byte sees exactly its whole lines.
 * The append-only cache counters (``stats.jsonl`` plus a legacy
   ``stats.json``), per-writer cache temp files (counted by ``stats``,
   collected by ``gc``), and ``/events`` skipping the store reload when
@@ -38,7 +44,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import JobManager, ServeClient, StudyServer
@@ -54,8 +60,17 @@ from repro.study import (
 )
 from repro.study import compile as compile_module
 from repro.study import runner as runner_module
+from repro.study import store as store_module
 from repro.study.runner import run_cells
-from repro.study.store import RunRecord, StudyStore, _encode_record, _journal_line
+from repro.study.store import (
+    JournalReader,
+    RunRecord,
+    StudyStore,
+    _encode_record,
+    _journal_line,
+    _parse_journal_line,
+    _walk_journal,
+)
 
 
 def _two_dump_line(data) -> bytes:
@@ -308,6 +323,29 @@ def test_submit_journals_both_lines_with_one_fsync(tmp_path, monkeypatch):
     assert events[1]["state"] == "queued"
 
 
+def test_the_jobs_journal_header_is_durable_with_the_first_submit(
+    tmp_path, monkeypatch
+):
+    state = str(tmp_path / "state")
+    synced = []
+
+    def fsync_reading_the_journal(fd):
+        with open(os.path.join(state, "jobs.jsonl"), "rb") as handle:
+            synced.append(handle.read())
+
+    monkeypatch.setattr(os, "fsync", fsync_reading_the_journal)
+    manager = JobManager(state, cache=False)
+    try:
+        assert synced == []  # a fresh state dir: no fsync at start
+        manager.submit(_spec().to_dict())
+    finally:
+        manager.close()
+    (journal,) = synced
+    header, *events = [json.loads(line)["data"] for line in journal.splitlines()]
+    assert header["kind"] == "repro-serve-jobs"
+    assert [event["event"] for event in events] == ["submitted", "state"]
+
+
 def test_cache_served_job_compiles_once_five_fsyncs_one_rename(
     tmp_path, monkeypatch
 ):
@@ -519,6 +557,227 @@ def test_every_crash_point_of_the_submit_write_replays(tmp_path, monkeypatch):
             assert views == [], cut
         else:
             assert [(v["id"], v["state"]) for v in views] == [(job_id, "queued")], cut
+
+
+_KILL_AT_EACH_APPEND = """
+import os, sys, time
+from repro.serve import JobManager, jobs
+from repro.serve.protocol import TERMINAL_STATES
+from repro.study import store
+
+real_append = store._append_journal
+
+
+def run(kill_at, state):
+    calls = []
+
+    def append(*args, **kwargs):
+        real_append(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == kill_at:
+            os._exit(3)
+
+    store._append_journal = jobs._append_journal = append
+    manager = JobManager(state)
+    manager.start()
+    job_id = manager.submit(SPEC)["id"]
+    while manager.state(job_id) not in TERMINAL_STATES:
+        time.sleep(0.002)
+    os._exit(0)
+
+
+# This process starts no thread, so forking it is safe; each child
+# imports nothing, which keeps seven kill points within a second.
+for kill_at, state in enumerate(sys.argv[1:], 1):
+    child = os.fork()
+    if child == 0:
+        try:
+            run(kill_at, state)
+        finally:
+            os._exit(1)
+    print(os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]))
+"""
+
+
+def test_a_job_killed_at_any_journal_append_resumes_to_the_same_store(
+    tmp_path, monkeypatch
+):
+    """Kill a daemon right after each journal append of a 3-cell job's
+    life: a forked child ``os._exit``\\ s from the append, so nothing
+    runs after it.  A fresh ``JobManager`` keeps the job (queued until
+    its ``done`` landed), finishes it to the uninterrupted results and
+    leaves ``jobs.jsonl`` valid to its last byte."""
+    spec = _spec()
+    reference = run_study(spec)
+    appended = []
+    real_append = jobs_module._append_journal
+
+    def recording(handle, *data, sync=True):
+        appended.append(os.path.relpath(handle.name, str(tmp_path / "life")))
+        real_append(handle, *data, sync=sync)
+
+    monkeypatch.setattr(jobs_module, "_append_journal", recording)
+    monkeypatch.setattr(store_module, "_append_journal", recording)
+    manager = JobManager(str(tmp_path / "life"))
+    manager.start()
+    try:
+        job_id = manager.submit(spec.to_dict())["id"]
+        assert _finish(manager, job_id)["state"] == "done"
+    finally:
+        manager.close()
+    monkeypatch.undo()
+    journal = f"stores/{job_id}.store.json.journal.jsonl"
+    # submit, running, the three records, the cache counters, done
+    assert appended == (
+        ["jobs.jsonl"] * 2 + [journal] * 3 + ["cache/stats.jsonl", "jobs.jsonl"]
+    )
+    states = [str(tmp_path / f"kill{k}") for k in range(1, len(appended) + 1)]
+    script = f"SPEC = {spec.to_dict()!r}\n" + _KILL_AT_EACH_APPEND
+    killed = subprocess.run(
+        [sys.executable, "-c", script, *states],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert killed.returncode == 0, killed.stderr
+    assert killed.stdout.split() == ["3"] * len(states), killed.stderr
+    for kill_at, state in enumerate(states, 1):
+        survivor = JobManager(state)
+        expected = "done" if kill_at == len(states) else "queued"
+        assert [(v["id"], v["state"]) for v in survivor.views()] == [
+            (job_id, expected)
+        ], kill_at
+        survivor.start()
+        try:
+            final = _finish(survivor, job_id)
+        finally:
+            survivor.close()
+        assert final["state"] == "done", kill_at
+        assert survivor.load_store(job_id).results_equal(reference), kill_at
+        with open(os.path.join(state, "jobs.jsonl"), "rb") as handle:
+            raw = handle.read()
+        header, events, end = _walk_journal(
+            raw, "repro-serve-jobs", decode=lambda event: event
+        )
+        assert header is not None and end == len(raw) and events, kill_at
+
+
+# ---------------------------------------------------------------------------
+# The journal decoders, fuzzed
+# ---------------------------------------------------------------------------
+
+_VALUES = st.recursive(
+    st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner | st.none(), max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner | st.none(), max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_VALUES)
+def test_a_journal_line_decodes_to_what_was_written(value):
+    assert _parse_journal_line(_journal_line(value)) == value
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_VALUES, st.integers(1, 255))
+@example("\u00e9", 0x20)  # \\u00e9 -> \\u00E9 decodes to the same value
+@example(1e20, 0x20)  # 1e+20 -> 1E+20 too
+def test_a_damaged_or_cut_line_decodes_to_none(value, flip):
+    line = _journal_line(value)
+    for at in range(len(line)):
+        for mask in {flip, 0x01, 0x20, 0x80}:
+            damaged = bytearray(line)
+            damaged[at] ^= mask
+            assert _parse_journal_line(bytes(damaged)) is None, (at, mask)
+    for cut in range(len(line) - 1):
+        assert _parse_journal_line(line[:cut]) is None, cut
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.binary(max_size=80))
+def test_arbitrary_bytes_never_raise(payload):
+    enveloped = b'{"crc":%d,"data":%s}\n' % (zlib.crc32(payload), payload)
+    for raw in (payload, enveloped):
+        _parse_journal_line(raw)
+        _walk_journal(raw, "repro-study-journal")
+
+
+def test_a_line_nested_past_the_recursion_limit_is_a_cache_miss(tmp_path):
+    depth = 10 * sys.getrecursionlimit()
+    data = b"[" * depth + b"]" * depth
+    line = b'{"crc":%d,"data":%s}\n' % (zlib.crc32(data), data)
+    assert _parse_journal_line(line) is None
+    cache = ResultCache(str(tmp_path / "cache"), package_version="deep")
+    path = cache.entry_path("c" * 16)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as handle:
+        handle.write(line)
+    with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
+        assert cache.get("c" * 16) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+_HEADER = _journal_line(StudyStore(_spec())._journal_header())
+_ROW = _encode_record(
+    RunRecord("c" * 16, 0, 0, {}, "counts", "rounds", np.zeros(1), np.ones(1, bool))
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ROW)), _JSON)
+@example("index", float("inf"))
+@example("times", [2**70])
+@example("wall_time_s", 2**1100)
+def test_a_crc_valid_row_with_any_field_never_raises(
+    tmp_path_factory, column, value
+):
+    """Replace one field of a record's row: the walk keeps the line or
+    stops before it, and a cache entry holding the row is a hit or a
+    miss."""
+    row = {**_ROW, column: value}
+    raw = _HEADER + _journal_line({"record": row})
+    _header, records, end = _walk_journal(raw, "repro-study-journal")
+    assert (end, len(records)) in ((len(_HEADER), 0), (len(raw), 1))
+    cache = ResultCache(str(tmp_path_factory.getbasetemp() / "fuzz"))
+    path = cache.entry_path(_ROW["cell_id"])
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(_journal_line(row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cache.get(_ROW["cell_id"])
+
+
+def test_a_reader_sees_exactly_the_lines_that_end_before_a_cut(tmp_path):
+    """Cut a header and three records at every byte: a fresh reader
+    returns the records whose lines end at or before the cut, and its
+    next poll, once the rest landed, the others."""
+    records = [
+        RunRecord(f"{i:016x}", i, i, {}, "counts", "rounds", [i], [True])
+        for i in range(3)
+    ]
+    lines = [_HEADER] + [
+        _journal_line({"record": _encode_record(r)}) for r in records
+    ]
+    raw = b"".join(lines)
+    ends = np.cumsum([len(line) for line in lines])[1:]
+    path = str(tmp_path / "s.json.journal.jsonl")
+    for cut in range(len(raw) + 1):
+        with open(path, "wb") as handle:
+            handle.write(raw[:cut])
+        reader = JournalReader(path)
+        kept = int(np.sum(ends <= cut))
+        first = reader.poll()
+        with open(path, "ab") as handle:
+            handle.write(raw[cut:])
+        polled = first + reader.poll()
+        assert [r.index for r in first] == list(range(kept)), cut
+        assert len(polled) == 3, cut
+        assert all(a.same_results(b) for a, b in zip(polled, records)), cut
 
 
 # ---------------------------------------------------------------------------

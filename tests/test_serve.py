@@ -276,6 +276,20 @@ class TestJobManager:
             survivor.close()
         assert os.path.getsize(journal) == intact
 
+    def test_an_overflowing_job_event_is_skipped_on_replay(self, tmp_path):
+        state = str(tmp_path / "state")
+        JobManager(state, cache=False).close()
+        with open(os.path.join(state, "jobs.jsonl"), "ab") as handle:
+            handle.write(_journal_line({
+                "event": "submitted", "id": "overflow",
+                "spec": tiny_spec().to_dict(), "num_cells": float("inf"),
+            }))
+        survivor = JobManager(state, cache=False)
+        try:
+            assert survivor.views() == []
+        finally:
+            survivor.close()
+
     def test_graceful_close_interrupts_then_resumes(self, tmp_path):
         state = str(tmp_path / "state")
         spec = tiny_spec(name="serve shutdown")

@@ -575,6 +575,47 @@ class TestJournaledStore:
         assert loaded.salvage["records_salvaged"] == 1
         assert loaded.results_equal(reference)
 
+    def test_a_checkpoint_after_a_non_record_row_stays_visible(self, tmp_path):
+        """Resuming adopts the prefix the load reads: the CRC-valid row
+        the load stops at is cut, not appended after, so the records the
+        resumed run checkpoints load before any compaction."""
+        from repro.study.store import _journal_line
+
+        spec = one_cell_spec(axes={
+            "process": ["3-majority"],
+            "n": [24, 48],
+            "rng_mode": ["per-replica"],
+        })
+        first, second = run_study(spec).records()
+        path = str(tmp_path / "store.json")
+        jpath = _journal_only(path, spec, [first])
+        bad = _journal_line({"record": [1]})
+        with open(jpath, "ab") as handle:
+            handle.write(bad)
+        salvage = load_study_store(path).salvage
+        assert salvage["bytes_discarded"] == len(bad)
+        resumed = load_study_store(path)
+        resumed.begin_journal(path)
+        resumed.add(second)
+        resumed.checkpoint(second)
+        resumed._journal.close()
+        loaded = load_study_store(path)
+        assert loaded.salvage is None
+        assert [r.cell_id for r in loaded.records()] == [
+            first.cell_id, second.cell_id,
+        ]
+
+    def test_an_empty_journal_beside_a_store_is_no_salvage(self, tmp_path):
+        # A resume killed before its first checkpoint leaves an empty
+        # journal (its header was only buffered): nothing was torn.
+        spec = one_cell_spec()
+        path = str(tmp_path / "store.json")
+        reference = run_study(spec, store_path=path)
+        open(journal_path(path), "wb").close()
+        loaded = load_study_store(path)
+        assert loaded.salvage is None
+        assert loaded.results_equal(reference)
+
     def test_resume_completes_a_torn_journal_bit_for_bit(self, tmp_path):
         spec = one_cell_spec(axes={
             "process": ["3-majority"],

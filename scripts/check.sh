@@ -27,7 +27,10 @@
 #      loop of the node-rule processes and the per-tick loop of
 #      h-Majority.  `repro study validate` must refuse (exit non-zero)
 #      a recorded asynchronous per-replica spec (3-Majority; n = 16,
-#      32), whose cells no registered backend executes.  The same as
+#      32), whose cells no registered backend executes, and a spec
+#      whose workload draws its start (random_composition, k = 3) with
+#      no integer rng kwarg, whose cell_id would mean a new start on
+#      every compile; it must accept that spec with rng = 7.  The same as
 #      above for a batched recorded spec ([record]
 #      aggregate = "mean"; 3-Majority, 2-Choices, Voter; n = 64,
 #      balanced(k=4); both schedulers; ensemble-auto and kernel-auto;
@@ -90,7 +93,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); cache counters; cut warm run resumed from the cache; sweep -o store =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); validate refuses unexecutable cells and unseeded random starts; cache counters; cut warm run resumed from the cache; sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -172,6 +175,23 @@ if python -m repro study validate "$STUDY_TMP/async-recorded.toml"; then
     echo "study-smoke FAILED: validate accepted cells no backend executes" >&2
     exit 1
 fi
+cat > "$STUDY_TMP/random-start.toml" <<'EOF'
+name = "check.sh random start"
+seed = 3
+repetitions = 2
+
+[axes]
+process = "3-majority"
+n = 12
+workload = { name = "random_composition", kwargs = { k = 3 } }
+EOF
+if python -m repro study validate "$STUDY_TMP/random-start.toml"; then
+    echo "study-smoke FAILED: validate accepted a random start with no integer rng" >&2
+    exit 1
+fi
+sed 's/kwargs = { k = 3 }/kwargs = { k = 3, rng = 7 }/' \
+    "$STUDY_TMP/random-start.toml" > "$STUDY_TMP/random-start-seeded.toml"
+python -m repro study validate "$STUDY_TMP/random-start-seeded.toml"
 cat > "$STUDY_TMP/batched.toml" <<'EOF'
 name = "check.sh batched smoke"
 seed = 11

@@ -110,19 +110,31 @@ def derive_seed(source: RandomSource, stream: int) -> int:
     if stream < 0:
         raise ValueError("stream index must be non-negative")
     if isinstance(source, (int, np.integer)):
-        parent = np.random.SeedSequence(int(source))
-        child = np.random.SeedSequence(
-            parent.entropy,
-            spawn_key=parent.spawn_key + (stream,),
-            pool_size=parent.pool_size,
-        )
+        return _child_seed(np.random.SeedSequence(int(source)), stream)
+    if isinstance(source, np.random.Generator):
+        base = source.bit_generator.seed_seq
+        seq = base if base is not None else np.random.SeedSequence()
+    elif isinstance(source, np.random.SeedSequence):
+        seq = source
     else:
-        if isinstance(source, np.random.Generator):
-            base = source.bit_generator.seed_seq
-            seq = base if base is not None else np.random.SeedSequence()
-        elif isinstance(source, np.random.SeedSequence):
-            seq = source
-        else:
-            seq = np.random.SeedSequence(int(source) if source is not None else None)
-        child = seq.spawn(stream + 1)[stream]
-    return int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
+        seq = np.random.SeedSequence(int(source) if source is not None else None)
+    first = seq.n_children_spawned
+    seq.spawn(stream + 1)
+    return _child_seed(seq, first + stream)
+
+
+def _child_seed(parent: np.random.SeedSequence, child: int) -> int:
+    """The seed of ``parent``'s spawned child number ``child``.
+
+    A spawned child is the parent's entropy with spawn key
+    ``parent.spawn_key + (child,)``, so it is built here directly,
+    without spawning.  ``derive_seed(seed, i)`` is
+    ``_child_seed(SeedSequence(seed), i)``; a caller deriving many
+    streams of one seed builds that parent once.
+    """
+    sequence = np.random.SeedSequence(
+        parent.entropy,
+        spawn_key=parent.spawn_key + (child,),
+        pool_size=parent.pool_size,
+    )
+    return int(sequence.generate_state(1, dtype=np.uint64)[0] >> 1)

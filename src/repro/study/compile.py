@@ -13,15 +13,31 @@ unified runtime: each cell resolves one axis assignment into a
 * the adversary budget resolved at compile time (``budget = None`` means
   the [BCN+16] recommended tolerance scale for the cell's ``n`` and
   color count), so provenance records concrete numbers.
+
+One compile builds each immutable part once, at the first cell that
+needs it, and hands it to every later cell with the same value: the
+start configuration per (workload value, ``n``), the checked process
+factory per process value, the stopping condition per rule string and
+the fault schedule per faults value (values are told apart by identity
+within the compile, never re-encoded).  What carries per-run state stays
+per cell: the adversary instance and the metric recorder.  An invalid
+value therefore still fails on its first cell, with the message it
+always had.  A workload that draws its start at random must carry an
+integer ``rng`` kwarg, so that a cell (and its ``cell_id``) always means
+one start.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..adversary.adversary import (
     Adversary,
@@ -33,7 +49,7 @@ from ..adversary.adversary import (
 from ..engine.batch import first_passage_plan
 from ..engine.metrics import EnsembleMetricRecorder
 from ..engine.plan import SimulationPlan
-from ..engine.rng import derive_seed
+from ..engine.rng import _child_seed
 from ..engine.runtime import backend_choices, resolve_backend
 from ..engine.stopping import (
     BiasAtLeast,
@@ -42,7 +58,7 @@ from ..engine.stopping import (
     MaxSupportAbove,
     StoppingCondition,
 )
-from ..experiments.workloads import resolve_workload
+from ..experiments.workloads import WORKLOADS, resolve_workload
 from ..faults import build_fault_schedule, encode_fault_value
 from ..processes.registry import make_process
 from .spec import AXIS_NAMES, StudySpec, spec_hash
@@ -211,34 +227,48 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
 
     Validation happens eagerly for the *whole* grid before anything runs,
     so a typo in the last cell surfaces before hours of simulation.
+    Cell ``i``'s seed is ``derive_seed(spec.seed, i)``, derived from one
+    parent ``SeedSequence`` per compile.  Starts, process factories,
+    stopping conditions and fault schedules are built once per distinct
+    axis value and shared by the cells that use it; adversaries and
+    recorders are built per cell (see the module docstring).
     """
+    parent = np.random.SeedSequence(spec.seed)
+    choices = backend_choices()
+    shared: dict = {}
+
+    def once(key, build, *args):
+        try:
+            return shared[key]
+        except KeyError:
+            shared[key] = built = build(*args)
+            return built
+
     cells = []
     for index, assignment in enumerate(expand_axes(spec)):
-        if assignment["backend"] not in backend_choices():
+        if assignment["backend"] not in choices:
             raise ValueError(
                 f"cell {index}: unknown backend {assignment['backend']!r}; "
-                f"valid: {', '.join(backend_choices())}"
+                f"valid: {', '.join(choices)}"
             )
         n = assignment["n"]
-        initial = resolve_workload(assignment["workload"], n)
+        workload = assignment["workload"]
+        initial = once(("start", id(workload), n), _start, workload, n, index)
         process_value = assignment["process"]
-        # Build one instance eagerly to validate the name/kwargs...
-        make_process(process_value["name"], **process_value["kwargs"])
-        # ...but hand the plan a factory, so sequential backends get a
-        # fresh instance per replica (the factory contract of the plan).
-        factory = _process_factory(process_value)
+        factory = once(("process", id(process_value)), _process_factory, process_value)
         adversary_value = assignment["adversary"]
-        adversary = build_adversary(adversary_value, n, initial.num_colors)
-        if adversary is not None:
+        adversary = None
+        if adversary_value is not None:
+            adversary = build_adversary(adversary_value, n, initial.num_colors)
             # Record the resolved budget in the cell's provenance.
             adversary_value = {
                 "name": adversary_value["name"],
                 "budget": int(adversary.budget),
                 "kwargs": dict(adversary_value["kwargs"]),
             }
-        stop = parse_stop(assignment["stop"])
+        stop = once(("stop", assignment["stop"]), parse_stop, assignment["stop"])
         faults_value = assignment["faults"]
-        faults = build_fault_schedule(faults_value)
+        faults = once(("faults", id(faults_value)), build_fault_schedule, faults_value)
         params = {
             **assignment,
             "adversary": adversary_value,
@@ -256,7 +286,7 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             # Elide the default so fault-free cells keep their pre-fault
             # cell_ids — the hashes resume matches completed cells by.
             del params["faults"]
-        seed = derive_seed(spec.seed, index)
+        seed = _child_seed(parent, index)
         params["seed"] = seed
         plan = first_passage_plan(
             process_factory=factory,
@@ -282,8 +312,36 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
     return cells
 
 
+#: Workloads whose generator draws the start (it takes an ``rng``).  A
+#: study cell must seed them, or one ``cell_id`` would mean many starts.
+_DRAWING_WORKLOADS = frozenset(
+    name
+    for name, generator in WORKLOADS.items()
+    if "rng" in inspect.signature(generator).parameters
+)
+
+
+def _start(workload: dict, n: int, index: int):
+    """The start configuration of ``workload`` at ``n``, first needed by
+    cell ``index``; a workload that draws must be seeded by its kwargs."""
+    if workload["name"] in _DRAWING_WORKLOADS:
+        rng = workload["kwargs"].get("rng")
+        if isinstance(rng, bool) or not isinstance(rng, numbers.Integral):
+            raise ValueError(
+                f"cell {index}: workload {workload['name']!r} draws its start "
+                f"at random and needs an integer 'rng' kwarg (got {rng!r}); "
+                "without one the same cell_id would mean a new start on "
+                "every compile"
+            )
+    return resolve_workload(workload, n)
+
+
 def _process_factory(value: dict):
+    """A factory for the process ``value`` names, after building one
+    instance to validate the name and kwargs; the plan gets the factory,
+    so sequential backends build a fresh instance per replica."""
     name, kwargs = value["name"], value["kwargs"]
+    make_process(name, **kwargs)
     return lambda: make_process(name, **kwargs)
 
 

@@ -217,31 +217,61 @@ def _encode_record(record: RunRecord) -> dict:
 
 
 def _decode_record(row: Mapping) -> RunRecord:
-    """Rebuild a record from :func:`_encode_record` output."""
+    """Rebuild a record from :func:`_encode_record` output.
+
+    Each field decodes only from its own JSON type (a bool is no int, an
+    int no bool and a float no int), so a record that decodes encodes
+    back to the row it came from; any other value raises ``TypeError``.
+    """
     if not isinstance(row, Mapping):
         raise TypeError(
             f"a record row must be a JSON object, not {type(row).__name__}"
         )
-    status = str(row.get("status", "ok"))
+    status = _typed(row, "status", str, default="ok")
     if status not in _STATUSES:
         raise ValueError(f"unknown record status {status!r}; valid: {_STATUSES}")
     return RunRecord(
-        cell_id=row["cell_id"],
-        index=int(row["index"]),
-        seed=int(row["seed"]),
-        params=row["params"],
-        resolved_backend=row["resolved_backend"],
-        unit=row["unit"],
-        times=np.asarray(row["times"], dtype=np.int64),
-        stopped=np.asarray(row["stopped"], dtype=bool),
-        wall_time_s=float(row["wall_time_s"]),
-        trajectory=row.get("trajectory"),
-        extras=row.get("extras"),
+        cell_id=_typed(row, "cell_id", str),
+        index=_typed(row, "index", int),
+        seed=_typed(row, "seed", int),
+        params=_typed(row, "params", dict),
+        resolved_backend=_typed(row, "resolved_backend", str),
+        unit=_typed(row, "unit", str),
+        times=np.asarray(_typed_items(row, "times", int), dtype=np.int64),
+        stopped=np.asarray(_typed_items(row, "stopped", bool), dtype=bool),
+        wall_time_s=float(_typed(row, "wall_time_s", int, float)),
+        trajectory=_typed(row, "trajectory", dict, None, default=None),
+        extras=_typed(row, "extras", dict, None, default=None),
         status=status,
-        error=row.get("error"),
-        degraded_from=row.get("degraded_from"),
-        cache_hit=bool(row.get("cache_hit", False)),
+        error=_typed(row, "error", dict, None, default=None),
+        degraded_from=_typed(row, "degraded_from", str, None, default=None),
+        cache_hit=_typed(row, "cache_hit", bool, default=False),
     )
+
+
+_REQUIRED = object()
+
+
+def _typed(row: Mapping, name: str, *types, default=_REQUIRED):
+    """``row[name]`` (``default`` when absent, if one is given) when its
+    type is exactly one of ``types`` (``None`` admits null), else
+    ``TypeError``: ``json`` decodes each JSON type to one exact type."""
+    value = row[name] if default is _REQUIRED else row.get(name, default)
+    if type(value) not in types and not (value is None and None in types):
+        raise TypeError(f"record field {name!r} cannot be a {type(value).__name__}")
+    return value
+
+
+def _typed_items(row: Mapping, name: str, item: type) -> list:
+    """``row[name]`` when it is a list of exactly ``item``, else ``TypeError``."""
+    values = _typed(row, name, list)
+    for value in values:
+        if type(value) is not item:
+            raise TypeError(
+                f"record field {name!r} holds a {type(value).__name__}; "
+                f"its items are {item.__name__}s"
+            )
+    return values
 
 
 def journal_path(path: str) -> str:

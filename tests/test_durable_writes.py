@@ -24,8 +24,10 @@
   store, and ``jobs.jsonl``'s header is durable with the first submit.
 * The journal decoders, fuzzed: a line decodes to what was written; a
   damaged, cut or too deeply nested line, or a CRC-valid row that is no
-  record, never raises; arbitrary bytes never raise; and a reader of a
-  journal cut at any byte sees exactly its whole lines.
+  record, never raises; arbitrary bytes never raise; a record row
+  decodes only from well-typed fields, to a record that encodes back to
+  it, or not at all; and a reader of a journal cut at any byte sees
+  exactly its whole lines.
 * The append-only cache counters (``stats.jsonl`` plus a legacy
   ``stats.json``), per-writer cache temp files (counted by ``stats``,
   collected by ``gc``), and ``/events`` skipping the store reload when
@@ -750,6 +752,87 @@ def test_a_crc_valid_row_with_any_field_never_raises(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         cache.get(_ROW["cell_id"])
+
+
+_OBJECTS = st.dictionaries(st.text(max_size=4), _JSON, max_size=2)
+#: Each field of a record row, as a value of its own JSON type.
+_ROW_FIELDS = {
+    "cell_id": st.text(max_size=4),
+    "index": st.integers(-(2**64), 2**64),
+    "seed": st.integers(-(2**64), 2**64),
+    "params": _OBJECTS,
+    "resolved_backend": st.text(max_size=4),
+    "unit": st.text(max_size=4),
+    "times": st.lists(st.integers(-(2**64), 2**64), max_size=3),
+    "stopped": st.lists(st.booleans(), max_size=3),
+    "wall_time_s": st.integers(-(2**1100), 2**1100) | st.floats(),
+}
+_OPTIONAL_FIELDS = {
+    "trajectory": st.none() | _OBJECTS,
+    "extras": st.none() | _OBJECTS,
+    "status": st.sampled_from(["ok", "failed", "timeout"]),
+    "error": st.none() | _OBJECTS,
+    "degraded_from": st.none() | st.text(max_size=4),
+    "cache_hit": st.booleans(),
+}
+_ROW_DEFAULTS = {"trajectory": None, "extras": None, "status": "ok",
+                 "error": None, "degraded_from": None, "cache_hit": False}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.fixed_dictionaries(_ROW_FIELDS, optional=_OPTIONAL_FIELDS),
+    st.dictionaries(
+        st.sampled_from(sorted({**_ROW_FIELDS, **_OPTIONAL_FIELDS})), _JSON,
+        max_size=2,
+    ),
+)
+@example(_ROW, {"times": [1.5]})
+@example(_ROW, {"index": 2.9})
+@example(_ROW, {"stopped": [2]})
+@example(_ROW, {"seed": True})
+@example(_ROW, {"wall_time_s": "0.5"})
+@example(_ROW, {"unit": 7})
+def test_a_record_row_decodes_strictly_or_not_at_all(
+    tmp_path_factory, fields, replaced
+):
+    """A CRC-valid record row (well-typed fields, up to two replaced by
+    any JSON) either fails to decode with a declared error, and then the
+    walk, the cache and a reader all stop before it, or it decodes to a
+    record that encodes back to the row: decode → encode → decode is a
+    fixed point."""
+    line = _journal_line({"record": {**fields, **replaced}})
+    data = _parse_journal_line(line)["record"]
+    try:
+        record = store_module._decode_record(data)
+    except store_module._UNDECODABLE:
+        record = None
+    _header, records, end = _walk_journal(_HEADER + line, "repro-study-journal")
+    root = tmp_path_factory.getbasetemp() / "strict"
+    journal = str(root / "s.json.journal.jsonl")
+    os.makedirs(root, exist_ok=True)
+    with open(journal, "wb") as handle:
+        handle.write(_HEADER + line)
+    reader = JournalReader(journal)
+    polled = reader.poll()
+    if record is None:
+        cache = ResultCache(str(root / "cache"))
+        entry = cache.entry_path("c" * 16)
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        with open(entry, "wb") as handle:
+            handle.write(_journal_line(data))
+        with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
+            assert cache.get("c" * 16) is None
+        assert (end, records, polled) == (len(_HEADER), [], [])
+        assert reader._offset == len(_HEADER)
+        return
+    assert end == len(_HEADER) + len(line) and len(records) == len(polled) == 1
+    encoded = _encode_record(record)
+    # json.dumps compares NaN with NaN; an int wall time reads as a float.
+    expected = {**_ROW_DEFAULTS, **data, "wall_time_s": float(data["wall_time_s"])}
+    assert json.dumps(encoded, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    again = _encode_record(store_module._decode_record(encoded))
+    assert json.dumps(again, sort_keys=True) == json.dumps(encoded, sort_keys=True)
 
 
 def test_a_reader_sees_exactly_the_lines_that_end_before_a_cut(tmp_path):

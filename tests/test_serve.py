@@ -53,6 +53,7 @@ from repro.study import (
     JournalReader,
     ResultCache,
     StudySpec,
+    compile_study,
     journal_path,
     load_study_store,
     run_study,
@@ -972,3 +973,42 @@ class TestValidateVerb:
         assert info.value.status == 400
         assert "no registered backend" in str(info.value)
         assert client.jobs() == []
+
+    def test_a_random_start_without_an_integer_rng_is_refused(
+        self, tmp_path, served
+    ):
+        """A workload that draws its start needs an integer ``rng``
+        kwarg, or one cell_id would mean a new start on every compile:
+        ``validate``, the CLI and ``POST /jobs`` refuse it, naming the
+        first cell that uses it."""
+        def spec(**kwargs):
+            return tiny_spec(
+                name="random start",
+                axes={
+                    "process": ["3-majority"],
+                    "n": [12, 16],
+                    "workload": [
+                        "singletons",
+                        {"name": "random_composition", "kwargs": {"k": 3, **kwargs}},
+                    ],
+                },
+            )
+
+        for rng in ({}, {"rng": True}, {"rng": 7.0}, {"rng": "7"}):
+            with pytest.raises(ValueError, match=r"^cell 2: .*integer 'rng'"):
+                compile_study(spec(**rng))
+        unseeded = spec()
+        spec_path = str(tmp_path / "spec.toml")
+        save_spec(unseeded, spec_path)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["study", "validate", spec_path])
+        assert str(info.value.code).startswith("invalid spec: cell 2: ")
+        client, _manager = served
+        with pytest.raises(ServeError) as info:
+            client.submit(unseeded)
+        assert info.value.status == 400 and "'rng'" in str(info.value)
+        assert client.jobs() == []
+        seeded = spec(rng=7)
+        first, second = compile_study(seeded), compile_study(seeded)
+        assert [c.plan.initial for c in first] == [c.plan.initial for c in second]
+        assert api.validate(seeded)["num_cells"] == 4

@@ -43,8 +43,8 @@
 #      cache stats` must report 2 hits and 2 misses, and after `study
 #      cache gc` 0 and 0.  Then a warm run over that cache is cut after
 #      one cell (--max-cells 1) and resumed over it: the store must equal
-#      the cold one with every record a hit (a run of hits lands as one
-#      journal write).  Then a 3-point
+#      the cold one with every record a hit (the hits after the last
+#      simulated cell land with the compaction).  Then a 3-point
 #      `repro sweep -o` round trip: the sweep's study store is
 #      reported, loads with 3 complete cells, and a second identical
 #      `sweep -o` must exit non-zero and leave the store results-equal

@@ -30,8 +30,8 @@ state-dir result cache — 100% ``cache_hit`` records, results still
 bit-for-bit the reference.  Five renamed copies run one after another,
 and the median submit→``done`` time must stay under
 ``MAX_CACHED_JOB_S``: a fully cached job runs no simulation, only
-journal writes and a compaction, so anything slower means the event
-stream is waiting on something other than the work.
+``jobs.jsonl`` writes and a compaction, so anything slower means the
+event stream is waiting on something other than the work.
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ __version__ = "1.1.0"
 
 from . import api
 from .api import simulate, study, sweep, validate
+
+# ``repro.study`` is the facade function, which shadows the subpackage.
+# ``import repro.study.runner as r`` reads the submodule through it, and
+# Python then looks up ``f"{repro.study.__name__}.runner"`` in
+# ``sys.modules``, so the function carries the subpackage's name.
+study.__name__ = "repro.study"
 from .study import (
     RunRecord,
     StoreCorruptError,

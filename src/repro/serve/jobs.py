@@ -42,9 +42,9 @@ exactly as ``queued`` does and so becomes durable with the job's next
 fsync'd line.  The *result* durability is the store journal's:
 ``run_cells`` with ``resume=True`` completes each re-enqueued job
 bit-for-bit.  A job of k cells served wholly from the result cache thus
-costs one compile and 5 fsyncs: the submit, one for its k records (a
-run of hits is one journal write), two for the compacted store (the
-file, then its directory) and ``done``.  A job that simulates its k
+costs one compile and 4 fsyncs: the submit, two for the compacted store
+(the file, then its directory), which is where its k hits land (the run
+writes no store journal), and ``done``.  A job that simulates its k
 cells does k + 4.
 
 Graceful shutdown puts a ``None`` sentinel on the queue (waking an
@@ -393,8 +393,9 @@ class JobManager:
         no compiled plans.
         """
         def progress(cell, record) -> None:
-            # run_cells calls this after the record's journal line is
-            # fsync'd, so a woken /events reader finds it on disk.
+            # run_cells calls this after the fsync covering the record
+            # (its journal line's, or the compacted store's), so a woken
+            # /events reader finds it on disk.
             with self._lock:
                 self._tally(job.counts, record)
                 self._notify()

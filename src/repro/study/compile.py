@@ -17,14 +17,15 @@ unified runtime: each cell resolves one axis assignment into a
 One compile builds each immutable part once, at the first cell that
 needs it, and hands it to every later cell with the same value: the
 start configuration per (workload value, ``n``), the checked process
-factory per process value, the stopping condition per rule string and
-the fault schedule per faults value (values are told apart by identity
-within the compile, never re-encoded).  What carries per-run state stays
-per cell: the adversary instance and the metric recorder.  An invalid
-value therefore still fails on its first cell, with the message it
-always had.  A workload that draws its start at random must carry an
-integer ``rng`` kwarg, so that a cell (and its ``cell_id``) always means
-one start.
+factory per process value, the stopping condition per rule string, the
+fault schedule per faults value and the canonical JSON of each param
+value, from which every ``cell_id`` is spliced (values are told apart
+by identity within the compile, never re-encoded).  What carries
+per-run state stays per cell: the adversary instance and the metric
+recorder.  An invalid value therefore still fails on its first cell,
+with the message it always had.  A workload that draws its start at
+random must carry an integer ``rng`` kwarg, so that a cell (and its
+``cell_id``) always means one start.
 """
 
 from __future__ import annotations
@@ -159,10 +160,19 @@ def expand_axes(spec: StudySpec) -> "list[dict]":
     return [dict(zip(AXIS_NAMES, combo)) for combo in combos]
 
 
+#: A value as canonical JSON (sorted keys, no spaces): what
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` gives,
+#: without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def cell_hash(params: dict) -> str:
     """Content hash of one cell's fully resolved parameters."""
-    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _digest(_canonical(params))
 
 
 def describe_axes(params: dict) -> str:
@@ -244,6 +254,35 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             shared[key] = built = build(*args)
             return built
 
+    # The params every cell shares.
+    fixed = {
+        "repetitions": spec.repetitions,
+        # Accepted and ignored (see StudySpec.workers); kept in params
+        # so existing cell_ids (and resumes) hold.
+        "workers": spec.workers,
+        "check_every": spec.check_every,
+        "stable_fraction": spec.stable_fraction,
+        "stable_rounds": spec.stable_rounds,
+        "raise_on_limit": spec.raise_on_limit,
+        "record": spec.record,
+    }
+    # id(value) -> its canonical JSON.  Every value stays referenced by
+    # the compiled cells, so no id is reused within the compile.
+    encoded: "dict[int, str]" = {}
+
+    def cell_id(params: dict) -> str:
+        """``cell_hash(params)``, spliced from each value's canonical JSON
+        (a nested value encodes as it does alone; keys are plain names),
+        so each distinct value is encoded once per compile."""
+        parts = []
+        for key in sorted(params):
+            value = params[key]
+            text = encoded.get(id(value))
+            if text is None:
+                text = encoded[id(value)] = _canonical(value)
+            parts.append(f'"{key}":{text}')
+        return _digest("{%s}" % ",".join(parts))
+
     cells = []
     for index, assignment in enumerate(expand_axes(spec)):
         if assignment["backend"] not in choices:
@@ -269,19 +308,7 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
         stop = once(("stop", assignment["stop"]), parse_stop, assignment["stop"])
         faults_value = assignment["faults"]
         faults = once(("faults", id(faults_value)), build_fault_schedule, faults_value)
-        params = {
-            **assignment,
-            "adversary": adversary_value,
-            "repetitions": spec.repetitions,
-            # Accepted and ignored (see StudySpec.workers); kept in
-            # params so existing cell_ids (and resumes) hold.
-            "workers": spec.workers,
-            "check_every": spec.check_every,
-            "stable_fraction": spec.stable_fraction,
-            "stable_rounds": spec.stable_rounds,
-            "raise_on_limit": spec.raise_on_limit,
-            "record": spec.record,
-        }
+        params = {**assignment, "adversary": adversary_value, **fixed}
         if faults_value is None:
             # Elide the default so fault-free cells keep their pre-fault
             # cell_ids — the hashes resume matches completed cells by.
@@ -307,7 +334,7 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             raise_on_limit=spec.raise_on_limit,
         )
         cells.append(
-            StudyCell(index=index, cell_id=cell_hash(params), params=params, plan=plan)
+            StudyCell(index=index, cell_id=cell_id(params), params=params, plan=plan)
         )
     return cells
 

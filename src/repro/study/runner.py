@@ -5,8 +5,8 @@ compile the spec, skip cells an existing store already covers, resolve
 each remaining cell's backend once
 (:func:`repro.engine.runtime.resolve_backend`) and execute the cell on
 it, and journal each simulated record the moment it exists (a run of
-cache hits in one write) so an interrupted run loses at most the cell in
-flight.
+cache hits in one write, or with the compaction) so an interrupted run
+loses at most the cell in flight.
 
 Supervision (the :class:`~repro.study.policy.ExecutionPolicy`):
 
@@ -67,10 +67,12 @@ thread, which is the store's single writer.  With a cache enabled
 (:mod:`repro.study.cache`), every pending cell is looked up before it is
 dispatched — a hit is stamped ``cache_hit=True`` and never simulates —
 and every fresh clean record is memoized for the next overlapping study.
-A run of consecutive hits lands as one journal write and one fsync,
-before the next miss is simulated or when the scan ends; ``progress``
-fires for each of them after that fsync.  A kill inside that write
-loses only hits, which a resume replays from the cache.
+A run of consecutive hits before a miss lands as one journal write and
+one fsync before that miss is simulated; the hits after the last
+simulated cell (in a warm rerun, every hit) land with the compaction
+that ends the run, and write no journal.  ``progress`` fires for a hit
+once the fsync covering it returns.  A kill inside either write loses
+only hits, which a resume replays from the cache.
 """
 
 from __future__ import annotations
@@ -442,12 +444,14 @@ def run_cells(
         :attr:`~repro.study.store.StudyStore.cell_ids` come from them.
     store_path:
         Where to checkpoint results.  Each simulated cell, and each run
-        of consecutive cache hits, appends its lines to a sidecar
-        journal (``<store_path>.journal.jsonl``) in one write and one
-        fsync — O(record) bytes, crash-safe at any byte offset — and
-        the journal compacts into the columnar JSON at ``store_path``
-        when the run finishes (or raises).  ``None`` keeps the store in
-        memory only.
+        of consecutive cache hits before a simulated cell, appends its
+        lines to a sidecar journal (``<store_path>.journal.jsonl``) in
+        one write and one fsync — O(record) bytes, crash-safe at any
+        byte offset — and the journal compacts into the columnar JSON
+        at ``store_path`` when the run finishes (or raises).  The hits
+        after the last simulated cell land with that compaction alone,
+        so a run of nothing but hits creates no journal.  ``None``
+        keeps the store in memory only.
     resume:
         ``False`` starts fresh (and refuses to clobber an existing store
         or journal at ``store_path``); ``True`` loads ``store_path`` —
@@ -464,7 +468,10 @@ def run_cells(
         ``--max-cells`` CLI knob for budgeted sessions).
     progress:
         Optional callback invoked for each landed record — simulated or
-        a cache hit — once the fsync covering its journal line returns.
+        a cache hit — once the fsync covering it returns: its journal
+        line's, or for the hits after the last simulated cell, the
+        compacted store's directory fsync (without a ``store_path``,
+        once the run ends).  Calls come in cell order.
     on_error:
         ``"record"`` (default) isolates failures: a cell that raises is
         retried per the policy and, failing that, recorded as
@@ -538,6 +545,9 @@ def run_cells(
         store.begin_journal(store_path)
     stop = stop_event if stop_event is not None else threading.Event()
     started = 0
+    # The hits after the last simulated cell: stored when the scan
+    # ends, made durable by the compaction, reported after it.
+    tail: "list[tuple[StudyCell, RunRecord]]" = []
 
     def land(batch: "list[tuple[StudyCell, RunRecord]]") -> None:
         """Land records: store, memoize, journal (one fsync), report.
@@ -561,15 +571,16 @@ def run_cells(
                 progress(cell, record)
 
     def pending_cells():
-        """The cells this run must execute, cache hits already landed.
+        """The cells this run must execute, cache hits already stored.
 
         Skips cells an existing store covers, caps *started* work at
         ``max_cells`` (hits count: they produce new records), and
-        collects cache hits — a hit re-stamps the current compile's
-        index (an overlapping spec may order shared cells differently)
-        and never reaches the scheduler.  Each run of consecutive hits
-        lands as one checkpoint before the next miss is simulated, or
-        when the scan ends, so the journal keeps cell order.
+        collects cache hits — a hit re-stamps the decoded record with
+        the current compile's index (an overlapping spec may order
+        shared cells differently) and never reaches the scheduler.  Each
+        run of consecutive hits lands as one checkpoint before the next
+        miss is simulated, so the journal keeps cell order; the hits
+        after the last miss go to ``tail`` when the scan ends.
         """
         nonlocal started
         hits = []
@@ -585,14 +596,16 @@ def run_cells(
             if result_cache is not None:
                 cached = result_cache.get(cell.cell_id)
                 if cached is not None:
-                    hits.append(
-                        (cell, replace(cached, index=cell.index, cache_hit=True))
-                    )
+                    cached.index = cell.index
+                    cached.cache_hit = True
+                    hits.append((cell, cached))
                     continue
             land(hits)
             hits = []
             yield cell
-        land(hits)
+        for _cell, record in hits:
+            store.add(record)
+        tail.extend(hits)
 
     try:
         with _GracefulStop(stop):
@@ -609,6 +622,10 @@ def run_cells(
         if store_path is not None:
             # Compaction is atomic (save lands before the journal
             # unlinks), so even an exception path leaves one consistent
-            # checkpoint — and a hard kill leaves the journal to replay.
+            # checkpoint — and a hard kill leaves the journal to replay,
+            # less the tail of hits, which a resume replays from the cache.
             store.compact(store_path)
+    if progress is not None:
+        for cell, record in tail:
+            progress(cell, record)
     return store

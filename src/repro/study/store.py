@@ -47,12 +47,15 @@ line whose bytes differ from them is torn even if it decodes to the
 same value.  Each :meth:`StudyStore.checkpoint` appends its records'
 lines in one write and one fsync: one simulated record, or a run of
 cache hits, which a resume replays from the cache if the write was
-torn.  The header goes out with the first checkpoint's write and is
-durable from that fsync on.  Compaction fsyncs the columnar JSON's
-temp file, renames it over the store, fsyncs the directory and only
-then unlinks the journal, so even an OS crash leaves one of the two on
-disk.  The columnar JSON is one unindented line (the C encoder's
-output); readers parse it whatever its layout.
+torn.  The first checkpoint adopts the journal, and its header goes
+out with that checkpoint's write and is durable from its fsync on, so
+a run that checkpoints nothing writes no journal.  Compaction fsyncs
+the columnar JSON's temp file, renames it over the store, fsyncs the
+directory and only then unlinks the journal, so even an OS crash
+leaves one of the two on disk; records that were never checkpointed
+are durable from that directory fsync on.  The columnar JSON is one
+unindented line (the C encoder's output); readers parse it whatever
+its layout.
 """
 
 from __future__ import annotations
@@ -396,8 +399,8 @@ class JournalReader:
 
     The reader tolerates the journal's whole lifecycle: a file that does
     not exist yet (``poll`` returns nothing), a crashed run's torn tail
-    being truncated by ``begin_journal`` on resume (only damaged bytes
-    vanish, the valid offset stays valid), and compaction unlinking the
+    being truncated by a resumed run's first checkpoint (only damaged
+    bytes vanish, the valid offset stays valid), and compaction unlinking the
     file (subsequent polls return nothing; a *fresh* journal appearing
     later — a different inode, or shorter than the old offset — resets
     the reader).
@@ -443,6 +446,9 @@ class StudyStore:
         self.package_version = package_version or __version__
         #: One record per cell; a replaced cell keeps its place.
         self._by_id: "dict[str, RunRecord]" = {}
+        #: The sidecar journal :meth:`begin_journal` named, and its
+        #: handle once the first :meth:`checkpoint` adopted it.
+        self._journal_path: "str | None" = None
         self._journal = None
         #: Set by :func:`load_study_store` when a torn journal tail was
         #: salvaged: ``{"journal", "records_salvaged", "bytes_discarded"}``.
@@ -619,34 +625,37 @@ class StudyStore:
         }
 
     def begin_journal(self, path: str) -> None:
-        """Open (or adopt) the sidecar journal for a store at ``path``.
+        """Name the sidecar journal of a store at ``path``; touch no file.
 
-        A pre-existing journal — a crashed run's — is cut back to the
-        prefix :func:`load_study_store` reads, so new appends never glue
-        onto a torn half-line (which would lose both records) or land
-        behind a line the load stops at.  A fresh journal gets a
-        self-contained header line (spec + hash), making the journal
-        alone sufficient to rebuild the store if the kill lands before
-        the first compaction.  The header is not fsync'd on its own: it
-        stays buffered and becomes durable with the first checkpoint's
-        fsync.  A kill before that leaves no header or a torn one, which
-        loads as "nothing recorded" — and nothing was.
+        The first :meth:`checkpoint` adopts the journal, so a run that
+        checkpoints nothing (every record a cache hit after the last
+        simulated cell) never creates, writes or unlinks one: its records
+        land with :meth:`compact` alone.
         """
-        _records, self._journal = _adopt_journal(
-            journal_path(path), self._journal_header()
-        )
+        self._journal_path = journal_path(path)
 
     def checkpoint(self, *records: RunRecord) -> None:
         """Append ``records`` to the journal in one write and one fsync.
 
         This is the durability point: after it returns, a ``kill -9``
-        cannot lose the records (nor the header, which the first
-        checkpoint writes and fsyncs along with its records).  A kill
-        inside the write leaves a prefix of its lines, which loads as
-        the records it holds.
+        cannot lose the records.  The first call adopts the journal: a
+        crashed run's is cut back to the prefix :func:`load_study_store`
+        reads, so the appends never glue onto a torn half-line (which
+        would lose both records) or land behind a line the load stops
+        at, and a missing one gets a self-contained header line (spec +
+        hash), so the journal alone rebuilds the store if the kill lands
+        before the compaction.  That header goes out in the same flush
+        as the records and is durable with their fsync.  A kill inside
+        the write leaves a prefix of its lines, which loads as the
+        records it holds (no header, or a torn one, loads as "nothing
+        recorded" — and nothing was).
         """
         if self._journal is None:
-            raise RuntimeError("checkpoint() requires begin_journal() first")
+            if self._journal_path is None:
+                raise RuntimeError("checkpoint() requires begin_journal() first")
+            _records, self._journal = _adopt_journal(
+                self._journal_path, self._journal_header()
+            )
         _append_journal(
             self._journal, *({"record": _encode_record(r)} for r in records)
         )
@@ -657,7 +666,8 @@ class StudyStore:
         Crash-window safe: ``save`` lands atomically and durably
         *before* the unlink, so a kill (or an OS crash) between the two
         leaves both files agreeing — replay converges via
-        :meth:`_absorb`.
+        :meth:`_absorb`.  Records added but never checkpointed are
+        durable from here on too.
         """
         self.save(path)
         if self._journal is not None:
@@ -676,8 +686,9 @@ def load_study_store(path: str) -> StudyStore:
     loses at most the write in flight.  A torn journal tail is
     *salvaged*: the intact records load and the damage is reported via
     :attr:`StudyStore.salvage`, never raised.  A base file that exists
-    but cannot be decoded — truncated JSON, a hand-edit that dropped a
-    column — raises :class:`StoreCorruptError` naming the path.
+    but cannot be decoded — truncated JSON, JSON nested too deep to
+    parse, a hand-edit that dropped a column or put a number out of its
+    column's range — raises :class:`StoreCorruptError` naming the path.
     Legitimate refusals (future format version, spec-hash mismatch) stay
     plain ``ValueError``\\ s: the file is intact, the request is wrong.
     """
@@ -687,7 +698,7 @@ def load_study_store(path: str) -> StudyStore:
         with open(path, encoding="utf-8") as handle:
             try:
                 payload = json.load(handle)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise StoreCorruptError(
                     f"study store {path} is not valid JSON ({exc}); the file "
                     "is corrupt — likely a checkpoint truncated by a hard "
@@ -696,7 +707,7 @@ def load_study_store(path: str) -> StudyStore:
                 ) from exc
         try:
             store = StudyStore.from_dict(payload)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
             raise StoreCorruptError(
                 f"study store {path} decodes as JSON but is structurally "
                 f"damaged ({type(exc).__name__}: {exc}); remove it (or "

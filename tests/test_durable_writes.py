@@ -6,22 +6,27 @@
 * A compacted store is one unindented line that parses to what the
   indented encoding held; indented stores still load.
 * The fsync points, by the file each one covers: one per ``submit``,
-  one per checkpoint (a simulated record, or a run of cache hits) and
-  none for a journal header, then the compacted store and its
-  directory.  A hit/hit/miss/hit/hit pass checkpoints 3 times, in cell
-  order, and ``progress`` sees no record before its fsync.  A daemon
-  job compiles its spec once; a cache-served 3-cell job does 5 fsyncs
-  and 1 rename, a fresh one 7 fsyncs.  A daemon job loads its store
-  once per run, and a restarted daemon reports the counts of finished
-  jobs.
+  one per checkpoint (a simulated record, or a run of cache hits before
+  a simulated cell) and none for a journal header, then the compacted
+  store and its directory.  A hit/hit/miss/hit/hit pass checkpoints
+  twice, in cell order, and lands its last two hits with the
+  compaction; an all-hit pass fsyncs only the compacted store and its
+  directory and creates no journal; ``progress`` sees no record before
+  the fsync covering it.  A daemon job compiles its spec once; a
+  cache-served 3-cell job does 4 fsyncs and 1 rename, a fresh one 7
+  fsyncs.  A daemon job loads its store once per run, and a restarted
+  daemon reports the counts of finished jobs.
 * A record is memoized before its journal line: a study killed at its
   first cache write resumes to a cache that serves a renamed copy whole.
 * Every crash point of the grouped writes replays to a consistent
   state: a store journal's header plus first record, a warm run's
-  header plus all its hits (resumed from the cache alone), and the
-  daemon's ``submitted`` plus ``queued`` lines.  A daemon job killed
-  right after any of its journal appends resumes to the uninterrupted
-  store, and ``jobs.jsonl``'s header is durable with the first submit.
+  header plus the run of hits before its miss (resumed from the cache
+  alone), and the daemon's ``submitted`` plus ``queued`` lines.  An
+  all-hit run stopped before or after any durable call of its
+  compaction, or with its temp file cut at any byte, resumes from the
+  cache alone.  A daemon job killed right after any of its journal
+  appends resumes to the uninterrupted store, and ``jobs.jsonl``'s
+  header is durable with the first submit.
 * The journal decoders, fuzzed: a line decodes to what was written; a
   damaged, cut or too deeply nested line, or a CRC-valid row that is no
   record, never raises; arbitrary bytes never raise; a record row
@@ -54,6 +59,7 @@ from repro.serve import jobs as jobs_module
 from repro.serve import protocol as proto
 from repro.study import (
     ResultCache,
+    StoreCorruptError,
     StudySpec,
     compile_study,
     journal_path,
@@ -273,13 +279,36 @@ def test_a_run_of_hits_lands_with_one_fsync_in_cell_order(
 
     monkeypatch.setattr(StudyStore, "compact", compact_after_reading)
     fsyncs = _fsynced_paths(monkeypatch, str(tmp_path))
-    warm = run_study(spec, store_path=str(tmp_path / "s.json"), cache=cache)
+    path = str(tmp_path / "s.json")
+    warm = run_study(spec, store_path=path, cache=cache)
     assert [r.cache_hit for r in warm.records()] == [True, True, False, True, True]
     assert warm.results_equal(cold)
-    # Hits 0-1, the miss, hits 3-4; then the compacted store.
-    assert fsyncs == ["s.json.journal.jsonl"] * 3 + ["s.json.tmp", "."]
+    # Hits 0-1, the miss; then the compacted store, which lands hits 3-4.
+    assert fsyncs == ["s.json.journal.jsonl"] * 2 + ["s.json.tmp", "."]
     rows = [json.loads(line)["data"]["record"] for line in lines[1:]]
-    assert [row["index"] for row in rows] == [0, 1, 2, 3, 4]
+    assert [row["index"] for row in rows] == [0, 1, 2]
+    assert load_study_store(path).results_equal(cold)
+
+
+def test_an_all_hit_run_fsyncs_only_its_compacted_store(tmp_path, monkeypatch):
+    spec, cache, cold = _hits_around_a_miss(tmp_path)
+    run_study(spec, cache=cache)  # cache the middle cell again
+    adopted = _count_calls(monkeypatch, store_module, "_adopt_journal")
+    removed = _count_calls(monkeypatch, os, "remove")
+    fsyncs = _fsynced_paths(monkeypatch, str(tmp_path))
+    path = str(tmp_path / "s.json")
+    landed = []
+    warm = run_study(
+        spec, store_path=path, cache=cache,
+        progress=lambda _cell, record: landed.append(record.index),
+    )
+    assert all(r.cache_hit for r in warm.records()) and warm.results_equal(cold)
+    assert fsyncs == ["s.json.tmp", "."]
+    # No journal is created, written or unlinked.
+    assert adopted == [] and removed == []
+    assert not os.path.exists(journal_path(path))
+    assert landed == [0, 1, 2, 3, 4]
+    assert load_study_store(path).results_equal(cold)
 
 
 def test_progress_sees_no_record_before_the_fsync_covering_it(
@@ -288,23 +317,33 @@ def test_progress_sees_no_record_before_the_fsync_covering_it(
     spec, cache, _cold = _hits_around_a_miss(tmp_path)
     path = str(tmp_path / "s.json")
     jpath = journal_path(path)
-    synced = set()
+    covered = {}  # index -> the first fsync that made it durable
 
-    def fsync_noting_the_journal(fd):
-        if os.path.samestat(os.fstat(fd), os.stat(jpath)):
+    def fsync_noting_what_it_covers(fd):
+        opened = os.fstat(fd)
+        if os.path.exists(jpath) and os.path.samestat(opened, os.stat(jpath)):
             with open(jpath, "rb") as handle:
                 lines = handle.read().splitlines()[1:]
-            synced.update(json.loads(line)["data"]["record"]["index"] for line in lines)
+            for line in lines:
+                index = json.loads(line)["data"]["record"]["index"]
+                covered.setdefault(index, "journal")
+        elif os.path.samestat(opened, os.stat(str(tmp_path))):
+            with open(path, "rb") as handle:  # renamed: the directory fsync
+                for index in json.load(handle)["columns"]["index"]:
+                    covered.setdefault(index, "directory")
 
-    monkeypatch.setattr(os, "fsync", fsync_noting_the_journal)
+    monkeypatch.setattr(os, "fsync", fsync_noting_what_it_covers)
     seen = []
 
     def progress(_cell, record):
-        assert record.index in synced, (record.index, sorted(synced))
+        assert record.index in covered, (record.index, covered)
         seen.append(record.index)
 
     run_study(spec, store_path=path, cache=cache, progress=progress)
     assert seen == [0, 1, 2, 3, 4]
+    # Hits 3 and 4 come after the last miss: the directory fsync covers them.
+    assert covered == {0: "journal", 1: "journal", 2: "journal",
+                       3: "directory", 4: "directory"}
 
 
 def test_submit_journals_both_lines_with_one_fsync(tmp_path, monkeypatch):
@@ -348,7 +387,7 @@ def test_the_jobs_journal_header_is_durable_with_the_first_submit(
     assert [event["event"] for event in events] == ["submitted", "state"]
 
 
-def test_cache_served_job_compiles_once_five_fsyncs_one_rename(
+def test_cache_served_job_compiles_once_four_fsyncs_one_rename(
     tmp_path, monkeypatch
 ):
     compiles = []
@@ -377,18 +416,15 @@ def test_cache_served_job_compiles_once_five_fsyncs_one_rename(
         manager.close()
     assert final["state"] == "done" and final["counts"]["cached"] == 3
     assert compiles == ["cold", "warm"]
-    # submit; each record (the three hits in one write); the compacted
-    # store's file and directory; done.  `running` is never fsync'd.
+    # submit; each record; the compacted store's file and directory
+    # (where the three hits land); done.  `running` is never fsync'd.
     cold_store = f"stores/{cold['id']}.store.json"
     assert cold_fsyncs == (
         ["jobs.jsonl"] + [f"{cold_store}.journal.jsonl"] * 3
         + [f"{cold_store}.tmp", "stores", "jobs.jsonl"]
     )
     warm_store = f"stores/{warm['id']}.store.json"
-    assert fsyncs == [
-        "jobs.jsonl", f"{warm_store}.journal.jsonl", f"{warm_store}.tmp",
-        "stores", "jobs.jsonl",
-    ]
+    assert fsyncs == ["jobs.jsonl", f"{warm_store}.tmp", "stores", "jobs.jsonl"]
     assert len(renames) == 1  # only compaction renames
 
 
@@ -492,23 +528,19 @@ def test_every_crash_point_of_the_first_journal_write_resumes(
 def test_every_crash_point_of_a_run_of_hits_resumes_from_the_cache(
     tmp_path, monkeypatch
 ):
-    """A kill inside a warm run's one write, its journal header plus all
-    three hits, leaves a prefix of those bytes.  Each loads as the whole
-    hit lines it holds (the resume lands only the other cells), and the
-    resume over the same cache restores the cold results from hits
+    """A kill inside a warm run's first write, its journal header plus
+    the two hits before its miss, leaves a prefix of those bytes.  Each
+    loads as the whole hit lines it holds (the resume lands only the
+    other cells), and the resume over the same cache, which the warm run
+    refilled with the missed cell, restores the cold results from hits
     alone: simulating any cell raises."""
     monkeypatch.setattr(os, "fsync", lambda fd: None)
-    spec = StudySpec(
-        name="crash points of hits", seed=3, repetitions=1,
-        axes={"process": ["voter"], "n": [4, 6, 8], "rng_mode": ["per-replica"]},
-    )
-    cache = ResultCache(str(tmp_path / "cache"))
-    cold = run_study(spec, cache=cache)
+    spec, cache, cold = _hits_around_a_miss(tmp_path)
     path = str(tmp_path / "s.json")
     jpath = journal_path(path)
     raw = _first_journal_write(spec, path, cache)
     line_ends = [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
-    assert len(line_ends) == 4  # the header and the three hits
+    assert len(line_ends) == 3  # the header and hits 0 and 1
 
     def simulate(_plan):
         raise AssertionError("a resume simulated a cell")
@@ -525,10 +557,108 @@ def test_every_crash_point_of_a_run_of_hits_resumes_from_the_cache(
             progress=lambda _cell, record: landed.append(record.index),
         )
         kept = sum(end <= cut for end in line_ends[1:])
-        assert landed == [0, 1, 2][kept:], cut
+        assert landed == [0, 1, 2, 3, 4][kept:], cut
         assert resumed.results_equal(cold), cut
         assert all(r.cache_hit for r in resumed.records()), cut
+        assert not os.path.exists(jpath), cut
         os.remove(path)
+
+
+class _Stop(BaseException):
+    """A process kill, raised from a durable-write call: no ``except
+    Exception`` in the code under test can swallow it."""
+
+
+@pytest.mark.parametrize("leftover", [False, True], ids=["fresh", "leftover journal"])
+def test_an_all_hit_run_stopped_at_any_write_of_its_compaction_resumes(
+    tmp_path, monkeypatch, leftover
+):
+    """Stop an all-hit run before and after each durable call of its
+    compaction (the temp file's fsync, ``os.replace``, the directory
+    fsync and, when a crashed run left a journal, its ``os.remove``),
+    and cut its temp file at every byte: each resumes over the same
+    cache to the cold results, simulating nothing, and leaves neither a
+    journal nor a temp file."""
+    spec = StudySpec(
+        name="crash points of a compaction", seed=3, repetitions=1,
+        axes={"process": ["voter"], "n": [4, 6], "rng_mode": ["per-replica"]},
+    )
+    cache = ResultCache(str(tmp_path / "cache"))
+    cold = run_study(spec, cache=cache)
+    cells = compile_study(spec)
+    path = str(tmp_path / "s.json")
+    jpath, tmp = journal_path(path), f"{path}.tmp"
+
+    def simulate(_plan):
+        raise AssertionError("a cell was simulated")
+
+    monkeypatch.setattr(runner_module, "execute", simulate)
+    calls = []
+    stop_at = [None]  # (call index, "before" or "after")
+
+    def durable(name):
+        real = getattr(os, name)
+
+        def call(*args):
+            at = (len(calls), "before")
+            calls.append(name)
+            if stop_at[0] == at:
+                raise _Stop(at)
+            result = real(*args)
+            if stop_at[0] == (at[0], "after"):
+                raise _Stop(stop_at[0])
+            return result
+
+        monkeypatch.setattr(os, name, call)
+
+    for name in ("fsync", "replace", "remove"):
+        durable(name)
+
+    crashed = b""
+    if leftover:  # a crashed run's journal, holding cell 0
+        store = StudyStore(spec)
+        store.begin_journal(path)
+        store.checkpoint(cold.records()[0])
+        store._journal.close()
+        with open(jpath, "rb") as handle:
+            crashed = handle.read()
+
+    def start():
+        """The state a warm run starts from: nothing on disk, or the
+        crashed run's journal."""
+        for stale in (path, tmp, jpath):
+            if os.path.exists(stale):
+                os.unlink(stale)
+        if crashed:
+            with open(jpath, "wb") as handle:
+                handle.write(crashed)
+        del calls[:]
+
+    def resumes(label):
+        stop_at[0] = None
+        resumed = run_cells(spec, cells, store_path=path, resume=True, cache=cache)
+        assert resumed.results_equal(cold), label
+        assert not os.path.exists(jpath) and not os.path.exists(tmp), label
+
+    start()
+    run_cells(spec, cells, store_path=path, resume=leftover, cache=cache)
+    expected = ["fsync", "replace", "fsync"] + (["remove"] if leftover else [])
+    assert calls == expected  # the temp file, the rename, the directory
+    with open(path, "rb") as handle:
+        written = handle.read()  # what the temp file held
+    for index in range(len(expected)):
+        for when in ("before", "after"):
+            start()
+            stop_at[0] = (index, when)
+            with pytest.raises(_Stop):
+                run_cells(spec, cells, store_path=path, resume=leftover, cache=cache)
+            resumes((index, when))
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # keeps the cuts fast
+    for cut in range(len(written) + 1):  # a kill inside the temp file's write
+        start()
+        with open(tmp, "wb") as handle:
+            handle.write(written[:cut])
+        resumes(cut)
 
 
 def test_every_crash_point_of_the_submit_write_replays(tmp_path, monkeypatch):
@@ -833,6 +963,77 @@ def test_a_record_row_decodes_strictly_or_not_at_all(
     assert json.dumps(encoded, sort_keys=True) == json.dumps(expected, sort_keys=True)
     again = _encode_record(store_module._decode_record(encoded))
     assert json.dumps(again, sort_keys=True) == json.dumps(encoded, sort_keys=True)
+
+
+#: The columns each older store format lacks (upgraded on load).
+_LACKS = {
+    1: ("status", "error", "degraded_from", "cache_hit"),
+    2: ("degraded_from", "cache_hit"),
+    3: ("cache_hit",),
+    4: (),
+}
+
+
+def _columnar_payload() -> dict:
+    store = StudyStore(_spec())
+    for i in range(2):
+        store.add(RunRecord(
+            f"{i:016x}", i, i, {}, "counts", "rounds",
+            np.arange(2, dtype=np.int64), np.ones(2, bool),
+        ))
+    return store.to_dict()
+
+
+_COLUMNAR = json.dumps(_columnar_payload())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(_LACKS)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_columnar_payload()["columns"])),
+            st.integers(0, 1),
+            _JSON | st.integers(-(2**1100), 2**1100),
+        ),
+        max_size=2,
+    ),
+)
+@example(4, [("wall_time_s", 0, 10**400)])
+@example(4, [("times", 1, [2**70, 1])])
+@example(1, [("seed", 0, 2**70), ("wall_time_s", 1, -(10**400))])
+def test_a_columnar_store_loads_or_raises_a_declared_error(
+    tmp_path_factory, version, cells
+):
+    """A v1-v4 columnar store with any JSON in up to two of its cells
+    loads, or raises ``StoreCorruptError`` naming the file (or another
+    ``ValueError``): never ``OverflowError``, ``RecursionError`` or any
+    other type."""
+    payload = json.loads(_COLUMNAR)
+    payload["format_version"] = version
+    for name in _LACKS[version]:
+        del payload["columns"][name]
+    for name, row, value in cells:
+        if name in payload["columns"]:
+            payload["columns"][name][row] = value
+    path = str(tmp_path_factory.getbasetemp() / "columnar.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    try:
+        store = load_study_store(path)
+    except StoreCorruptError as exc:
+        assert path in str(exc)
+    except ValueError:
+        pass
+    else:
+        assert len(store) == 2
+
+
+def test_a_store_nested_past_the_recursion_limit_is_corrupt(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(StoreCorruptError, match=str(path)):
+        load_study_store(str(path))
 
 
 def test_a_reader_sees_exactly_the_lines_that_end_before_a_cut(tmp_path):

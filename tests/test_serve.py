@@ -11,7 +11,8 @@ The service contract under test, end to end:
 * **durability** — a killed manager restarted on the same state dir
   replays its CRC-journaled job table (torn tail truncated), re-enqueues
   in-flight jobs, and finishes them **bit-for-bit** equal to an
-  uninterrupted foreground run;
+  uninterrupted foreground run; a job store that no longer decodes
+  answers 409 and does not stop a restart;
 * **streaming** — ``/events`` replays the store journal's valid prefix
   on mid-run attach and never yields a torn or duplicate record (the
   :class:`JournalReader` invariant, also tested directly under a
@@ -52,6 +53,7 @@ from repro.serve import server as server_module
 from repro.study import (
     JournalReader,
     ResultCache,
+    StoreCorruptError,
     StudySpec,
     compile_study,
     journal_path,
@@ -77,6 +79,31 @@ def tiny_spec(**overrides):
     )
     defaults.update(overrides)
     return StudySpec(**defaults)
+
+
+#: Store damage that decoding once let escape as ``OverflowError`` or
+#: ``RecursionError``: a wall time no float holds, a time no int64
+#: holds (both as ``(column, value)`` of the first record), and nesting
+#: deeper than the parser goes.
+_UNDECODABLE_STORES = {
+    "wall-time-10pow400": ("wall_time_s", 10**400),
+    "times-2pow70": ("times", [2**70, 1]),
+    "deep-array": None,
+}
+
+
+def undecodable_store(path: str, damage: str) -> None:
+    """Rewrite the store at ``path`` with ``damage``."""
+    if _UNDECODABLE_STORES[damage] is None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("[" * 100_000 + "]" * 100_000)
+        return
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    column, value = _UNDECODABLE_STORES[damage]
+    payload["columns"][column][0] = value
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +194,26 @@ class TestJobManager:
             manager.close()
         store = manager.load_store(view["id"])
         assert store.results_equal(run_study(tiny_spec()))
+
+    @pytest.mark.parametrize("damage", list(_UNDECODABLE_STORES))
+    def test_a_restart_over_an_undecodable_store_starts(self, tmp_path, damage):
+        state = str(tmp_path / "state")
+        manager = JobManager(state, cache=False)
+        manager.start()
+        try:
+            job_id = manager.submit(tiny_spec().to_dict())["id"]
+            assert finish(manager, job_id)["state"] == "done"
+        finally:
+            manager.close()
+        undecodable_store(manager.store_path(job_id), damage)
+        restarted = JobManager(state, cache=False)
+        try:
+            view = restarted.view(job_id)
+            assert view["state"] == "done" and sum(view["counts"].values()) == 0
+            with pytest.raises(StoreCorruptError, match=restarted.store_path(job_id)):
+                restarted.load_store(job_id)
+        finally:
+            restarted.close()
 
     def test_resubmit_attaches_not_recomputes(self, tmp_path):
         manager = JobManager(str(tmp_path / "state"), cache=False)
@@ -493,16 +540,21 @@ class TestHTTP:
         assert client.jobs() == []
 
     @pytest.mark.parametrize(
-        "damage", [b"#" * 11, b"\xff" * 11], ids=["bad-json", "bad-utf8"]
+        "damage",
+        [b"#" * 11, b"\xff" * 11, *_UNDECODABLE_STORES],
+        ids=["bad-json", "bad-utf8", *_UNDECODABLE_STORES],
     )
     def test_damaged_store_answers_409(self, served, damage):
         client, manager = served
         view = client.submit(tiny_spec(name="serve damaged store"))
         client.wait(view["id"])
         path = manager.store_path(view["id"])
-        with open(path, "r+b") as handle:
-            handle.seek(10)
-            handle.write(damage)
+        if isinstance(damage, bytes):
+            with open(path, "r+b") as handle:
+                handle.seek(10)
+                handle.write(damage)
+        else:
+            undecodable_store(path, damage)
         with pytest.raises(ServeError) as info:
             client.results(view["id"])
         assert info.value.status == 409

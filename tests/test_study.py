@@ -552,6 +552,23 @@ class TestApiFacade:
         assert repro.sweep is api.sweep
         assert repro.study is api.study
 
+    def test_every_study_submodule_imports_under_its_dotted_name(self):
+        # repro.study is the api.study function, which shadows the
+        # subpackage; `import repro.study.<mod> as x` still finds <mod>.
+        import pkgutil
+        import subprocess
+        import sys
+
+        package = sys.modules["repro.study"]
+        names = [info.name for info in pkgutil.iter_modules(package.__path__)]
+        assert "runner" in names and "store" in names
+        probe = "import repro\n" + "".join(
+            f"import repro.study.{name} as m; assert m.__name__ == "
+            f"'repro.study.{name}'\n"
+            for name in names
+        ) + "assert repro.study is repro.api.study\n"
+        subprocess.run([sys.executable, "-c", probe], check=True)
+
     def test_simulate_names_and_instances_agree(self):
         from repro.processes import ThreeMajority
 

@@ -500,15 +500,23 @@ def _journal_only(path: str, spec: StudySpec, records) -> str:
 
     The handle is closed without :meth:`StudyStore.compact`, so only the
     sidecar journal exists afterwards — the exact on-disk state a
-    ``kill -9`` mid-study leaves behind.
+    ``kill -9`` mid-study leaves behind.  With no records the journal
+    holds its header alone, as a kill inside the first checkpoint's
+    write can leave it (a store adopts its journal at that checkpoint).
     """
+    from repro.study.store import _journal_line
+
     store = StudyStore(spec)
     store.begin_journal(path)
     for record in records:
         store.add(record)
         store.checkpoint(record)
-    store._journal.close()
-    store._journal = None
+    if store._journal is None:
+        with open(journal_path(path), "wb") as handle:
+            handle.write(_journal_line(store._journal_header()))
+    else:
+        store._journal.close()
+        store._journal = None
     return journal_path(path)
 
 
@@ -606,8 +614,8 @@ class TestJournaledStore:
         ]
 
     def test_an_empty_journal_beside_a_store_is_no_salvage(self, tmp_path):
-        # A resume killed before its first checkpoint leaves an empty
-        # journal (its header was only buffered): nothing was torn.
+        # A resume killed inside its first checkpoint, before any byte
+        # reached the journal it adopted, leaves it empty: nothing was torn.
         spec = one_cell_spec()
         path = str(tmp_path / "store.json")
         reference = run_study(spec, store_path=path)

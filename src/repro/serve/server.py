@@ -178,9 +178,12 @@ class _Handler(BaseHTTPRequestHandler):
 
         The source of truth is the job store's sidecar journal: the
         reader replays its valid prefix on attach (mid-run watchers see
-        history first) and then follows appends, so each record streams
-        as soon as its journal line is fsync'd — there is no poll
-        interval.  Between polls the handler blocks in
+        history first) and then follows appends, so each journaled
+        record streams as soon as its line is fsync'd — there is no poll
+        interval.  The cache hits after a run's last simulated cell (so
+        every record of a wholly cached job) are never journaled: they
+        arrive only through the terminal catch-up from the compacted
+        store.  Between polls the handler blocks in
         :meth:`JobManager.wait_for_change`, passing the counter value it
         read *before* the poll it just made, so a change landing in
         between returns at once; an idle wait ends when the next

@@ -2,7 +2,7 @@
 
 A study cell is a pure function of its parameters: the cell id already
 content-addresses the canonical params dict (seed included, see
-:func:`~repro.study.compile.cell_hash`), and the per-cell seed derives
+:func:`~repro.study.compile.compile_study`), and the per-cell seed derives
 from ``(spec_seed, cell_index)`` — never from execution order or wall
 clock.  Two specs that share a cell (same axes assignment, same derived
 seed) therefore share its *result*, bit for bit.  This module memoizes

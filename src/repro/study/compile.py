@@ -68,7 +68,6 @@ __all__ = [
     "ADVERSARY_NAMES",
     "StudyCell",
     "build_adversary",
-    "cell_hash",
     "compile_study",
     "describe_axes",
     "expand_axes",
@@ -164,15 +163,6 @@ def expand_axes(spec: StudySpec) -> "list[dict]":
 #: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` gives,
 #: without building an encoder per call.
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _digest(canonical: str) -> str:
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def cell_hash(params: dict) -> str:
-    """Content hash of one cell's fully resolved parameters."""
-    return _digest(_canonical(params))
 
 
 def describe_axes(params: dict) -> str:
@@ -271,7 +261,8 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
     encoded: "dict[int, str]" = {}
 
     def cell_id(params: dict) -> str:
-        """``cell_hash(params)``, spliced from each value's canonical JSON
+        """The content hash of a cell: the first 16 hex digits of the
+        sha256 of ``params``' canonical JSON, spliced from each value's
         (a nested value encodes as it does alone; keys are plain names),
         so each distinct value is encoded once per compile."""
         parts = []
@@ -281,7 +272,8 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             if text is None:
                 text = encoded[id(value)] = _canonical(value)
             parts.append(f'"{key}":{text}')
-        return _digest("{%s}" % ",".join(parts))
+        canonical = "{%s}" % ",".join(parts)
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     cells = []
     for index, assignment in enumerate(expand_axes(spec)):

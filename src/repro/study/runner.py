@@ -460,8 +460,9 @@ def run_cells(
         failed or timed out, which are re-attempted and replaced in
         place; a string is a path to resume from (checkpoints still go
         to ``store_path``).  A store whose ``spec_hash`` differs from
-        ``spec``'s is rejected — resuming a *different* study is always
-        an error, never silent data mixing.
+        ``spec``'s is rejected, and so is another study's journal left
+        at ``store_path``, before anything is written — resuming a
+        *different* study is always an error, never silent data mixing.
     max_cells:
         Execute at most this many *new* cells, then return (the
         programmatic interruption used by the resume tests and the

@@ -47,15 +47,15 @@ line whose bytes differ from them is torn even if it decodes to the
 same value.  Each :meth:`StudyStore.checkpoint` appends its records'
 lines in one write and one fsync: one simulated record, or a run of
 cache hits, which a resume replays from the cache if the write was
-torn.  The first checkpoint adopts the journal, and its header goes
-out with that checkpoint's write and is durable from its fsync on, so
-a run that checkpoints nothing writes no journal.  Compaction fsyncs
-the columnar JSON's temp file, renames it over the store, fsyncs the
-directory and only then unlinks the journal, so even an OS crash
-leaves one of the two on disk; records that were never checkpointed
-are durable from that directory fsync on.  The columnar JSON is one
-unindented line (the C encoder's output); readers parse it whatever
-its layout.
+torn.  A crashed run's journal is adopted when the next run begins;
+a missing one is created by the first checkpoint, whose write carries
+the header, durable from its fsync on, so a fresh run that checkpoints
+nothing writes no journal.  Compaction fsyncs the columnar JSON's temp
+file, renames it over the store, fsyncs the directory and only then
+unlinks the journal, so even an OS crash leaves one of the two on
+disk; records that were never checkpointed are durable from that
+directory fsync on.  The columnar JSON is one unindented line (the C
+encoder's output); readers parse it whatever its layout.
 """
 
 from __future__ import annotations
@@ -399,8 +399,8 @@ class JournalReader:
 
     The reader tolerates the journal's whole lifecycle: a file that does
     not exist yet (``poll`` returns nothing), a crashed run's torn tail
-    being truncated by a resumed run's first checkpoint (only damaged
-    bytes vanish, the valid offset stays valid), and compaction unlinking the
+    being truncated by ``begin_journal`` on resume (only damaged bytes
+    vanish, the valid offset stays valid), and compaction unlinking the
     file (subsequent polls return nothing; a *fresh* journal appearing
     later — a different inode, or shorter than the old offset — resets
     the reader).
@@ -447,7 +447,7 @@ class StudyStore:
         #: One record per cell; a replaced cell keeps its place.
         self._by_id: "dict[str, RunRecord]" = {}
         #: The sidecar journal :meth:`begin_journal` named, and its
-        #: handle once the first :meth:`checkpoint` adopted it.
+        #: handle once adopted (there, or by the first :meth:`checkpoint`).
         self._journal_path: "str | None" = None
         self._journal = None
         #: Set by :func:`load_study_store` when a torn journal tail was
@@ -625,30 +625,36 @@ class StudyStore:
         }
 
     def begin_journal(self, path: str) -> None:
-        """Name the sidecar journal of a store at ``path``; touch no file.
+        """Adopt the sidecar journal of a store at ``path``, if one exists.
 
-        The first :meth:`checkpoint` adopts the journal, so a run that
-        checkpoints nothing (every record a cache hit after the last
-        simulated cell) never creates, writes or unlinks one: its records
-        land with :meth:`compact` alone.
+        A pre-existing journal — a crashed run's — is adopted before
+        anything runs: one of another spec is refused (``ValueError``),
+        and the rest is cut back to the prefix :func:`load_study_store`
+        reads, so new appends never glue onto a torn half-line (which
+        would lose both records) or land behind a line the load stops
+        at.  A missing journal is left to the first :meth:`checkpoint`
+        to create, so a fresh run that checkpoints nothing (every record
+        a cache hit after the last simulated cell) never creates, writes
+        or unlinks one: its records land with :meth:`compact` alone.
         """
         self._journal_path = journal_path(path)
+        if os.path.exists(self._journal_path):
+            _records, self._journal = _adopt_journal(
+                self._journal_path, self._journal_header()
+            )
 
     def checkpoint(self, *records: RunRecord) -> None:
         """Append ``records`` to the journal in one write and one fsync.
 
         This is the durability point: after it returns, a ``kill -9``
-        cannot lose the records.  The first call adopts the journal: a
-        crashed run's is cut back to the prefix :func:`load_study_store`
-        reads, so the appends never glue onto a torn half-line (which
-        would lose both records) or land behind a line the load stops
-        at, and a missing one gets a self-contained header line (spec +
-        hash), so the journal alone rebuilds the store if the kill lands
-        before the compaction.  That header goes out in the same flush
-        as the records and is durable with their fsync.  A kill inside
-        the write leaves a prefix of its lines, which loads as the
-        records it holds (no header, or a torn one, loads as "nothing
-        recorded" — and nothing was).
+        cannot lose the records.  With no journal adopted yet, the first
+        call creates it with a self-contained header line (spec + hash),
+        so the journal alone rebuilds the store if the kill lands before
+        the compaction.  That header goes out in the same flush as the
+        records and is durable with their fsync.  A kill inside the
+        write leaves a prefix of its lines, which loads as the records
+        it holds (no header, or a torn one, loads as "nothing recorded"
+        — and nothing was).
         """
         if self._journal is None:
             if self._journal_path is None:

@@ -311,6 +311,37 @@ def test_an_all_hit_run_fsyncs_only_its_compacted_store(tmp_path, monkeypatch):
     assert load_study_store(path).results_equal(cold)
 
 
+@pytest.mark.parametrize("all_hits", [True, False], ids=["all hits", "a miss"])
+def test_resuming_from_another_path_refuses_a_foreign_journal_first(
+    tmp_path, all_hits
+):
+    """``resume=<path>`` checkpoints to ``store_path``, where a crashed
+    run of another study left its journal: the run raises before it
+    writes anything, and both files stay as they were, whether it would
+    land every record with the compaction or checkpoint a miss."""
+    spec, cache, _cold = _hits_around_a_miss(tmp_path)
+    if all_hits:
+        run_study(spec, cache=cache)  # cache the middle cell again
+    source = str(tmp_path / "source.json")
+    run_study(spec, store_path=source, cache=cache, max_cells=1)
+    other = StudySpec.from_dict({**spec.to_dict(), "seed": 4})
+    path = str(tmp_path / "s.json")
+    crashed = StudyStore(other)
+    crashed.begin_journal(path)
+    crashed.checkpoint(run_study(other, max_cells=1).records()[0])
+    crashed._journal.close()
+
+    def contents():
+        files = (source, journal_path(path))
+        return {name: open(name, "rb").read() for name in files}
+
+    before = contents()
+    with pytest.raises(ValueError, match="belongs to spec_hash"):
+        run_study(spec, store_path=path, resume=source, cache=cache)
+    assert contents() == before
+    assert not os.path.exists(path)
+
+
 def test_progress_sees_no_record_before_the_fsync_covering_it(
     tmp_path, monkeypatch
 ):

@@ -11,8 +11,10 @@
   store and its directory.  A hit/hit/miss/hit/hit pass checkpoints
   twice, in cell order, and lands its last two hits with the
   compaction; an all-hit pass fsyncs only the compacted store and its
-  directory and creates no journal; ``progress`` sees no record before
-  the fsync covering it.  A daemon job compiles its spec once; a
+  directory and creates no journal, yet a resume from another path
+  still refuses another study's journal at its store path before
+  writing anything; ``progress`` sees no record before the fsync
+  covering it.  A daemon job compiles its spec once; a
   cache-served 3-cell job does 4 fsyncs and 1 rename, a fresh one 7
   fsyncs.  A daemon job loads its store once per run, and a restarted
   daemon reports the counts of finished jobs.

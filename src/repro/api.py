@@ -266,7 +266,7 @@ def study(
     spec,
     *,
     store_path: "str | None" = None,
-    resume: "bool | str" = False,
+    resume: bool = False,
     max_cells: "int | None" = None,
     progress=None,
     on_error: str = "record",

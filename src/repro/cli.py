@@ -202,23 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study_sub = study.add_subparsers(dest="study_command", required=True)
 
-    run = study_sub.add_parser(
-        "run", help="execute a StudySpec TOML and checkpoint its result store"
-    )
-    run.add_argument("spec", help="path to a StudySpec TOML file")
-    run.add_argument(
+    # The options `study run` and `study resume` share.
+    run_options = argparse.ArgumentParser(add_help=False)
+    run_options.add_argument("spec", help="path to a StudySpec TOML file")
+    run_options.add_argument(
         "--store", "-o", default=None,
         help="result store path (default: <spec>.store.json next to the spec)",
     )
-    run.add_argument(
-        "--resume", action="store_true",
-        help="continue into an existing store instead of refusing to clobber it",
-    )
-    run.add_argument(
+    run_options.add_argument(
         "--max-cells", type=int, default=None,
         help="run at most this many new cells, then checkpoint and exit",
     )
-    run.add_argument(
+    run_options.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help=(
             "wall-clock budget per cell attempt; a cell exceeding it is "
@@ -226,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
             "[execution] table)"
         ),
     )
-    run.add_argument(
+    run_options.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help=(
             "total attempts per cell for transient/unknown errors "
             "(overrides the spec's [execution] table; default 2)"
         ),
     )
-    run.add_argument(
+    run_options.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None,
         help=(
             "consult/populate the shared content-addressed result cache "
@@ -242,30 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: the spec's table, else off)"
         ),
     )
-    run.add_argument(
+    run_options.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="use DIR as the result cache (implies --cache)",
     )
-    run.add_argument(
+    run_options.add_argument(
         "--quiet", action="store_true", help="suppress the final report table"
     )
 
-    resume = study_sub.add_parser(
-        "resume", help="complete an interrupted study store bit-for-bit"
+    run = study_sub.add_parser(
+        "run", parents=[run_options],
+        help="execute a StudySpec TOML and checkpoint its result store",
     )
-    resume.add_argument("spec", help="path to the StudySpec TOML file")
-    resume.add_argument(
-        "--store", "-o", default=None,
-        help="store to complete (default: <spec>.store.json next to the spec)",
+    run.add_argument(
+        "--resume", action="store_true",
+        help="continue into an existing store instead of refusing to clobber it",
     )
-    resume.add_argument("--max-cells", type=int, default=None)
-    resume.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
-    resume.add_argument("--max-attempts", type=int, default=None, metavar="N")
-    resume.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=None
+    study_sub.add_parser(
+        "resume", parents=[run_options],
+        help="complete an interrupted study store bit-for-bit",
     )
-    resume.add_argument("--cache-dir", default=None, metavar="DIR")
-    resume.add_argument("--quiet", action="store_true")
 
     report = study_sub.add_parser(
         "report", help="render a saved study store (no simulation)"
@@ -423,25 +414,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit("need 2 <= min-n <= max-n")
     if args.colors is not None and args.colors < 2:
         raise SystemExit("--colors must be at least 2")
-    if args.adversary is not None and args.scheduler != "synchronous":
-        raise SystemExit(
-            "--adversary needs the synchronous scheduler (the §5 fault "
-            "model corrupts after each synchronous round)"
-        )
     try:
         faults = parse_fault_cli(args.faults, loss=args.loss)
     except ValueError as exc:
         raise SystemExit(f"bad --faults/--loss value: {exc}") from exc
-    if faults is not None and args.scheduler != "synchronous":
-        raise SystemExit(
-            "--faults/--loss need the synchronous scheduler (fault masks "
-            "gate each synchronous update)"
-        )
-    if faults is not None and args.adversary is not None:
-        raise SystemExit(
-            "--faults/--loss and --adversary are mutually exclusive axes; "
-            "sweep them separately"
-        )
     n_values = [args.min_n]
     while n_values[-1] * 2 <= args.max_n:
         n_values.append(n_values[-1] * 2)

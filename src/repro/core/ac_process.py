@@ -99,10 +99,6 @@ class ACProcessFunction(abc.ABC):
         alpha = self.probabilities_batch(counts)
         return multinomial_step_batch(counts.sum(axis=1), alpha, rng)
 
-    def expected_next(self, config: Configuration) -> np.ndarray:
-        """The exact expectation ``E[P(c)] = n · α(c)`` (a real vector)."""
-        return expected_next_counts(config.counts_array(), self)
-
     def validate(self, counts: np.ndarray, tol: float = 1e-9) -> None:
         """Raise if ``α(counts)`` is not a probability vector."""
         alpha = self.probabilities(np.asarray(counts, dtype=np.int64))

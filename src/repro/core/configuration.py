@@ -17,7 +17,6 @@ configuration is minimal.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -345,12 +344,3 @@ class Configuration:
     def to_assignment(self) -> np.ndarray:
         """Expand into an arbitrary per-node color assignment (sorted by color)."""
         return np.repeat(np.arange(self.num_slots, dtype=np.int64), self._counts)
-
-    def theoretical_voter_rounds_hint(self) -> float:
-        """The paper's Lemma-3 style scale ``(n / k) log n`` for this state.
-
-        Purely a convenience for harness code; not a guarantee.
-        """
-        n = self.num_nodes
-        k = max(self.num_colors, 1)
-        return (n / k) * math.log(max(n, 2))

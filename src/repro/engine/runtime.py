@@ -261,12 +261,12 @@ _ALIAS_FAMILIES = {
 }
 
 
-def register_backend(backend: Backend, replace_existing: bool = False) -> Backend:
+def register_backend(backend: Backend) -> Backend:
     """Add a backend to the registry under ``backend.spec.name``."""
     name = backend.spec.name
     if name in _ALIAS_FAMILIES:
         raise ValueError(f"{name!r} is a reserved resolution alias")
-    if name in _REGISTRY and not replace_existing:
+    if name in _REGISTRY:
         raise ValueError(f"backend {name!r} is already registered")
     _REGISTRY[name] = backend
     return backend

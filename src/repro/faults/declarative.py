@@ -10,18 +10,18 @@ One canonical value describes a whole fault environment::
 * ``loss > 0``                → :class:`~repro.faults.MessageLoss`
 * ``byzantine > 0``           → :class:`~repro.faults.Byzantine`
   (``color`` pins the hostile color; ``None`` = uniform-random lies)
-* all rates zero              → no faults (compiles to ``None``)
+* all rates zero              → no faults (canonicalises to ``None``)
 
 ``start``/``stop`` bound the shared injection window, exactly like the
 adversary axis.  The encoders keep spec hashes honest: default-valued
-keys are dropped on encode, refilled on decode, so the same environment
-always serialises to the same TOML fragment.
+keys are dropped on encode, refilled on decode, and a value with no
+positive rate decodes to ``None``, so the same environment always
+serialises to the same TOML fragment.
 """
 
 from __future__ import annotations
 
-import numbers
-
+from ..tables import canonical_table, encode_table
 from .models import Byzantine, CrashRecovery, CrashStop, MessageLoss
 from .schedule import FaultSchedule
 
@@ -33,72 +33,31 @@ __all__ = [
     "parse_fault_cli",
 ]
 
-#: Canonical key order with default values.
+#: The faults table: ``(key, default, kind)`` in canonical order.
 FAULT_KEYS = (
-    ("crash", 0.0),
-    ("recover", 0.0),
-    ("loss", 0.0),
-    ("byzantine", 0.0),
-    ("color", None),
-    ("start", 0),
-    ("stop", None),
+    ("crash", 0.0, "number"),
+    ("recover", 0.0, "number"),
+    ("loss", 0.0, "number"),
+    ("byzantine", 0.0, "number"),
+    ("color", None, "int"),
+    ("start", 0, "int"),
+    ("stop", None, "int"),
 )
 
+_PROBABILITIES = ("crash", "recover", "loss", "byzantine")
 
-def canonical_fault_value(value) -> "dict | None":
-    """Normalise a declarative faults value to its canonical dict (or None).
 
-    Accepts ``None``, the string ``"none"``, a CLI-grammar string
-    (``"crash:p=0.01,recover=0.1"`` — see :func:`parse_fault_cli`), or a
-    mapping with any subset of the canonical keys.
-    """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("", "none", "off"):
-            return None
-        return parse_fault_cli(value)
-    try:
-        items = dict(value)
-    except (TypeError, ValueError):
-        raise TypeError(
-            f"faults must be a mapping, a spec string or 'none', got {value!r}"
-        ) from None
-    known = {key for key, _default in FAULT_KEYS}
-    unknown = set(items) - known
-    if unknown:
-        raise KeyError(
-            f"unknown faults keys {sorted(unknown)}; known keys are "
-            f"{sorted(known)}"
-        )
-    out = {}
-    for key, default in FAULT_KEYS:
-        raw = items.get(key, default)
-        if key == "color" and raw == "none":
-            raw = None
-        if raw is None and key in ("color", "stop"):
-            out[key] = None
-            continue
-        # Checked, not coerced: float(True) or int(2.7) would hash and run
-        # as a value the spec never wrote.
-        if key in ("crash", "recover", "loss", "byzantine"):
-            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
-                raise TypeError(f"faults.{key} must be a number, got {raw!r}")
-            raw = float(raw)
-            if not 0.0 <= raw <= 1.0:
-                raise ValueError(
-                    f"faults.{key} must be a probability in [0, 1], got {raw!r}"
-                )
-        else:
-            if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
-                raise TypeError(f"faults.{key} must be an int, got {raw!r}")
-            raw = int(raw)
-            if key in ("color", "start") and raw < 0:
-                raise ValueError(f"faults.{key} must be non-negative")
-            if key == "stop" and raw <= out["start"]:
-                raise ValueError("faults.stop must exceed faults.start")
-        out[key] = raw
+def _check_faults(out: dict, _items) -> "dict | None":
+    for key in _PROBABILITIES:
+        if not 0.0 <= out[key] <= 1.0:
+            raise ValueError(
+                f"faults.{key} must be a probability in [0, 1], got {out[key]!r}"
+            )
+    for key in ("color", "start"):
+        if out[key] is not None and out[key] < 0:
+            raise ValueError(f"faults.{key} must be non-negative")
+    if out["stop"] is not None and out["stop"] <= out["start"]:
+        raise ValueError("faults.stop must exceed faults.start")
     if out["recover"] > 0.0 and out["crash"] == 0.0:
         raise ValueError(
             "faults.recover is meaningless without a positive faults.crash"
@@ -107,27 +66,33 @@ def canonical_fault_value(value) -> "dict | None":
         raise ValueError(
             "faults.color is meaningless without a positive faults.byzantine"
         )
+    if not (out["crash"] > 0.0 or out["loss"] > 0.0 or out["byzantine"] > 0.0):
+        return None  # no positive rate: the fault-free environment
     return out
+
+
+def canonical_fault_value(value) -> "dict | None":
+    """Normalise a declarative faults value to its canonical dict (or None).
+
+    Accepts ``None``, the string ``"none"``, a CLI-grammar string
+    (``"crash:p=0.01,recover=0.1"`` — see :func:`parse_fault_cli`), or a
+    mapping with any subset of the canonical keys (decoded by
+    :func:`~repro.tables.canonical_table`).  A value with no positive
+    rate collapses to ``None`` once its keys are checked: it configures
+    no fault, so it hashes like the fault-free value.
+    """
+    if isinstance(value, str):
+        return parse_fault_cli(value)
+    return canonical_table(
+        "faults", FAULT_KEYS, value,
+        what="a mapping, a spec string or 'none'", rules=_check_faults,
+    )
 
 
 def encode_fault_value(value) -> "dict | str":
     """JSON/TOML-friendly form: drop defaults; ``None`` becomes ``"none"``."""
-    if value is None:
-        return "none"
-    value = canonical_fault_value(value)
-    if value is None or (
-        value["crash"] == 0.0
-        and value["loss"] == 0.0
-        and value["byzantine"] == 0.0
-    ):
-        # All rates zero compiles to no schedule — same environment,
-        # same encoding (window bounds without a rate are meaningless).
-        return "none"
-    return {
-        key: value[key]
-        for key, default in FAULT_KEYS
-        if value[key] != default and value[key] is not None
-    }
+    encoded = encode_table(FAULT_KEYS, canonical_fault_value(value))
+    return "none" if encoded is None else encoded
 
 
 def build_fault_schedule(value) -> "FaultSchedule | None":
@@ -145,8 +110,6 @@ def build_fault_schedule(value) -> "FaultSchedule | None":
         models.append(MessageLoss(value["loss"]))
     if value["byzantine"] > 0.0:
         models.append(Byzantine(value["byzantine"], color=value["color"]))
-    if not models:
-        return None
     return FaultSchedule(tuple(models), start=value["start"], stop=value["stop"])
 
 
@@ -182,13 +145,9 @@ def parse_fault_cli(text: "str | None", loss: "float | None" = None) -> "dict | 
                     raise ValueError(f"malformed fault parameter {item!r}")
                 if key == "p":
                     key = kind
-                if key in ("crash", "recover", "loss", "byzantine"):
+                if key in _PROBABILITIES:
                     items[key] = float(raw)
-                elif key == "color":
-                    items[key] = int(raw)
-                elif key == "start":
-                    items[key] = int(raw)
-                elif key == "stop":
+                elif key in ("color", "start", "stop"):
                     items[key] = int(raw)
                 else:
                     raise ValueError(
@@ -196,6 +155,4 @@ def parse_fault_cli(text: "str | None", loss: "float | None" = None) -> "dict | 
                     )
     if loss is not None:
         items["loss"] = float(loss)
-    if not items:
-        return None
     return canonical_fault_value(items)

@@ -116,14 +116,7 @@ class Job:
 class JobManager:
     """Durable FIFO of study jobs with a single executor thread."""
 
-    def __init__(
-        self,
-        state_dir: str,
-        *,
-        cache=True,
-        deadline_s: "float | None" = None,
-        max_attempts: "int | None" = None,
-    ):
+    def __init__(self, state_dir: str, *, cache=True):
         self.state_dir = state_dir
         self._stores_dir = os.path.join(state_dir, "stores")
         os.makedirs(self._stores_dir, exist_ok=True)
@@ -134,8 +127,6 @@ class JobManager:
         if cache is True:
             cache = os.path.join(state_dir, "cache")
         self._cache = cache
-        self._deadline_s = deadline_s
-        self._max_attempts = max_attempts
 
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
@@ -411,8 +402,6 @@ class JobManager:
                 progress=progress,
                 on_error="record",
                 cache=self._cache,
-                deadline_s=self._deadline_s,
-                max_attempts=self._max_attempts,
                 stop_event=job.stop,
             )
         except Exception as exc:  # the runner itself failed

@@ -105,6 +105,8 @@ class _Handler(BaseHTTPRequestHandler):
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ProtocolError("body is nested too deeply to decode") from None
 
     # -- routing -----------------------------------------------------------
 

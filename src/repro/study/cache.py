@@ -49,6 +49,8 @@ import os
 import threading
 import warnings
 
+from ..tables import canonical_table, encode_table
+
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_KEYS",
@@ -60,10 +62,10 @@ __all__ = [
     "resolve_cache",
 ]
 
-#: Canonical key order with default values (mirrors ``POLICY_KEYS``).
+#: The ``[cache]`` table: ``(key, default, kind)`` in canonical order.
 CACHE_KEYS = (
-    ("enabled", False),
-    ("dir", None),
+    ("enabled", False, "bool"),
+    ("dir", None, "str"),
 )
 
 #: Environment override for the shared cache directory.
@@ -82,62 +84,40 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
+def _implied_enabled(out: dict, items: dict) -> dict:
+    if "enabled" not in items and out["dir"] is not None:
+        out["enabled"] = True
+    return out
+
+
 def canonical_cache_value(value) -> "dict | None":
     """Normalise a declarative cache value to its canonical dict.
 
     Accepts ``None``, a bool (on/off with the default directory), a
     string (a directory, which implies ``enabled``), or a mapping with
-    any subset of the canonical keys.  For a mapping, a ``dir`` without
-    an explicit ``enabled`` implies ``enabled = true`` — naming a
-    directory and not wanting it used is not a meaningful spec.  A value
-    equal to the all-defaults table (caching off) collapses to ``None``,
-    keeping the ``spec_hash`` of every cache-less spec unchanged.
+    any subset of the canonical keys (decoded by
+    :func:`~repro.tables.canonical_table`).  For a mapping, a ``dir``
+    without an explicit ``enabled`` implies ``enabled = true`` — naming
+    a directory and not wanting it used is not a meaningful spec.  A
+    value equal to the all-defaults table (caching off) collapses to
+    ``None``, keeping the ``spec_hash`` of every cache-less spec
+    unchanged.
     """
-    if value is None:
-        return None
     if isinstance(value, bool):
-        items = {"enabled": value}
+        value = {"enabled": value}
     elif isinstance(value, str):
-        items = {"enabled": True, "dir": value}
-    else:
-        try:
-            items = dict(value)
-        except (TypeError, ValueError):
-            raise TypeError(
-                f"cache must be a table, bool, or directory, got {value!r}"
-            ) from None
-    known = {key for key, _default in CACHE_KEYS}
-    unknown = set(items) - known
-    if unknown:
-        raise KeyError(
-            f"unknown cache keys {sorted(unknown)}; known keys are "
-            f"{sorted(known)}"
-        )
-    directory = items.get("dir")
-    if directory == "none":
-        directory = None
-    if directory is not None:
-        directory = str(directory)
-    enabled = items.get("enabled", directory is not None)
-    if not isinstance(enabled, bool):
-        raise TypeError(f"cache.enabled must be a bool, got {enabled!r}")
-    out = {"enabled": enabled, "dir": directory}
-    if out == dict(CACHE_KEYS):
-        return None
-    return out
+        value = {"enabled": True, "dir": value}
+    return canonical_table(
+        "cache", CACHE_KEYS, value,
+        what="a table, bool, or directory", rules=_implied_enabled,
+    )
 
 
 def encode_cache_value(value) -> "dict | None":
     """JSON/TOML-friendly form: drop default-valued keys; defaults vanish."""
     value = canonical_cache_value(value)
-    if value is None:
-        return None
-    out = {
-        key: value[key]
-        for key, default in CACHE_KEYS
-        if value[key] != default and value[key] is not None
-    }
-    if value["dir"] is not None and not value["enabled"]:
+    out = encode_table(CACHE_KEYS, value)
+    if out is not None and value["dir"] is not None and not value["enabled"]:
         # A bare ``dir`` implies enabled on decode; keep the off switch.
         out["enabled"] = False
     return out

@@ -30,11 +30,10 @@ re-run of the same study sleeps the same schedule.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from ..engine.rng import derive_seed
+from ..tables import canonical_table, encode_table
 
 __all__ = [
     "POLICY_KEYS",
@@ -48,14 +47,14 @@ __all__ = [
     "resolve_policy",
 ]
 
-#: Canonical key order with default values (mirrors ``FAULT_KEYS``).
+#: The ``[execution]`` table: ``(key, default, kind)`` in canonical order.
 POLICY_KEYS = (
-    ("deadline_s", None),
-    ("max_attempts", 2),
-    ("backoff_s", 0.05),
-    ("backoff_max_s", 30.0),
-    ("jitter", 0.5),
-    ("degrade", True),
+    ("deadline_s", None, "number"),
+    ("max_attempts", 2, "int"),
+    ("backoff_s", 0.05, "number"),
+    ("backoff_max_s", 30.0, "number"),
+    ("jitter", 0.5, "number"),
+    ("degrade", True, "bool"),
 )
 
 #: Exception types whose failures are infrastructure, not model, errors:
@@ -130,70 +129,31 @@ class ExecutionPolicy:
             raise ValueError("execution.jitter must lie in [0, 1]")
 
 
+def _check_policy(out: dict, _items) -> dict:
+    ExecutionPolicy(**out)  # validation lives in one place
+    return out
+
+
 def canonical_policy_value(value) -> "dict | None":
     """Normalise a declarative execution value to its canonical dict.
 
     Accepts ``None``, an :class:`ExecutionPolicy`, or a mapping with any
-    subset of the canonical keys.  A value equal to the all-defaults
-    policy collapses to ``None`` — same supervision, same encoding, same
-    ``spec_hash`` — mirroring the rate-0 collapse of the faults axis.
+    subset of the canonical keys (decoded by
+    :func:`~repro.tables.canonical_table`).  A value equal to the
+    all-defaults policy collapses to ``None`` — same supervision, same
+    encoding, same ``spec_hash``.
     """
-    if value is None:
-        return None
     if isinstance(value, ExecutionPolicy):
-        items = {key: getattr(value, key) for key, _default in POLICY_KEYS}
-    else:
-        try:
-            items = dict(value)
-        except (TypeError, ValueError):
-            raise TypeError(
-                f"execution must be a table or ExecutionPolicy, got {value!r}"
-            ) from None
-    known = {key for key, _default in POLICY_KEYS}
-    unknown = set(items) - known
-    if unknown:
-        raise KeyError(
-            f"unknown execution keys {sorted(unknown)}; known keys are "
-            f"{sorted(known)}"
-        )
-    out = {}
-    for key, default in POLICY_KEYS:
-        raw = items.get(key, default)
-        if key == "max_attempts":
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise TypeError(
-                    f"execution.max_attempts must be an int, got {raw!r}"
-                )
-        elif key == "degrade":
-            if not isinstance(raw, bool):
-                raise TypeError(
-                    f"execution.degrade must be a bool, got {raw!r}"
-                )
-        elif key == "deadline_s" and raw in (None, "none"):
-            raw = None
-        else:
-            # Checked, not coerced: float(True) or float("5") would hash
-            # and run as a number the spec never wrote.
-            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
-                raise TypeError(f"execution.{key} must be a number, got {raw!r}")
-            raw = float(raw)
-        out[key] = raw
-    ExecutionPolicy(**out)  # validation lives in one place
-    if out == dict(POLICY_KEYS):
-        return None
-    return out
+        value = {key: getattr(value, key) for key, _default, _kind in POLICY_KEYS}
+    return canonical_table(
+        "execution", POLICY_KEYS, value,
+        what="a table or ExecutionPolicy", rules=_check_policy,
+    )
 
 
 def encode_policy_value(value) -> "dict | None":
     """JSON/TOML-friendly form: drop default-valued keys; defaults vanish."""
-    value = canonical_policy_value(value)
-    if value is None:
-        return None
-    return {
-        key: value[key]
-        for key, default in POLICY_KEYS
-        if value[key] != default
-    }
+    return encode_table(POLICY_KEYS, canonical_policy_value(value))
 
 
 def as_execution_policy(value) -> ExecutionPolicy:

@@ -421,7 +421,7 @@ def run_cells(
     cells: "list[StudyCell]",
     *,
     store_path: "str | None" = None,
-    resume: "bool | str" = False,
+    resume: bool = False,
     max_cells: "int | None" = None,
     progress: "Callable[[StudyCell, RunRecord], None] | None" = None,
     on_error: str = "record",
@@ -458,11 +458,11 @@ def run_cells(
         base JSON, leftover journal, or both — if present and completes
         only the missing cells, plus any cells previously recorded as
         failed or timed out, which are re-attempted and replaced in
-        place; a string is a path to resume from (checkpoints still go
-        to ``store_path``).  A store whose ``spec_hash`` differs from
-        ``spec``'s is rejected, and so is another study's journal left
-        at ``store_path``, before anything is written — resuming a
+        place.  A store whose ``spec_hash`` differs from ``spec``'s is
+        rejected, and so is another study's journal left at
+        ``store_path``, before anything is written — resuming a
         *different* study is always an error, never silent data mixing.
+        Any value but a bool is a ``TypeError``, raised first.
     max_cells:
         Execute at most this many *new* cells, then return (the
         programmatic interruption used by the resume tests and the
@@ -504,6 +504,8 @@ def run_cells(
         ``repro serve`` daemon sets it from its shutdown and cancel
         paths.
     """
+    if not isinstance(resume, bool):
+        raise TypeError(f"resume must be a bool, got {resume!r}")
     if max_cells is not None and max_cells < 1:
         raise ValueError("max_cells must be positive")
     if on_error not in _ON_ERROR:
@@ -517,18 +519,17 @@ def run_cells(
         deadline_s=deadline_s,
     )
     result_cache = resolve_cache(cache, spec.cache)
-    resume_path = resume if isinstance(resume, str) else store_path
     store = None
     if resume:
-        if resume_path is None:
+        if store_path is None:
             raise ValueError("resume=True needs a store_path to resume from")
         try:
-            store = load_study_store(resume_path)
+            store = load_study_store(store_path)
         except FileNotFoundError:
             store = None
         if store is not None and store.spec_hash != spec_hash(spec):
             raise ValueError(
-                f"store at {resume_path} records spec_hash "
+                f"store at {store_path} records spec_hash "
                 f"{store.spec_hash!r} but this spec hashes to "
                 f"{spec_hash(spec)!r}; refusing to resume a different study"
             )

@@ -16,6 +16,10 @@ it scheduled cells stays valid — and it is ignored at run time.  Like
 
 from __future__ import annotations
 
+import numbers
+
+from ..tables import canonical_table, encode_table
+
 __all__ = [
     "PARALLEL_KEYS",
     "CellScheduler",
@@ -23,68 +27,42 @@ __all__ = [
     "encode_parallel_value",
 ]
 
-#: Canonical key order with default values (mirrors ``POLICY_KEYS``).
+#: The ``[parallel]`` table: ``(key, default, kind)`` in canonical order.
 PARALLEL_KEYS = (
-    ("workers", None),
-    ("max_inflight", None),
+    ("workers", None, "int"),
+    ("max_inflight", None, "int"),
 )
+
+
+def _check_parallel(out: dict, _items) -> dict:
+    for key, count in out.items():
+        if count is not None and count < 1:
+            raise ValueError(f"parallel.{key} must be positive, got {count}")
+    if out["workers"] == 1:
+        out["workers"] = None  # one worker *is* the sequential default
+    return out
 
 
 def canonical_parallel_value(value) -> "dict | None":
     """Normalise a declarative parallel value to its canonical dict.
 
     Accepts ``None``, an int (a worker count), or a mapping with any
-    subset of the canonical keys.  A value equal to the all-defaults
-    table collapses to ``None`` — same encoding, same ``spec_hash``.
+    subset of the canonical keys (decoded by
+    :func:`~repro.tables.canonical_table`).  A value equal to the
+    all-defaults table collapses to ``None`` — same encoding, same
+    ``spec_hash``.
     """
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise TypeError("parallel must be a table or worker count, not a bool")
-    if isinstance(value, int):
-        items = {"workers": value}
-    else:
-        try:
-            items = dict(value)
-        except (TypeError, ValueError):
-            raise TypeError(
-                f"parallel must be a table or worker count, got {value!r}"
-            ) from None
-    known = {key for key, _default in PARALLEL_KEYS}
-    unknown = set(items) - known
-    if unknown:
-        raise KeyError(
-            f"unknown parallel keys {sorted(unknown)}; known keys are "
-            f"{sorted(known)}"
-        )
-    out = {}
-    for key, default in PARALLEL_KEYS:
-        raw = items.get(key, default)
-        if raw == "none":
-            raw = None
-        if raw is not None:
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise TypeError(f"parallel.{key} must be an int, got {raw!r}")
-            if raw < 1:
-                raise ValueError(f"parallel.{key} must be positive, got {raw}")
-        out[key] = raw
-    if out["workers"] == 1:
-        out["workers"] = None  # one worker *is* the sequential default
-    if out == dict(PARALLEL_KEYS):
-        return None
-    return out
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = {"workers": value}
+    return canonical_table(
+        "parallel", PARALLEL_KEYS, value,
+        what="a table or worker count", rules=_check_parallel,
+    )
 
 
 def encode_parallel_value(value) -> "dict | None":
     """JSON/TOML-friendly form: drop default-valued keys; defaults vanish."""
-    value = canonical_parallel_value(value)
-    if value is None:
-        return None
-    return {
-        key: value[key]
-        for key, default in PARALLEL_KEYS
-        if value[key] != default
-    }
+    return encode_table(PARALLEL_KEYS, canonical_parallel_value(value))
 
 
 class CellScheduler:

@@ -39,17 +39,19 @@ max_rounds   ``None`` | ``int`` (scheduler units: rounds or ticks)
 backend      a runtime registry name or resolution alias
 rng_mode     ``"batched"`` | ``"per-replica"``
 faults       ``None`` | ``{"crash": p, "recover": q, "loss": r,
-             "start": s, "stop": t}`` (default-valued keys elided; also
-             accepts the CLI string form ``"crash:p=0.01,recover=0.1"``)
+             "start": s, "stop": t}`` (default-valued keys elided, no
+             positive rate = ``None``; also accepts the CLI string form
+             ``"crash:p=0.01,recover=0.1"``)
 ===========  ==============================================================
 
 ``None`` appears in TOML/JSON as the string ``"none"`` (TOML has no
 null); the canonical in-memory form is the Python ``None``.
 
 Beyond the axes, a spec may carry three optional *supervision* tables,
-all sharing the same contract — elided from :meth:`to_dict` when they
-equal the defaults (so pre-existing ``spec_hash``\\ es survive) and
-never entering cell params (so cell ids stay independent of them):
+all decoded by :func:`repro.tables.canonical_table` and sharing one
+contract — elided from :meth:`to_dict` when they equal the defaults (so
+pre-existing ``spec_hash``\\ es survive) and never entering cell params
+(so cell ids stay independent of them):
 
 * ``[execution]`` — the declarative
   :class:`~repro.study.policy.ExecutionPolicy` (``deadline_s``,
@@ -111,6 +113,15 @@ _AXIS_DEFAULTS = {
 _EXPANSIONS = ("grid", "zip")
 
 _RECORD_AGGREGATES = (None, "mean")
+
+#: The supervision tables, in ``to_dict`` order: field → (canonicalise,
+#: encode).  An all-default table canonicalises to ``None`` and encodes
+#: to nothing.
+_TABLES = {
+    "execution": (canonical_policy_value, encode_policy_value),
+    "parallel": (canonical_parallel_value, encode_parallel_value),
+    "cache": (canonical_cache_value, encode_cache_value),
+}
 
 
 def _check_kwargs(kwargs: Any, context: str) -> dict:
@@ -365,18 +376,11 @@ class StudySpec:
                 f"record: replica {self.record['replica']} does not exist "
                 f"with {self.repetitions} repetitions"
             )
-        try:
-            self.execution = canonical_policy_value(self.execution)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"execution: {exc}") from exc
-        try:
-            self.parallel = canonical_parallel_value(self.parallel)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"parallel: {exc}") from exc
-        try:
-            self.cache = canonical_cache_value(self.cache)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"cache: {exc}") from exc
+        for table, (canonical, _encode) in _TABLES.items():
+            try:
+                setattr(self, table, canonical(getattr(self, table)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{table}: {exc}") from exc
         if self.expansion == "zip":
             lengths = {len(v) for v in self.axes.values() if len(v) > 1}
             if len(lengths) > 1:
@@ -424,17 +428,12 @@ class StudySpec:
             if self.record["replica"] != 0:
                 record["replica"] = self.record["replica"]
             out["record"] = record
-        encoded_execution = encode_policy_value(self.execution)
-        if encoded_execution:
-            # Elided when default, like the faults axis: adding the
-            # policy table must not orphan pre-existing spec hashes.
-            out["execution"] = encoded_execution
-        encoded_parallel = encode_parallel_value(self.parallel)
-        if encoded_parallel:
-            out["parallel"] = encoded_parallel
-        encoded_cache = encode_cache_value(self.cache)
-        if encoded_cache:
-            out["cache"] = encoded_cache
+        for table, (_canonical, encode) in _TABLES.items():
+            encoded = encode(getattr(self, table))
+            if encoded:
+                # Elided when default, like the faults axis: adding a
+                # table must not orphan pre-existing spec hashes.
+                out[table] = encoded
         axes: dict = {}
         for axis, values in self.axes.items():
             if axis == "faults" and values == [None]:
@@ -469,12 +468,6 @@ class StudySpec:
         if "name" not in data:
             raise ValueError("spec payload has no name")
         return cls(axes=axes, **data)
-
-    def cells_params(self) -> "list[dict]":
-        """Resolved axis assignments per cell, in execution order."""
-        from .compile import expand_axes  # local import: avoid a cycle
-
-        return expand_axes(self)
 
 
 def _encode_axis_value(axis: str, value: Any) -> Any:

@@ -33,14 +33,17 @@ def _key(key: str) -> str:
     return _string(key)
 
 
+#: Basic-string escapes: backslash, quote, newline and tab by name, and
+#: every other control character (U+0000–U+001F, U+007F: TOML forbids
+#: them raw) as ``\uXXXX``.
+_ESCAPES = {code: f"\\u{code:04x}" for code in (*range(0x20), 0x7F)}
+_ESCAPES.update(
+    {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\t"): "\\t"}
+)
+
+
 def _string(value: str) -> str:
-    escaped = (
-        value.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
+    return f'"{value.translate(_ESCAPES)}"'
 
 
 def _value(value: Any) -> str:
@@ -93,9 +96,10 @@ def loads_spec(text: str) -> StudySpec:
 
 def save_spec(spec: StudySpec, path: str) -> None:
     """Write a spec to ``path`` as TOML (atomically)."""
+    text = dumps_spec(spec)  # before the temp file: a failure leaves none
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_spec(spec))
+        handle.write(text)
     os.replace(tmp_path, path)
 
 

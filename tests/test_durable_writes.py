@@ -11,13 +11,13 @@
   store and its directory.  A hit/hit/miss/hit/hit pass checkpoints
   twice, in cell order, and lands its last two hits with the
   compaction; an all-hit pass fsyncs only the compacted store and its
-  directory and creates no journal, yet a resume from another path
-  still refuses another study's journal at its store path before
-  writing anything; ``progress`` sees no record before the fsync
-  covering it.  A daemon job compiles its spec once; a
-  cache-served 3-cell job does 4 fsyncs and 1 rename, a fresh one 7
-  fsyncs.  A daemon job loads its store once per run, and a restarted
-  daemon reports the counts of finished jobs.
+  directory and creates no journal; a resume refuses another study's
+  journal at its store path before writing anything, and a resume
+  from a path is a ``TypeError`` that touches no file; ``progress``
+  sees no record before the fsync covering it.  A daemon job compiles
+  its spec once; a cache-served 3-cell job does 4 fsyncs and 1 rename,
+  a fresh one 7 fsyncs.  A daemon job loads its store once per run,
+  and a restarted daemon reports the counts of finished jobs.
 * A record is memoized before its journal line: a study killed at its
   first cache write resumes to a cache that serves a renamed copy whole.
 * Every crash point of the grouped writes replays to a consistent
@@ -56,6 +56,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.serve import JobManager, ServeClient, StudyServer
 from repro.serve import jobs as jobs_module
 from repro.serve import protocol as proto
@@ -313,35 +314,52 @@ def test_an_all_hit_run_fsyncs_only_its_compacted_store(tmp_path, monkeypatch):
     assert load_study_store(path).results_equal(cold)
 
 
-@pytest.mark.parametrize("all_hits", [True, False], ids=["all hits", "a miss"])
-def test_resuming_from_another_path_refuses_a_foreign_journal_first(
-    tmp_path, all_hits
-):
-    """``resume=<path>`` checkpoints to ``store_path``, where a crashed
-    run of another study left its journal: the run raises before it
-    writes anything, and both files stay as they were, whether it would
-    land every record with the compaction or checkpoint a miss."""
+def _contents(*paths) -> dict:
+    return {path: open(path, "rb").read() for path in paths}
+
+
+@pytest.mark.parametrize("run", [run_study, repro.study], ids=["run_study", "api"])
+def test_a_resume_path_is_refused_before_any_file_is_touched(tmp_path, run):
+    """``resume`` is a bool.  A path, the form that loaded one store and
+    then compacted over whatever sat at ``store_path`` (here another
+    study's store), raises ``TypeError`` and leaves both stores
+    byte-for-byte as they were."""
     spec, cache, _cold = _hits_around_a_miss(tmp_path)
-    if all_hits:
-        run_study(spec, cache=cache)  # cache the middle cell again
     source = str(tmp_path / "source.json")
     run_study(spec, store_path=source, cache=cache, max_cells=1)
     other = StudySpec.from_dict({**spec.to_dict(), "seed": 4})
     path = str(tmp_path / "s.json")
+    run_study(other, store_path=path, max_cells=1)
+    before, listing = _contents(source, path), sorted(os.listdir(tmp_path))
+    with pytest.raises(TypeError, match="resume must be a bool"):
+        run(spec, store_path=path, resume=source, cache=cache)
+    assert _contents(source, path) == before
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
+@pytest.mark.parametrize(
+    "base", [None, "this", "other"],
+    ids=["no base file", "a base of this spec", "a base of the other spec"],
+)
+def test_resume_refuses_another_studys_crashed_journal_first(tmp_path, base):
+    """``resume=True`` over the journal a crashed run of another study
+    left at ``store_path`` raises before it writes anything, whether a
+    compacted store sits beside that journal or not, and whoever's."""
+    spec, cache, _cold = _hits_around_a_miss(tmp_path)
+    other = StudySpec.from_dict({**spec.to_dict(), "seed": 4})
+    path = str(tmp_path / "s.json")
+    if base is not None:
+        run_study(spec if base == "this" else other, store_path=path, max_cells=1)
     crashed = StudyStore(other)
     crashed.begin_journal(path)
     crashed.checkpoint(run_study(other, max_cells=1).records()[0])
     crashed._journal.close()
-
-    def contents():
-        files = (source, journal_path(path))
-        return {name: open(name, "rb").read() for name in files}
-
-    before = contents()
-    with pytest.raises(ValueError, match="belongs to spec_hash"):
-        run_study(spec, store_path=path, resume=source, cache=cache)
-    assert contents() == before
-    assert not os.path.exists(path)
+    files = [name for name in (path, journal_path(path)) if os.path.exists(name)]
+    before, listing = _contents(*files), sorted(os.listdir(tmp_path))
+    with pytest.raises(ValueError):
+        run_study(spec, store_path=path, resume=True, cache=cache)
+    assert _contents(*files) == before
+    assert sorted(os.listdir(tmp_path)) == listing
 
 
 def test_progress_sees_no_record_before_the_fsync_covering_it(

@@ -639,3 +639,80 @@ class TestByzantine:
         byz = schedule.faults[kinds.index(Byzantine)]
         assert byz.rate == 0.05 and byz.color == 1
         assert schedule.stop == 9
+
+
+# ---------------------------------------------------------------------------
+# A faults value that configures nothing
+# ---------------------------------------------------------------------------
+
+
+#: A faults axis holding a fault and a zero-rate value, as TOML.
+_MIXED_ZERO_TOML = """\
+name = "zero rate beside a crash"
+seed = 3
+repetitions = 2
+raise_on_limit = false
+
+[axes]
+process = ["voter"]
+n = [8]
+max_rounds = [400]
+faults = [{ crash = 0.1 }, { loss = 0.0 }]
+"""
+
+
+class TestZeroRateFaults:
+    @pytest.mark.parametrize(
+        "value", [{}, {"crash": 0.0}, {"loss": 0.0, "start": 5}, {"stop": "none"}]
+    )
+    def test_no_positive_rate_canonicalises_to_none(self, value):
+        assert canonical_fault_value(value) is None
+        assert encode_fault_value(value) == "none"
+
+    def test_cross_key_rules_still_run_first(self):
+        with pytest.raises(ValueError, match="meaningless"):
+            canonical_fault_value({"recover": 0.5})
+        with pytest.raises(ValueError, match="exceed"):
+            canonical_fault_value({"loss": 0.0, "start": 5, "stop": 3})
+
+    def test_a_zero_loss_flag_parses_to_no_faults(self):
+        assert parse_fault_cli(None, loss=0.0) is None
+        assert parse_fault_cli("crash:p=0.0") is None
+
+    def test_a_single_zero_rate_value_runs_to_a_store_that_loads(self, tmp_path):
+        axes = {"process": ["voter"], "n": [8, 12]}
+        spec = StudySpec(
+            name="zero rate", seed=2, repetitions=2,
+            axes={**axes, "faults": [{"loss": 0.0, "start": 5}]},
+        )
+        assert spec_hash(spec) == spec_hash(
+            StudySpec(name="zero rate", seed=2, repetitions=2, axes=axes)
+        )
+        path = str(tmp_path / "s.json")
+        store = run_study(spec, store_path=path)
+        loaded = load_study_store(path)
+        assert loaded.spec == spec
+        assert loaded.results_equal(store)
+
+    def test_cli_validates_runs_and_reports_a_zero_rate_value(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        spec_path = tmp_path / "spec.toml"
+        spec_path.write_text(_MIXED_ZERO_TOML)
+        store_path = str(tmp_path / "s.json")
+        assert main(["study", "validate", str(spec_path)]) == 0
+        assert main(["study", "run", str(spec_path), "-o", store_path]) == 0
+        assert main(["study", "report", store_path]) == 0
+        assert "faults(crash=0.1)" in capsys.readouterr().out
+
+    def test_a_zero_loss_sweep_store_reports(self, tmp_path):
+        from repro.cli import main
+
+        path = str(tmp_path / "s.json")
+        assert main([
+            "sweep", "voter", "--min-n", "8", "--max-n", "16", "-r", "2",
+            "--loss", "0", "-o", path,
+        ]) == 0
+        assert main(["study", "report", path]) == 0

@@ -577,6 +577,26 @@ class TestHTTP:
         assert response.status == 400
         assert "Content-Length" in body["error"]
 
+    def test_a_body_nested_past_the_recursion_limit_answers_400(self, served):
+        """``json.loads`` raises ``RecursionError`` on 100,000 nested
+        arrays; the server answers 400 instead of dropping the
+        connection, and keeps serving."""
+        client, _manager = served
+        host, port = client.base_url.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
+        try:
+            conn.request(
+                "POST", "/jobs", body=b"[" * 100_000 + b"]" * 100_000,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "nested too deeply" in body["error"]
+        assert client.jobs() == []
+
     def test_each_record_streams_as_its_checkpoint_lands(
         self, served, monkeypatch
     ):

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 + plan-matrix + study-smoke +
-# faults-smoke + supervision-smoke + serve-smoke + throughput.
+# faults-smoke + supervision-smoke + serve-smoke + throughput +
+# perfbench-toy.
 #
 # Steps:
 #   1. tier-1    — the full test suite.
@@ -83,6 +84,12 @@
 #      fails on a >20% speedup drop vs the baselines recorded in the
 #      committed BENCH_engine.json (kernels.smoke_reference), after
 #      three attempts.
+#   9. perfbench-toy — the end-to-end benchmark's `grid` and `daemon`
+#      workloads at toy size (`perfbench/run.py --toy`, a few seconds
+#      each): each run must exit 0 and end with a JSON line reading
+#      "correct": true and "failed": 0 (every cell and job ok, warm
+#      passes equal to cold ones, a daemon job equal to the same spec
+#      run in-process).
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh -k engine  # extra args forwarded to the tier-1 run
@@ -331,3 +338,14 @@ python scripts/serve_smoke.py
 python benchmarks/bench_engine_throughput.py --smoke
 echo "== kernels-smoke: fused-kernel regression gate =="
 python benchmarks/bench_engine_throughput.py --kernels-check
+echo "== perfbench-toy: grid and daemon end to end at toy size, correct with 0 failures =="
+for workload in grid daemon; do
+    python3 perfbench/run.py --workload "$workload" --toy > "$STUDY_TMP/perfbench-$workload.txt"
+    tail -n 1 "$STUDY_TMP/perfbench-$workload.txt" | python -c '
+import json, sys
+result = json.load(sys.stdin)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"perfbench-toy FAILED: {sys.argv[1]} ended with {result}")
+' "$workload"
+    echo "perfbench-toy OK: $workload ended correct with 0 failed"
+done

@@ -9,6 +9,13 @@ and the derivation of independent child streams, so that
 * parallel repetitions use *statistically independent* streams derived
   through :class:`numpy.random.SeedSequence` spawning rather than ad-hoc
   seed arithmetic.
+
+A study compile needs one integer seed per cell, ``derive_seed(seed, i)``
+for every cell index ``i``.  :func:`_child_seeds` derives them all in
+one vectorized pass of numpy's ``SeedSequence`` algorithm (its constants
+copied from ``numpy/random/bit_generator.pyx``, which numpy keeps
+stream-stable); the numpy-backed :func:`derive_seed` and
+:func:`_child_seed` are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -138,3 +145,54 @@ def _child_seed(parent: np.random.SeedSequence, child: int) -> int:
         pool_size=parent.pool_size,
     )
     return int(sequence.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+#: The constants of numpy's ``SeedSequence`` (``hashmix``, ``mix`` and
+#: ``generate_state`` in ``numpy/random/bit_generator.pyx``).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _child_seeds(seed: int, count: int) -> "list[int]":
+    """``[derive_seed(seed, i) for i in range(count)]`` in one vectorized pass.
+
+    ``SeedSequence`` mixes a child's spawn key last, so every child of
+    ``SeedSequence(seed)`` starts from the parent's ``pool`` and from the
+    hash constant reached after the parent's entropy words (16 hashmix
+    steps, plus 4 per 32-bit word past the pool's 4).  A child differs
+    only in the hashmix and mix of its index into each pool word, and
+    ``generate_state(1, uint64)`` then hashes pool words 0 and 1 into
+    its two output words.  Those steps run here over ``arange(count)``
+    as uint32 arrays (an index below 2**32 is one entropy word), with
+    numpy's constants ``INIT_A``, ``MULT_A``, ``INIT_B``, ``MULT_B``,
+    ``MIX_MULT_L``, ``MIX_MULT_R`` and ``XSHIFT``.
+    """
+    parent = np.random.SeedSequence(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    steps = 16 + 4 * max(0, words - parent.pool_size)
+    hash_a = _INIT_A * pow(_MULT_A, steps, _MASK32 + 1) & _MASK32
+    hash_b = _INIT_B
+    child = np.arange(count, dtype=np.uint32)
+    state = []
+    for word in parent.pool[:2].tolist():
+        # hashmix(child): the index into this pool word's mix.
+        value = child ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= np.uint32(hash_a)
+        value ^= value >> _XSHIFT
+        # mix(word, value): the child's pool word.
+        value = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * value
+        value ^= value >> _XSHIFT
+        # generate_state's hash of that pool word into one output word.
+        value ^= np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value *= np.uint32(hash_b)
+        value ^= value >> _XSHIFT
+        state.append(value.astype(np.uint64))
+    return ((state[0] | state[1] << np.uint64(32)) >> np.uint64(1)).tolist()

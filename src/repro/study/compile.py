@@ -38,8 +38,6 @@ import numbers
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..adversary.adversary import (
     Adversary,
     BoostRunnerUp,
@@ -50,7 +48,7 @@ from ..adversary.adversary import (
 from ..engine.batch import first_passage_plan
 from ..engine.metrics import EnsembleMetricRecorder
 from ..engine.plan import SimulationPlan
-from ..engine.rng import _child_seed
+from ..engine.rng import _child_seeds
 from ..engine.runtime import backend_choices, resolve_backend
 from ..engine.stopping import (
     BiasAtLeast,
@@ -227,13 +225,12 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
 
     Validation happens eagerly for the *whole* grid before anything runs,
     so a typo in the last cell surfaces before hours of simulation.
-    Cell ``i``'s seed is ``derive_seed(spec.seed, i)``, derived from one
-    parent ``SeedSequence`` per compile.  Starts, process factories,
+    Cell ``i``'s seed is ``derive_seed(spec.seed, i)``; one vectorized
+    pass derives every cell's seed per compile.  Starts, process factories,
     stopping conditions and fault schedules are built once per distinct
     axis value and shared by the cells that use it; adversaries and
     recorders are built per cell (see the module docstring).
     """
-    parent = np.random.SeedSequence(spec.seed)
     choices = backend_choices()
     shared: dict = {}
 
@@ -275,8 +272,10 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
         canonical = "{%s}" % ",".join(parts)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
+    assignments = expand_axes(spec)
+    seeds = _child_seeds(spec.seed, len(assignments))
     cells = []
-    for index, assignment in enumerate(expand_axes(spec)):
+    for index, assignment in enumerate(assignments):
         if assignment["backend"] not in choices:
             raise ValueError(
                 f"cell {index}: unknown backend {assignment['backend']!r}; "
@@ -305,7 +304,7 @@ def compile_study(spec: StudySpec) -> "list[StudyCell]":
             # Elide the default so fault-free cells keep their pre-fault
             # cell_ids — the hashes resume matches completed cells by.
             del params["faults"]
-        seed = _child_seed(parent, index)
+        seed = seeds[index]
         params["seed"] = seed
         plan = first_passage_plan(
             process_factory=factory,

@@ -458,11 +458,15 @@ def run_cells(
         base JSON, leftover journal, or both — if present and completes
         only the missing cells, plus any cells previously recorded as
         failed or timed out, which are re-attempted and replaced in
-        place.  A store whose ``spec_hash`` differs from ``spec``'s is
-        rejected, and so is another study's journal left at
-        ``store_path``, before anything is written — resuming a
-        *different* study is always an error, never silent data mixing.
-        Any value but a bool is a ``TypeError``, raised first.
+        place.  Only the loaded records whose ``cell_id`` belongs to a
+        compiled cell are kept, so a store written when a cell's id was
+        another (ids can move between versions) resumes to one record
+        per cell, and its compaction drops the stale one.  A store whose
+        ``spec_hash`` differs from ``spec``'s is rejected, and so is
+        another study's journal left at ``store_path``, before anything
+        is written — resuming a *different* study is always an error,
+        never silent data mixing.  Any value but a bool is a
+        ``TypeError``, raised first.
     max_cells:
         Execute at most this many *new* cells, then return (the
         programmatic interruption used by the resume tests and the
@@ -543,6 +547,8 @@ def run_cells(
     if store is None:
         store = StudyStore(spec)
     store.cell_ids = tuple(cell.cell_id for cell in cells)
+    # Cell ids can move between versions (see ``resume``).
+    store._retain(store.cell_ids)
     if store_path is not None:
         store.begin_journal(store_path)
     stop = stop_event if stop_event is not None else threading.Event()

@@ -125,11 +125,27 @@ _TABLES = {
 
 
 def _check_kwargs(kwargs: Any, context: str) -> dict:
+    """A kwargs table with string keys and no null at any depth: a spec
+    must save as TOML, which has no null (JSON, and so a ``POST /jobs``
+    body, can carry one)."""
     if not isinstance(kwargs, Mapping):
         raise ValueError(f"{context}: kwargs must be a table, got {kwargs!r}")
-    for key in kwargs:
+    for key, value in kwargs.items():
         if not isinstance(key, str):
             raise ValueError(f"{context}: kwargs keys must be strings")
+        # Walked with a stack, as a value may nest as deep as its decoder
+        # allows; each container once, so a value holding itself ends.
+        stack, seen = [value], set()
+        while stack:
+            item = stack.pop()
+            if item is None:
+                raise TypeError(
+                    f"{context}: kwargs key {key!r} holds a null, which a spec "
+                    "cannot save (TOML has no null); leave the key out instead"
+                )
+            if isinstance(item, (Mapping, list, tuple)) and id(item) not in seen:
+                seen.add(id(item))
+                stack.extend(item.values() if isinstance(item, Mapping) else item)
     return dict(kwargs)
 
 

@@ -495,6 +495,11 @@ class StudyStore:
         """
         self._by_id[record.cell_id] = record
 
+    def _retain(self, cell_ids) -> None:
+        """Drop every record whose ``cell_id`` is not in ``cell_ids``."""
+        for cell_id in self._by_id.keys() - set(cell_ids):
+            del self._by_id[cell_id]
+
     def failed(self) -> "list[RunRecord]":
         """The non-ok (failed / timed-out) records, in cell-index order."""
         return [record for record in self.records() if not record.ok]

@@ -524,7 +524,12 @@ class TestHTTP:
         coerced.append(
             {**tiny_spec().to_dict(), "execution": {"deadline_s": True}}
         )
-        for payload in (removed, mistyped, bad_replica, *coerced):
+        # LazyVoter(graph=None) runs, but TOML cannot hold the null.
+        null_kwarg = tiny_spec().to_dict()
+        null_kwarg["axes"]["process"] = [
+            {"name": "lazy-voter", "kwargs": {"graph": None}}
+        ]
+        for payload in (removed, mistyped, bad_replica, null_kwarg, *coerced):
             with pytest.raises(ServeError) as info:
                 client.submit(payload)
             assert info.value.status == 400, payload

@@ -7,11 +7,13 @@ shorthand (wrong types and unknown keys included), either fails
 ``KeyError``, or decodes to a spec whose ``spec_hash`` survives both
 ``to_dict`` → ``from_dict`` and ``dumps_spec`` → ``loads_spec``.  This
 is the contract every stored, resumed or cached study leans on: the
-hash a run writes is the hash its spec file reloads to.  A spec TOML
-cannot hold (a null kwarg) makes ``save_spec`` raise and write nothing.
+hash a run writes is the hash its spec file reloads to.  A null at any
+depth of a kwargs value (JSON can carry one; TOML has none) is refused
+by the decoder itself, so every payload that decodes saves as TOML.
 """
 
 import os
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,9 +43,10 @@ _JUNK = st.one_of(
 #: Short ASCII text, control characters included (the ones TOML must
 #: escape), cheaper to draw than any-codepoint text.
 _ASCII = st.text(st.characters(max_codepoint=0x7F), max_size=6)
-_SCALARS = st.one_of(_ASCII, st.integers(), st.floats(), st.booleans())
-#: What TOML can write as a kwargs value: a scalar, an array or a table.
-_TOML_VALUES = st.one_of(
+_SCALARS = st.one_of(_ASCII, st.integers(), st.floats(), st.booleans(), st.none())
+#: A kwargs value: a scalar, an array or a table, with JSON null at any
+#: depth, which TOML cannot write and the decoder must refuse.
+_KWARG_VALUES = st.one_of(
     _SCALARS,
     st.lists(_SCALARS, max_size=3),
     st.dictionaries(_ASCII, _SCALARS, max_size=2),
@@ -122,7 +125,7 @@ _FAULT = st.one_of(
 def _payloads(draw) -> dict:
     process = {
         "name": draw(st.sampled_from(["voter", "3-majority"]) | _ASCII),
-        "kwargs": draw(st.dictionaries(_ASCII, _TOML_VALUES, max_size=2)),
+        "kwargs": draw(st.dictionaries(_ASCII, _KWARG_VALUES, max_size=2)),
     }
     payload = {
         "name": draw(st.text(min_size=1, max_size=8)),
@@ -156,12 +159,46 @@ def test_a_payload_decodes_to_a_stable_hash_or_a_typed_error(payload):
 
 
 def test_a_spec_toml_cannot_hold_leaves_no_file(tmp_path):
-    """TOML has no null, so a null kwarg (which JSON can carry) cannot be
-    written: ``save_spec`` raises before it creates its temp file."""
+    """A kwarg TOML has no type for (a complex number, which the decoder
+    keeps as given) cannot be written: ``save_spec`` raises before it
+    creates its temp file."""
     spec = StudySpec(
-        name="null kwarg",
-        axes={"process": {"name": "voter", "kwargs": {"a": None}}, "n": 8},
+        name="complex kwarg",
+        axes={"process": {"name": "voter", "kwargs": {"a": 1j}}, "n": 8},
     )
     with pytest.raises(TypeError, match="as TOML"):
         save_spec(spec, str(tmp_path / "s.toml"))
     assert os.listdir(tmp_path) == []
+
+
+def test_a_null_kwarg_is_refused_at_construction_and_from_dict():
+    """TOML has no null, so a null kwarg (which JSON can carry) is
+    refused with a ``TypeError`` naming the axis and the key, at any
+    depth of a process, workload or adversary kwargs value."""
+    for axis, key, value in (
+        ("process", "a", {"name": "voter", "kwargs": {"a": None}}),
+        ("workload", "k", {"name": "balanced", "kwargs": {"k": [3, {"b": None}]}}),
+        ("adversary", "c", {"name": "plant-invalid", "kwargs": {"c": {"d": [None]}}}),
+    ):
+        axes = {"process": "voter", "n": 8, axis: value}
+        message = f"axis '{axis}': kwargs key '{key}' holds a null"
+        with pytest.raises(TypeError, match=message):
+            StudySpec(name="null kwarg", axes=axes)
+        with pytest.raises(TypeError, match=message):
+            StudySpec.from_dict({"name": "null kwarg", "axes": axes})
+
+
+def test_a_kwarg_value_holding_itself_is_walked_once():
+    """The null walk visits each container once, so a value that holds
+    itself (only Python can build one) still constructs instead of
+    looping forever."""
+    looped = {"b": [1]}
+    looped["self"] = looped
+    axes = {"process": {"name": "voter", "kwargs": {"a": looped}}, "n": 8}
+    built = []
+    worker = threading.Thread(
+        target=lambda: built.append(StudySpec(name="loop", axes=axes)), daemon=True
+    )
+    worker.start()
+    worker.join(10)
+    assert len(built) == 1

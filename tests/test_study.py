@@ -8,6 +8,8 @@ The two contracts the ISSUE acceptance criteria name are enforced here:
   the uninterrupted run.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,27 @@ class TestRunAndResume:
         partial.save(path)
         resumed = run_study(spec, store_path=path, resume=True)
         assert resumed.results_equal(full)
+
+    def test_resume_drops_a_record_no_compiled_cell_has(self, tmp_path):
+        """A stored cell id that moved (as ids can between versions) is
+        not kept beside the cell's new record: one record per index."""
+        spec = StudySpec(
+            name="moved id",
+            seed=3,
+            repetitions=2,
+            axes={"process": ["3-majority"], "n": [16, 24], "rng_mode": ["per-replica"]},
+        )
+        path = str(tmp_path / "s.json")
+        fresh = api.study(spec, store_path=path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["columns"]["cell_id"][1] = "0123456789abcdef"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        resumed = api.study(spec, store_path=path, resume=True)
+        for store in (resumed, load_study_store(path)):
+            assert [record.index for record in store.records()] == [0, 1]
+            assert store.results_equal(fresh)
 
     def test_resume_rejects_different_spec(self, tmp_path):
         path = str(tmp_path / "store.json")

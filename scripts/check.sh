@@ -86,10 +86,17 @@
 #      three attempts.
 #   9. perfbench-toy — the end-to-end benchmark's `grid` and `daemon`
 #      workloads at toy size (`perfbench/run.py --toy`, a few seconds
-#      each): each run must exit 0 and end with a JSON line reading
-#      "correct": true and "failed": 0 (every cell and job ok, warm
-#      passes equal to cold ones, a daemon job equal to the same spec
-#      run in-process).
+#      each), untraced and traced (`--trace 1`): each run must exit 0
+#      and end with a JSON line reading "correct": true and "failed": 0
+#      (every cell and job ok, warm passes equal to cold ones, a daemon
+#      job equal to the same spec run in-process; traced, also results
+#      equal to the untraced ones and layer self times plus
+#      `unaccounted` equal to the traced wall time).  The tracer wraps
+#      repro's entry points by name (compile_study, resolve_backend,
+#      each backend's execute, Configuration.__init__,
+#      StudyStore.checkpoint/compact, ResultCache.get/put,
+#      CellScheduler.run), so the traced runs fail when a refactor
+#      renames one.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh -k engine  # extra args forwarded to the tier-1 run
@@ -338,14 +345,17 @@ python scripts/serve_smoke.py
 python benchmarks/bench_engine_throughput.py --smoke
 echo "== kernels-smoke: fused-kernel regression gate =="
 python benchmarks/bench_engine_throughput.py --kernels-check
-echo "== perfbench-toy: grid and daemon end to end at toy size, correct with 0 failures =="
+echo "== perfbench-toy: grid and daemon end to end at toy size, untraced and traced, correct with 0 failures =="
 for workload in grid daemon; do
-    python3 perfbench/run.py --workload "$workload" --toy > "$STUDY_TMP/perfbench-$workload.txt"
-    tail -n 1 "$STUDY_TMP/perfbench-$workload.txt" | python -c '
+    for trace in 0 1; do
+        out="$STUDY_TMP/perfbench-$workload-trace$trace.txt"
+        python3 perfbench/run.py --workload "$workload" --toy --trace "$trace" > "$out"
+        tail -n 1 "$out" | python -c '
 import json, sys
 result = json.load(sys.stdin)
 if result.get("correct") is not True or result.get("failed") != 0:
     sys.exit(f"perfbench-toy FAILED: {sys.argv[1]} ended with {result}")
-' "$workload"
-    echo "perfbench-toy OK: $workload ended correct with 0 failed"
+' "$workload --trace $trace"
+        echo "perfbench-toy OK: $workload --trace $trace ended correct with 0 failed"
+    done
 done

@@ -17,12 +17,17 @@ Three execution paths:
   each running :func:`run_with_adversary` on its own spawned stream.
   This is the family's only per-replica engine.
 * :func:`run_with_adversary_ensemble` — ``R`` replicas lock-step from
-  one shared stream, with vectorized per-replica corruption masks,
-  plurality/streak tracking and replica retirement.  ``backend="counts"``
-  additionally moves the whole run onto the exact count-level chain
-  (AC-processes with a count-capable adversary), which is the production
-  fast path.  ``rng_mode="per-replica"``, and processes without a
-  vectorized ``update_ensemble``, run :func:`run_with_adversary_replicas`.
+  one shared stream, with vectorized per-replica corruption masks.
+  ``backend="counts"`` additionally moves the whole run onto the exact
+  count-level chain (AC-processes with a count-capable adversary), which
+  is the production fast path.  Both representations run on
+  :func:`~repro.engine.ensemble._run_lockstep`, the loop of every
+  lock-step engine: each supplies an ``advance`` (the honest round, then
+  the window-gated corruption) that returns every replica's
+  ``(plurality color, support)`` row, and a private stop rule holds the
+  stable-regime streak.  ``rng_mode="per-replica"``, and processes
+  without a vectorized ``update_ensemble``, run
+  :func:`run_with_adversary_replicas`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.configuration import Configuration
-from ..engine.ensemble import _counts_matrix_fast, narrow_int_dtype
+from ..engine.ensemble import _counts_matrix_fast, _run_lockstep, narrow_int_dtype
 from ..engine.kernels import fused_colors_step, kernel_eligible
 from ..engine.rng import RandomSource, as_generator, per_replica_generators
 from ..engine.simulator import _COUNT_BACKEND_SLOT_LIMIT
@@ -261,22 +266,6 @@ def _counts_chain_tractable(
     )
 
 
-def _plurality_matrix(
-    colors: np.ndarray, width: int, n: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Row-wise plurality of an ``(R, n)`` color matrix in one pass.
-
-    Returns ``(counts, leaders, fractions)``; negative sentinel colors are
-    excluded from the counts (matching :func:`_plurality`) by shifting all
-    colors up one slot and dropping the sentinel column.
-    """
-    shifted = np.maximum(colors.astype(np.int64, copy=False), -1) + 1
-    counts = _counts_matrix_fast(shifted, width + 1)[:, 1:]
-    leaders = np.argmax(counts, axis=1)
-    fractions = counts[np.arange(colors.shape[0]), leaders] / float(n)
-    return counts, leaders, fractions
-
-
 def run_with_adversary_ensemble(
     process: AgentProcess,
     initial: Configuration,
@@ -306,6 +295,8 @@ def run_with_adversary_ensemble(
     * ``"auto"`` — ``"counts"`` whenever it is valid and tractable, else
       ``"agent"``.
 
+    Both run on :func:`~repro.engine.ensemble._run_lockstep`, which
+    retires each replica at the round its stable regime holds.
     ``rng_mode="per-replica"`` (agent only), and processes without a
     vectorized ``update_ensemble``, run :func:`run_with_adversary_replicas`.
     """
@@ -343,82 +334,67 @@ def run_with_adversary_ensemble(
                 "rng_mode='per-replica' reproduces the sequential agent-"
                 "level runner; use backend='agent'"
             )
-        return _adversary_counts_ensemble(
-            process, initial, schedule, repetitions, rng,
-            max_rounds, stable_fraction, stable_rounds,
-        )
-    if rng_mode == "per-replica" or not process.has_vectorized_ensemble:
+        setup = _adversary_counts_ensemble
+    elif rng_mode == "per-replica" or not process.has_vectorized_ensemble:
         return run_with_adversary_replicas(
             process, initial, schedule, repetitions, rng,
             max_rounds, stable_fraction, stable_rounds,
         )
-    return _adversary_agent_ensemble(
-        process, initial, schedule, repetitions, rng,
-        max_rounds, stable_fraction, stable_rounds,
+    else:
+        setup = _adversary_agent_ensemble
+    valid_colors, state, rows, advance = setup(
+        process, initial, schedule, repetitions, as_generator(rng)
     )
-
-
-def _finalize_robust(
-    process: AgentProcess,
-    schedule: AdversarySchedule,
-    valid_colors: frozenset,
-    backend: str,
-    rng_mode: str,
-    rounds: np.ndarray,
-    stabilized: np.ndarray,
-    winning_color: np.ndarray,
-    winning_fraction: np.ndarray,
-) -> RobustEnsembleResult:
-    valid_array = np.asarray(sorted(valid_colors), dtype=np.int64)
-    winner_is_valid = np.isin(winning_color, valid_array)
+    stop = _StableRegime(initial.num_nodes, stable_fraction, stable_rounds)
+    rounds, stabilized, final = _run_lockstep(
+        state, rows, advance, stop, max_rounds, None, on_retire=stop.retire
+    )
+    winning_color = final[:, 0]
     return RobustEnsembleResult(
         process_name=process.name,
         adversary_repr=repr(schedule.adversary),
         rounds=rounds,
         stabilized=stabilized,
         winning_color=winning_color,
-        winning_fraction=winning_fraction,
-        winner_is_valid=winner_is_valid,
+        winning_fraction=final[:, 1] / float(initial.num_nodes),
+        winner_is_valid=np.isin(winning_color, sorted(valid_colors)),
         valid_colors=valid_colors,
         backend=backend,
-        rng_mode=rng_mode,
+        rng_mode="batched",
     )
 
 
-def _streak_retire(
-    stable_fraction: float,
-    stable_rounds: int,
-    rounds: int,
-    streak: np.ndarray,
-    active: np.ndarray,
-    state: np.ndarray,
-    leaders: np.ndarray,
-    fractions: np.ndarray,
-    rounds_out: np.ndarray,
-    stabilized: np.ndarray,
-    winning_color: np.ndarray,
-    winning_fraction: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Shared stabilisation bookkeeping of both adversary backends.
+class _StableRegime:
+    """The stop rule of both ensembles: the stable regime has held for
+    ``stable_rounds`` rounds in a row.
 
-    Bumps each active replica's stable-streak counter, records the ones
-    whose streak just reached ``stable_rounds``, and compacts them out of
-    ``(active, state, leaders, fractions)`` — ``state`` being whichever
-    matrix the backend advances (colors or counts).
+    Its rows are ``(plurality color, support)`` pairs.  The streak counts
+    completed rounds only, so the check at time 0 counts nothing, and
+    :meth:`retire` drops the rows the loop retires.
     """
-    stable_now = fractions >= stable_fraction
-    streak_active = np.where(stable_now, streak[active] + 1, 0)
-    streak[active] = streak_active
-    mask = streak_active >= stable_rounds
-    if not mask.any():
-        return active, state, leaders, fractions
-    done = active[mask]
-    rounds_out[done] = rounds
-    stabilized[done] = True
-    winning_color[done] = leaders[mask]
-    winning_fraction[done] = fractions[mask]
-    keep = ~mask
-    return active[keep], state[keep], leaders[keep], fractions[keep]
+
+    def __init__(self, n: int, stable_fraction: float, stable_rounds: int):
+        self.n = float(n)
+        self.stable_fraction = stable_fraction
+        self.stable_rounds = stable_rounds
+        self.streak = None
+
+    def satisfied_ensemble(self, rows: np.ndarray) -> np.ndarray:
+        if self.streak is None:
+            self.streak = np.zeros(rows.shape[0], dtype=np.int64)
+        else:
+            stable = rows[:, 1] / self.n >= self.stable_fraction
+            self.streak = np.where(stable, self.streak + 1, 0)
+        return self.streak >= self.stable_rounds
+
+    def retire(self, keep: np.ndarray) -> None:
+        self.streak = self.streak[keep]
+
+
+def _leading(counts: np.ndarray) -> np.ndarray:
+    """Each row's ``(plurality color, support)``: one argmax, one take."""
+    leaders = np.argmax(counts, axis=1)
+    return np.stack((leaders, counts[np.arange(counts.shape[0]), leaders]), axis=1)
 
 
 def _adversary_agent_ensemble(
@@ -426,13 +402,9 @@ def _adversary_agent_ensemble(
     initial: Configuration,
     schedule: AdversarySchedule,
     repetitions: int,
-    rng: RandomSource,
-    max_rounds: int,
-    stable_fraction: float,
-    stable_rounds: int,
-) -> RobustEnsembleResult:
-    """Lock-step ``(R, n)`` adversarial runs with replica retirement."""
-    n = initial.num_nodes
+    master: np.random.Generator,
+):
+    """Lock-step ``(R, n)`` colors: ``(valid colors, colors, rows, advance)``."""
     width = schedule.adversary.color_ceiling(initial.num_slots)
     # The honest step through the fused colors kernel — identically
     # distributed to update_ensemble (every node redraws by the process's
@@ -440,23 +412,21 @@ def _adversary_agent_ensemble(
     # inverse-cdf draw per node instead of per-node sample gathers.  The
     # corruption step is untouched: it needs node identities and gets them.
     fused = kernel_eligible(process, initial)
-    master = as_generator(rng)
-
     base = process.initial_colors(initial)
-    valid_colors = frozenset(int(c) for c in np.unique(base))
-    dtype = narrow_int_dtype(max(n, width + 1))
+    dtype = narrow_int_dtype(max(initial.num_nodes, width + 1))
     colors = np.tile(base.astype(dtype, copy=False), (repetitions, 1))
 
-    rounds_out = np.full(repetitions, max_rounds, dtype=np.int64)
-    stabilized = np.zeros(repetitions, dtype=bool)
-    winning_color = np.empty(repetitions, dtype=np.int64)
-    winning_fraction = np.empty(repetitions, dtype=float)
-    streak = np.zeros(repetitions, dtype=np.int64)
-    active = np.arange(repetitions)
+    def leading(colors):
+        # BoostRunnerUp can resurrect fresh color ids past the static
+        # ceiling in long stalls (consensus on c resurrects c+1, which may
+        # itself win); widen the transient counts to whatever is present.
+        # Negative sentinel colors are left out of the counts by shifting
+        # every color up one slot and dropping the sentinel column.
+        width_now = max(width, int(colors.max()) + 1)
+        shifted = np.maximum(colors.astype(np.int64, copy=False), -1) + 1
+        return _leading(_counts_matrix_fast(shifted, width_now + 1)[:, 1:])
 
-    _, leaders, fractions = _plurality_matrix(colors, width, n)
-    rounds = 0
-    while active.size and rounds < max_rounds:
+    def advance(colors, _, rounds):
         if fused:
             # Corruption can have planted ids past the static ceiling;
             # the kernel's bincount width must cover whatever is present.
@@ -465,25 +435,10 @@ def _adversary_agent_ensemble(
         else:
             colors = process.update_ensemble(colors, master)
         colors = schedule.corrupt_ensemble(rounds, colors, master)
-        rounds += 1
-        # BoostRunnerUp can resurrect fresh color ids past the static
-        # ceiling in long stalls (consensus on c resurrects c+1, which may
-        # itself win); widen the transient counts to whatever is present.
-        width_now = max(width, int(colors.max()) + 1)
-        _, leaders, fractions = _plurality_matrix(colors, width_now, n)
-        active, colors, leaders, fractions = _streak_retire(
-            stable_fraction, stable_rounds, rounds,
-            streak, active, colors, leaders, fractions,
-            rounds_out, stabilized, winning_color, winning_fraction,
-        )
-    if active.size:
-        winning_color[active] = leaders
-        winning_fraction[active] = fractions
-        rounds_out[active] = rounds
-    return _finalize_robust(
-        process, schedule, valid_colors, "agent", "batched",
-        rounds_out, stabilized, winning_color, winning_fraction,
-    )
+        return colors, leading(colors), rounds + 1
+
+    valid_colors = frozenset(int(c) for c in np.unique(base))
+    return valid_colors, colors, leading(colors), advance
 
 
 def _adversary_counts_ensemble(
@@ -491,48 +446,21 @@ def _adversary_counts_ensemble(
     initial: Configuration,
     schedule: AdversarySchedule,
     repetitions: int,
-    rng: RandomSource,
-    max_rounds: int,
-    stable_fraction: float,
-    stable_rounds: int,
-) -> RobustEnsembleResult:
-    """Exact count-level adversarial chain for AC-processes."""
-    n = initial.num_nodes
-    width = schedule.adversary.color_ceiling(initial.num_slots)
-    master = as_generator(rng)
-
+    master: np.random.Generator,
+):
+    """The exact count-level chain for AC-processes: ``(valid colors,
+    counts, rows, advance)``."""
     base = initial.counts_array()
-    valid_colors = frozenset(int(c) for c in np.flatnonzero(base))
-    counts = np.zeros((repetitions, width), dtype=np.int64)
+    counts = np.zeros(
+        (repetitions, schedule.adversary.color_ceiling(initial.num_slots)),
+        dtype=np.int64,
+    )
     counts[:, : base.size] = base
 
-    rounds_out = np.full(repetitions, max_rounds, dtype=np.int64)
-    stabilized = np.zeros(repetitions, dtype=bool)
-    winning_color = np.empty(repetitions, dtype=np.int64)
-    winning_fraction = np.empty(repetitions, dtype=float)
-    streak = np.zeros(repetitions, dtype=np.int64)
-    active = np.arange(repetitions)
-
-    leaders = np.argmax(counts, axis=1)
-    fractions = counts[np.arange(repetitions), leaders] / float(n)
-    rounds = 0
-    while active.size and rounds < max_rounds:
+    def advance(counts, _, rounds):
         counts = process.step_counts_ensemble(counts, master)
         counts = schedule.corrupt_counts(rounds, counts, master)
-        rounds += 1
-        rows = np.arange(active.size)
-        leaders = np.argmax(counts, axis=1)
-        fractions = counts[rows, leaders] / float(n)
-        active, counts, leaders, fractions = _streak_retire(
-            stable_fraction, stable_rounds, rounds,
-            streak, active, counts, leaders, fractions,
-            rounds_out, stabilized, winning_color, winning_fraction,
-        )
-    if active.size:
-        winning_color[active] = leaders
-        winning_fraction[active] = fractions
-        rounds_out[active] = rounds
-    return _finalize_robust(
-        process, schedule, valid_colors, "counts", "batched",
-        rounds_out, stabilized, winning_color, winning_fraction,
-    )
+        return counts, _leading(counts), rounds + 1
+
+    valid_colors = frozenset(int(c) for c in np.flatnonzero(base))
+    return valid_colors, counts, _leading(counts), advance

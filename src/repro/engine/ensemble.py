@@ -14,7 +14,8 @@ module amortises it across the whole ensemble:
   (3-Majority, 2-Choices, Voter, …).
 
 Both run through :func:`_run_lockstep`, the one loop of every lock-step
-engine (the asynchronous ensemble and both fused kernels use it too).
+engine: the asynchronous ensemble, both fused kernels and the two §5
+adversary ensembles (:mod:`repro.adversary.robust_runner`) use it too.
 An engine supplies only ``advance``, the draws of one round or one check
 stride in the engine's own order; the loop owns the rest.  Per-replica
 stopping masks (:meth:`StoppingCondition.satisfied_ensemble`) record
@@ -159,14 +160,17 @@ def _run_lockstep(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The loop every lock-step engine runs: ``(times, stopped, final_counts)``.
 
-    ``counts`` is the ``(R, k)`` counts matrix of ``R`` replicas and
-    ``state`` the rows an engine advances alongside it (the ``(R, n)``
-    colors of the agent-level engines), or ``None`` when the counts are
-    the whole state.  At time 0 and after each ``advance`` the loop
-    hands the active rows to ``recorder.observe_ensemble``, retires the
-    rows whose ``condition.satisfied_ensemble`` fires with that time and
-    their counts, and passes the survivors' mask to ``on_retire`` (a
-    fault runtime drops its rows there).
+    ``counts`` holds one row per replica, the rows the stop rule reads:
+    the ``(R, k)`` color counts for the five first-passage engines, and
+    ``(plurality color, support)`` pairs for the two §5 adversary
+    ensembles.  ``state`` is what an engine advances alongside them (the
+    ``(R, n)`` colors of the agent-level engines, the adversary counts
+    chain's ``(R, k)`` counts), or ``None`` when the counts are the
+    whole state.  At time 0 and after each ``advance`` the loop hands
+    the active rows to ``recorder.observe_ensemble``, retires the rows
+    whose ``condition.satisfied_ensemble`` fires with that time and
+    their rows, and passes the survivors' mask to ``on_retire`` (a
+    fault runtime, or the §5 stop rule's streak, drops its rows there).
 
     ``advance(state, counts, now)`` returns ``(state, counts, later)``:
     one round for a synchronous engine, one check stride of ticks for an

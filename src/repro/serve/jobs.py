@@ -86,7 +86,9 @@ class Job:
     """One submitted spec and its current service-side state."""
 
     id: str
-    spec: StudySpec = field(repr=False)
+    #: ``None`` for a replayed job whose journaled spec this version
+    #: refuses: such a job stays ``failed`` until a resubmission.
+    spec: "StudySpec | None" = field(repr=False)
     num_cells: int
     state: str = "queued"
     error: "str | None" = None
@@ -104,7 +106,7 @@ class Job:
         return envelope(
             {
                 "id": self.id,
-                "name": self.spec.name,
+                "name": None if self.spec is None else self.spec.name,
                 "state": self.state,
                 "num_cells": int(self.num_cells),
                 "counts": dict(self.counts),
@@ -190,25 +192,50 @@ class JobManager:
     # -- the journal -------------------------------------------------------
 
     def _apply(self, data: dict) -> None:
-        """One replayed journal event → the in-memory job table."""
+        """One replayed journal event → the in-memory job table.
+
+        A ``submitted`` line lists its job when its id is a string and
+        its ``num_cells`` an int.  A job whose spec this version refuses
+        is listed ``failed``, quoting the refusal; later state lines
+        leave it so, and only a later ``submitted`` line of that id with
+        a spec that decodes (a resubmission) replaces it.
+        """
         try:
             event = data["event"]
             if event == "submitted":
-                spec = StudySpec.from_dict(data["spec"])
-                job_id = data["id"]
-                if job_id not in self._jobs:
-                    self._jobs[job_id] = Job(
-                        id=job_id, spec=spec, num_cells=int(data["num_cells"])
+                job_id, num_cells = data["id"], data["num_cells"]
+                if not isinstance(job_id, str) or type(num_cells) is not int:
+                    return
+                known = self._jobs.get(job_id)
+                if known is not None and known.spec is not None:
+                    return
+                try:
+                    job = Job(job_id, StudySpec.from_dict(data.get("spec")), num_cells)
+                except _UNDECODABLE as exc:
+                    if known is not None:
+                        return
+                    job = Job(
+                        job_id, None, num_cells, state="failed",
+                        error=(
+                            "this version refuses the journaled spec "
+                            f"({type(exc).__name__}: {exc}); resubmit it"
+                        ),
                     )
+                if known is None:
                     self._order.append(job_id)
+                self._jobs[job_id] = job
             elif event == "state":
                 job = self._jobs.get(data["id"])
-                if job is not None and data["state"] in JOB_STATES:
+                if (
+                    job is not None
+                    and job.spec is not None
+                    and data["state"] in JOB_STATES
+                ):
                     job.state = data["state"]
                     job.error = data.get("error")
         except _UNDECODABLE:
             # A malformed-but-CRC-valid line means a newer (or buggy)
-            # writer; skipping it degrades to recomputing that job.
+            # writer; it is skipped.
             return
 
     def _set_state(
@@ -305,10 +332,13 @@ class JobManager:
                 view = job.view()
                 view["attached"] = True
                 return view
-            if job is None:
+            if job is None or job.spec is None:
+                # A new job, or one whose journaled spec this version
+                # refuses: the new spec takes its place.
+                if job is None:
+                    self._order.append(job_id)
                 job = Job(id=job_id, spec=spec, num_cells=len(cells))
                 self._jobs[job_id] = job
-                self._order.append(job_id)
                 # One write and one fsync before the acknowledgement.
                 self._set_state(job, "queued", submitted={
                     "event": "submitted",

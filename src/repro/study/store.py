@@ -125,6 +125,26 @@ class StoreCorruptError(ValueError):
     """
 
 
+class _SpecRefused(ValueError):
+    """A store's spec decodes as JSON, but this version refuses it."""
+
+
+def _decode_spec(payload) -> StudySpec:
+    """``StudySpec.from_dict``, its refusal raised as :class:`_SpecRefused`."""
+    try:
+        return StudySpec.from_dict(payload)
+    except (TypeError, ValueError) as exc:
+        raise _SpecRefused(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _refused(path: str, exc: _SpecRefused) -> ValueError:
+    """The plain refusal of an intact file holding a spec this version refuses."""
+    return ValueError(
+        f"{path} is intact, but this version refuses its spec ({exc}); "
+        "read it with the version that wrote it"
+    )
+
+
 @dataclass
 class RunRecord:
     """Outcome and provenance of one executed study cell."""
@@ -570,7 +590,7 @@ class StudyStore:
             raise ValueError(
                 f"not a study store payload (kind={payload.get('kind')!r})"
             )
-        spec = StudySpec.from_dict(payload["spec"])
+        spec = _decode_spec(payload["spec"])
         store = cls(spec, package_version=payload.get("package_version"))
         recorded_hash = payload.get("spec_hash")
         if recorded_hash != store.spec_hash:
@@ -700,7 +720,8 @@ def load_study_store(path: str) -> StudyStore:
     but cannot be decoded — truncated JSON, JSON nested too deep to
     parse, a hand-edit that dropped a column or put a number out of its
     column's range — raises :class:`StoreCorruptError` naming the path.
-    Legitimate refusals (future format version, spec-hash mismatch) stay
+    Legitimate refusals (future format version, spec-hash mismatch, a
+    spec this version refuses, in the file or in a journal header) stay
     plain ``ValueError``\\ s: the file is intact, the request is wrong.
     """
     jpath = journal_path(path)
@@ -718,6 +739,8 @@ def load_study_store(path: str) -> StudyStore:
                 ) from exc
         try:
             store = StudyStore.from_dict(payload)
+        except _SpecRefused as exc:
+            raise _refused(f"study store {path}", exc) from exc.__cause__
         except (KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
             raise StoreCorruptError(
                 f"study store {path} decodes as JSON but is structurally "
@@ -736,8 +759,10 @@ def load_study_store(path: str) -> StudyStore:
         raise FileNotFoundError(path)
     if store is None:
         try:
-            spec = StudySpec.from_dict(header["spec"])
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = _decode_spec(header["spec"])
+        except _SpecRefused as exc:
+            raise _refused(f"journal {jpath}", exc) from exc.__cause__
+        except KeyError as exc:
             raise StoreCorruptError(
                 f"journal {jpath} has an undecodable spec header "
                 f"({type(exc).__name__}: {exc}); remove it and re-run."

@@ -12,7 +12,8 @@ The service contract under test, end to end:
   replays its CRC-journaled job table (torn tail truncated), re-enqueues
   in-flight jobs, and finishes them **bit-for-bit** equal to an
   uninterrupted foreground run; a job store that no longer decodes
-  answers 409 and does not stop a restart;
+  answers 409 and does not stop a restart, and a job whose journaled
+  spec this version refuses stays listed as ``failed``;
 * **streaming** — ``/events`` replays the store journal's valid prefix
   on mid-run attach and never yields a torn or duplicate record (the
   :class:`JournalReader` invariant, also tested directly under a
@@ -24,17 +25,21 @@ The service contract under test, end to end:
   backend accepts (as ``POST /jobs`` does).
 """
 
+import hashlib
 import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.cli import main as cli_main
@@ -104,6 +109,48 @@ def undecodable_store(path: str, damage: str) -> None:
     payload["columns"][column][0] = value
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
+
+
+def refused_spec(payload: dict) -> dict:
+    """A copy of the spec ``payload`` with a process this version refuses.
+
+    Earlier versions accepted a null kwarg, so their stores and job
+    journals can hold one; TOML cannot, and the decoder now refuses it.
+    """
+    payload = json.loads(json.dumps(payload))
+    payload["axes"]["process"] = {"name": "lazy-voter", "kwargs": {"graph": None}}
+    return payload
+
+
+def payload_hash(payload: dict) -> str:
+    """``spec_hash`` as an earlier version computed it for ``payload``."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def refused_spec_store(path: str, layout: str) -> str:
+    """Rewrite the store at ``path`` around a spec this version refuses.
+
+    ``layout`` is ``"columnar"`` (the compacted file, its ``spec_hash``
+    recomputed) or ``"journal"`` (no compacted file, a journal holding
+    only that spec's header).  Returns the file that holds the spec.
+    """
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["spec"] = refused_spec(payload["spec"])
+    payload["spec_hash"] = payload_hash(payload["spec"])
+    if layout == "columnar":
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        return path
+    os.remove(path)
+    header = {
+        key: payload[key]
+        for key in ("format_version", "spec_hash", "package_version", "spec")
+    }
+    with open(journal_path(path), "wb") as handle:
+        handle.write(_journal_line({"kind": "repro-study-journal", **header}))
+    return journal_path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +653,16 @@ class TestHTTP:
         self, served, monkeypatch
     ):
         """A record event follows its cell's checkpoint at once: the
-        stream wakes on the change, not on a timer."""
+        stream wakes on the change, not on a timer.
+
+        Cells 1 and 2 wait on gates that the watcher opens when the
+        record before arrives.  Each gap is timed from the return of the
+        checkpoint holding the record, so the cell's simulation and its
+        fsync stay out of the bound; a failure reports both parts of the
+        gap from the gate's release."""
         client, _manager = served
         gates = {32: threading.Event(), 48: threading.Event()}
+        landed = {}
 
         def gated(plan):
             gate = gates.get(plan.initial.num_nodes)
@@ -616,25 +670,37 @@ class TestHTTP:
                 gate.wait(30.0)
             return real_execute(plan)
 
+        def timed_checkpoint(store, *records):
+            real_checkpoint(store, *records)
+            for record in records:
+                landed[record.index] = time.perf_counter()
+
+        real_checkpoint = StudyStore.checkpoint
         monkeypatch.setattr(runner_module, "execute", gated)
+        monkeypatch.setattr(StudyStore, "checkpoint", timed_checkpoint)
+        released, received = {}, {}
         try:
             view = client.submit(tiny_spec(name="serve wake"))
             to_release = [gates[32], gates[48]]
-            gaps, released_at = [], None
             for event in client.events(view["id"]):
                 if event["event"] != "record":
                     continue
-                if released_at is not None:
-                    gaps.append(time.perf_counter() - released_at)
-                    released_at = None
+                received[event["index"]] = time.perf_counter()
                 if to_release:
-                    released_at = time.perf_counter()
+                    released[event["index"] + 1] = time.perf_counter()
                     to_release.pop(0).set()
         finally:
             for gate in gates.values():
                 gate.set()
-        assert len(gaps) == 2
-        assert max(gaps) < 0.05, gaps
+        splits = {
+            index: {
+                "release_to_checkpoint": landed[index] - released[index],
+                "checkpoint_to_event": received[index] - landed[index],
+            }
+            for index in sorted(released)
+        }
+        assert sorted(splits) == [1, 2]
+        assert max(s["checkpoint_to_event"] for s in splits.values()) < 0.05, splits
 
     def test_quiet_stream_still_pings(self, served, monkeypatch):
         client, _manager = served
@@ -995,6 +1061,190 @@ class TestCacheStatsAtomicity:
         cache.flush()
         fresh = ResultCache(cache_dir)
         assert fresh.stats()["hits"] == 8  # damage skipped, never 999
+
+
+# ---------------------------------------------------------------------------
+# Specs this version refuses: intact stores, jobs that stay listed
+# ---------------------------------------------------------------------------
+
+
+class TestRefusedSpecs:
+    """A spec an earlier version accepted and this one refuses (a null
+    kwarg): a store holding one is intact, not corrupt, and a job
+    journaled with one stays listed, ``failed``, until resubmitted."""
+
+    @pytest.mark.parametrize("layout", ["columnar", "journal"])
+    def test_a_store_holding_one_is_intact_not_corrupt(self, tmp_path, layout):
+        path = str(tmp_path / "store.json")
+        run_study(
+            tiny_spec(axes={"process": ["3-majority"], "n": [24]}), store_path=path
+        )
+        holder = refused_spec_store(path, layout)
+        with pytest.raises(ValueError) as info:
+            load_study_store(path)
+        assert not isinstance(info.value, StoreCorruptError)
+        message = str(info.value)
+        assert holder in message and "intact" in message
+        assert "kwargs key 'graph' holds a null" in message
+        # A string exit code prints it and exits 1.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["study", "report", path])
+        assert exit_info.value.code == f"cannot load store: {message}"
+        assert "\n" not in message
+
+    def test_results_of_a_store_holding_one_answer_409(self, served):
+        client, manager = served
+        view = client.submit(tiny_spec(name="serve refused spec"))
+        client.wait(view["id"])
+        path = manager.store_path(view["id"])
+        refused_spec_store(path, "columnar")
+        with pytest.raises(ServeError) as info:
+            client.results(view["id"])
+        assert info.value.status == 409
+        message = str(info.value)
+        assert path in message and "intact" in message and "holds a null" in message
+
+    @pytest.mark.parametrize(
+        "states", [("done",), ("queued", "running")], ids=["done", "in-flight"]
+    )
+    def test_a_job_holding_one_stays_listed_as_failed(self, tmp_path, states):
+        state = str(tmp_path / "state")
+        JobManager(state, cache=False).close()
+        spec = refused_spec(tiny_spec().to_dict())
+        job_id = payload_hash(spec)
+        events = [{"event": "submitted", "id": job_id, "spec": spec, "num_cells": 3}]
+        events += [
+            {"event": "state", "id": job_id, "state": name, "error": None}
+            for name in states
+        ]
+        journal = os.path.join(state, "jobs.jsonl")
+        with open(journal, "ab") as handle:
+            handle.write(b"".join(_journal_line(event) for event in events))
+        store = os.path.join(state, "stores", f"{job_id}.store.json")
+        run_study(tiny_spec(), store_path=store)
+        refused_spec_store(store, "columnar")
+        written = os.path.getsize(journal)
+        for _restart in range(2):
+            manager = JobManager(state, cache=False)
+            try:
+                [view] = manager.views()
+                assert manager._queue.empty()
+            finally:
+                manager.close()
+            assert view["id"] == job_id and view["state"] == "failed"
+            assert "refuses" in view["error"] and "holds a null" in view["error"]
+            assert view["num_cells"] == 3 and sum(view["counts"].values()) == 0
+            assert os.path.getsize(journal) == written
+        assert os.path.exists(store)
+
+    def test_a_resubmission_takes_the_new_spec(self, tmp_path):
+        state = str(tmp_path / "state")
+        JobManager(state, cache=False).close()
+        job_id = spec_hash(tiny_spec())
+        with open(os.path.join(state, "jobs.jsonl"), "ab") as handle:
+            handle.write(_journal_line({
+                "event": "submitted", "id": job_id,
+                "spec": refused_spec(tiny_spec().to_dict()), "num_cells": 3,
+            }))
+        manager = JobManager(state, cache=False)
+        manager.start()
+        try:
+            assert manager.view(job_id)["state"] == "failed"
+            view = manager.submit(tiny_spec().to_dict())
+            assert view["id"] == job_id and not view["attached"]
+            assert finish(manager, job_id)["state"] == "done"
+        finally:
+            manager.close()
+        restarted = JobManager(state, cache=False)
+        try:
+            [view] = restarted.views()
+            store = restarted.load_store(job_id)
+        finally:
+            restarted.close()
+        assert view["state"] == "done" and view["name"] == tiny_spec().name
+        assert store.results_equal(run_study(tiny_spec()))
+
+
+_JOB_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_VALID_SPEC = tiny_spec().to_dict()
+#: Two short ids recur, so rows of one job meet in an example.
+_JOB_IDS = st.sampled_from(["a", "b"]) | _JOB_JSON
+_JOB_ROWS = st.lists(
+    st.fixed_dictionaries({
+        "event": st.just("submitted"),
+        "id": _JOB_IDS,
+        "num_cells": st.integers(-1, 4) | _JOB_JSON,
+        "spec": st.sampled_from([_VALID_SPEC, refused_spec(_VALID_SPEC)])
+        | _JOB_JSON,
+    })
+    | st.fixed_dictionaries({
+        "event": st.just("state"),
+        "id": _JOB_IDS,
+        "state": st.sampled_from(JOB_STATES) | _JOB_JSON,
+        "error": _JOB_JSON,
+    })
+    | st.fixed_dictionaries({"event": _JOB_JSON})
+    | _JOB_JSON,
+    max_size=6,
+)
+
+
+def _spec_decodes(payload) -> bool:
+    try:
+        StudySpec.from_dict(payload)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_JOB_ROWS)
+@example([
+    {"event": "submitted", "id": "a", "num_cells": 3,
+     "spec": refused_spec(_VALID_SPEC)},
+    {"event": "state", "id": "a", "state": "queued", "error": None},
+])
+def test_the_job_journal_replays_every_well_formed_submission(
+    tmp_path_factory, rows
+):
+    """A header and up to six CRC-valid rows of any shape: the replay
+    never raises, lists each job whose ``submitted`` row has a string
+    id and an int ``num_cells`` once, in submission order, keeps one
+    whose spec never decodes ``failed`` and unqueued, and queues exactly
+    the jobs it reports ``queued``."""
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as state:
+        with open(os.path.join(state, "jobs.jsonl"), "wb") as handle:
+            handle.write(_journal_line(
+                {"kind": "repro-serve-jobs", "protocol": PROTOCOL_VERSION}
+            ))
+            handle.write(b"".join(_journal_line(row) for row in rows))
+        manager = JobManager(state, cache=False)
+        try:
+            views = manager.views()
+            queued = list(manager._queue.queue)
+        finally:
+            manager.close()
+    submitted = [
+        row for row in rows
+        if isinstance(row, dict)
+        and row.get("event") == "submitted"
+        and isinstance(row.get("id"), str)
+        and type(row.get("num_cells")) is int
+    ]
+    assert [view["id"] for view in views] == list(
+        dict.fromkeys(row["id"] for row in submitted)
+    )
+    for view in views:
+        specs = [row.get("spec") for row in submitted if row["id"] == view["id"]]
+        if not any(_spec_decodes(spec) for spec in specs):
+            assert view["state"] == "failed" and "refuses" in view["error"]
+    assert queued == [view["id"] for view in views if view["state"] == "queued"]
 
 
 # ---------------------------------------------------------------------------

@@ -207,23 +207,21 @@ class JobManager:
                 if not isinstance(job_id, str) or type(num_cells) is not int:
                     return
                 known = self._jobs.get(job_id)
-                if known is not None and known.spec is not None:
-                    return
-                try:
-                    job = Job(job_id, StudySpec.from_dict(data.get("spec")), num_cells)
-                except _UNDECODABLE as exc:
-                    if known is not None:
-                        return
-                    job = Job(
-                        job_id, None, num_cells, state="failed",
-                        error=(
-                            "this version refuses the journaled spec "
-                            f"({type(exc).__name__}: {exc}); resubmit it"
-                        ),
-                    )
                 if known is None:
                     self._order.append(job_id)
-                self._jobs[job_id] = job
+                elif known.spec is not None:
+                    return
+                try:
+                    spec = StudySpec.from_dict(data["spec"])
+                except _UNDECODABLE as exc:
+                    if known is None:
+                        self._jobs[job_id] = Job(
+                            job_id, None, num_cells, state="failed",
+                            error="this version refuses the journaled spec "
+                            f"({type(exc).__name__}: {exc})",
+                        )
+                    return
+                self._jobs[job_id] = Job(job_id, spec, num_cells)
             elif event == "state":
                 job = self._jobs.get(data["id"])
                 if (

@@ -137,10 +137,11 @@ def _decode_spec(payload) -> StudySpec:
         raise _SpecRefused(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _refused(path: str, exc: _SpecRefused) -> ValueError:
-    """The plain refusal of an intact file holding a spec this version refuses."""
+def _refused(what: str, exc: _SpecRefused) -> ValueError:
+    """The plain refusal of ``what``, an intact file whose spec this
+    version refuses."""
     return ValueError(
-        f"{path} is intact, but this version refuses its spec ({exc}); "
+        f"{what} is intact, but this version refuses its spec ({exc}); "
         "read it with the version that wrote it"
     )
 

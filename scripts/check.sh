@@ -45,7 +45,14 @@
 #      cache gc` 0 and 0.  Then a warm run over that cache is cut after
 #      one cell (--max-cells 1) and resumed over it: the store must equal
 #      the cold one with every record a hit (the hits after the last
-#      simulated cell land with the compaction).  Then a 3-point
+#      simulated cell land with the compaction).  Then two `study run`
+#      processes start at once over one fresh --cache-dir, with specs
+#      whose cells overlap: the first spec's two cells are the first
+#      half of the second's four (a shared cell keeps its index, since
+#      its seed derives from it).  A third spec covering both (the four
+#      cells under another name) must then be all hits and equal a
+#      --no-cache run, and `study cache stats` must report 4 entries,
+#      one per distinct cell (about 3 s).  Then a 3-point
 #      `repro sweep -o` round trip: the sweep's study store is
 #      reported, loads with 3 complete cells, and a second identical
 #      `sweep -o` must exit non-zero and leave the store results-equal
@@ -107,7 +114,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q "$@"
 echo "== plan-matrix: cross-backend equivalence =="
 python -m pytest -x -q -m bench_smoke tests/test_runtime_matrix.py
-echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); validate refuses unexecutable cells and unseeded random starts; cache counters; cut warm run resumed from the cache; sweep -o store =="
+echo "== study-smoke: save -> resume -> report, bit-for-bit (plain, recorded, async, batched); validate refuses unexecutable cells and unseeded random starts; cache counters; cut warm run resumed from the cache; concurrent cache writers; sweep -o store =="
 STUDY_TMP="$(mktemp -d)"
 trap 'rm -rf "$STUDY_TMP"' EXIT
 cat > "$STUDY_TMP/smoke.toml" <<'EOF'
@@ -139,6 +146,32 @@ if ! grep -qF "(0 hits / 0 misses since last gc)" "$STUDY_TMP/stats.txt"; then
 fi
 python -m repro study run "$STUDY_TMP/smoke.toml" -o "$STUDY_TMP/cut.json" --cache-dir "$STUDY_TMP/cache" --max-cells 1 --quiet
 python -m repro study resume "$STUDY_TMP/smoke.toml" --store "$STUDY_TMP/cut.json" --cache-dir "$STUDY_TMP/cache" --quiet
+for part in a b c; do
+    case $part in a) sizes="40, 48" ;; *) sizes="40, 48, 56, 64" ;; esac
+    cat > "$STUDY_TMP/share-$part.toml" <<EOF
+name = "check.sh shared cache $part"
+seed = 17
+repetitions = 3
+
+[axes]
+process = "3-majority"
+n = [$sizes]
+rng_mode = "per-replica"
+EOF
+done
+python -m repro study run "$STUDY_TMP/share-a.toml" -o "$STUDY_TMP/share-a.json" --cache-dir "$STUDY_TMP/shared" --quiet &
+writer_a=$!
+python -m repro study run "$STUDY_TMP/share-b.toml" -o "$STUDY_TMP/share-b.json" --cache-dir "$STUDY_TMP/shared" --quiet &
+writer_b=$!
+wait "$writer_a"
+wait "$writer_b"
+python -m repro study run "$STUDY_TMP/share-c.toml" -o "$STUDY_TMP/share-c.json" --cache-dir "$STUDY_TMP/shared" --quiet
+python -m repro study run "$STUDY_TMP/share-c.toml" -o "$STUDY_TMP/share-c-plain.json" --no-cache --quiet
+python -m repro study cache stats --dir "$STUDY_TMP/shared" | tee "$STUDY_TMP/shared-stats.txt"
+if ! grep -qE "^entries +: 4$" "$STUDY_TMP/shared-stats.txt"; then
+    echo "study-smoke FAILED: two concurrent writers did not leave 4 distinct entries" >&2
+    exit 1
+fi
 cat > "$STUDY_TMP/record.toml" <<'EOF'
 name = "check.sh record smoke"
 seed = 5
@@ -255,6 +288,13 @@ assert cut.results_equal(cold), "a cut warm run resumed to other results"
 assert all(r.cache_hit for r in cut.records()), (
     "a cut warm run simulated a cell on resume"
 )
+shared = load_study_store(f"{tmp}/share-c.json")
+assert all(r.cache_hit for r in shared.records()), (
+    "a spec covering two concurrent writers' cells missed the cache"
+)
+assert shared.results_equal(load_study_store(f"{tmp}/share-c-plain.json")), (
+    "the concurrently written cache replayed other results"
+)
 rfull = load_study_store(f"{tmp}/rfull.json")
 rpart = load_study_store(f"{tmp}/rpart.json")
 assert rfull.is_complete() and rpart.is_complete(), "record smoke left cells unrun"
@@ -293,7 +333,8 @@ assert sweep.results_equal(load_study_store(f"{tmp}/sweep.first.json")), (
 )
 print("study-smoke OK: resumed stores (plain, recorded, asynchronous and "
       "batched) are bit-for-bit the uninterrupted ones; a warm cached run "
-      "replayed every cell, also when cut and resumed; sweep -o wrote a "
+      "replayed every cell, also when cut and resumed; two concurrent "
+      "writers left a cache that replays every cell; sweep -o wrote a "
       "3-cell store and refused to clobber it")
 EOF
 echo "== faults-smoke: record failure -> resume -> report =="

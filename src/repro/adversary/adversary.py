@@ -209,7 +209,12 @@ class BoostRunnerUp(Adversary):
         if self.budget == 0:
             return colors.copy()
         out = colors.copy()
-        counts = np.bincount(out)
+        # Only decided nodes rank: Undecided dynamics marks the others
+        # with a negative color, and a replica with none is left as is.
+        decided = out[out >= 0]
+        if decided.size == 0:
+            return out
+        counts = np.bincount(decided)
         order = np.argsort(counts)[::-1]
         leader = int(order[0])
         challenger = None

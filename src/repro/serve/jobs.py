@@ -62,7 +62,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..study import StudySpec, compile_study, spec_hash
+from ..study import ResultCache, StudySpec, compile_study, spec_hash
 from ..study.compile import _resolve_cells
 from ..study.runner import run_cells
 from ..study.store import (
@@ -128,7 +128,8 @@ class JobManager:
         # touching (or polluting) the user's shared ~/.cache/repro.
         if cache is True:
             cache = os.path.join(state_dir, "cache")
-        self._cache = cache
+        # One cache for the daemon's life: its log index outlives a job.
+        self._cache = ResultCache(cache) if isinstance(cache, str) else cache
 
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
@@ -188,6 +189,8 @@ class JobManager:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
+        if isinstance(self._cache, ResultCache):
+            self._cache.close()
 
     # -- the journal -------------------------------------------------------
 

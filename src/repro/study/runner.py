@@ -627,6 +627,8 @@ def run_cells(
     finally:
         if result_cache is not None:
             result_cache.flush()
+            if result_cache is not cache:  # this run opened it
+                result_cache.close()
         if store_path is not None:
             # Compaction is atomic (save lands before the journal
             # unlinks), so even an exception path leaves one consistent

@@ -325,13 +325,21 @@ _LINE = re.compile(rb'\{"crc":([0-9]{1,10}),"data":(.*)\}\n?', re.DOTALL)
 _UNDECODABLE = (KeyError, TypeError, ValueError, IndexError, OverflowError)
 
 
-def _parse_journal_line(raw: bytes):
-    """Decode one journal line; ``None`` when torn, damaged or too deep."""
+def _line_data(raw: bytes) -> "bytes | None":
+    """One journal line's data bytes; ``None`` when torn or damaged."""
     match = _LINE.fullmatch(raw)
     if match is None or zlib.crc32(match[2]) != int(match[1]):
         return None
+    return match[2]
+
+
+def _parse_journal_line(raw: bytes):
+    """Decode one journal line; ``None`` when torn, damaged or too deep."""
+    data = _line_data(raw)
+    if data is None:
+        return None
     try:
-        return json.loads(match[2])
+        return json.loads(data)
     except (ValueError, RecursionError):
         return None
 

@@ -50,6 +50,39 @@ class TestAdversaries:
         # Resurrects some other color (or leaves unchanged when impossible).
         assert np.sum(out != 0) <= 5
 
+    def test_boost_runner_up_ranks_only_decided_nodes(self, rng):
+        # Undecided dynamics marks undecided nodes with a negative color.
+        colors = np.asarray([-1] * 30 + [0] * 50 + [1] * 20)
+        out = BoostRunnerUp(budget=10).corrupt(colors, rng)
+        assert np.sum(out == -1) == 30
+        assert (np.sum(out == 0), np.sum(out == 1)) == (40, 30)
+        undecided = np.full(12, -1)
+        assert np.array_equal(BoostRunnerUp(3).corrupt(undecided, rng), undecided)
+
+    @pytest.mark.parametrize("path", ["sequential", "ensemble"])
+    def test_boost_runner_up_runs_undecided_dynamics(self, path):
+        from repro.adversary import run_with_adversary_ensemble
+        from repro.processes import make_process
+
+        arguments = dict(
+            rng=1, max_rounds=50, stable_fraction=0.9, stable_rounds=1
+        )
+        process = make_process("undecided-dynamics")
+        initial = Configuration.balanced(24, 3)
+        if path == "sequential":
+            result = run_with_adversary(
+                process, initial, BoostRunnerUp(2), **arguments
+            )
+            rounds = [result.rounds]
+        else:
+            result = run_with_adversary_ensemble(
+                process, initial, BoostRunnerUp(2), 4, backend="agent",
+                **arguments,
+            )
+            assert result.backend == "agent"
+            rounds = list(result.rounds)
+        assert all(0 < r <= 50 for r in rounds)
+
     def test_plant_invalid(self, rng):
         colors = np.zeros(50, dtype=np.int64)
         out = PlantInvalid(budget=7, invalid_color=9).corrupt(colors, rng)

@@ -10,7 +10,11 @@ RNG regime that ran, or the name of the exception the call raises.  The
 table in ``tests/data/adversary_digests.json`` was computed before the
 two ensembles moved onto the shared lock-step loop, so a change to that
 loop, to a corruption law or to a process's round rule that moves a
-sample fails here.
+sample fails here.  Its 28 agent rows of Undecided dynamics under
+boost-runner-up (every start and schedule but the windowed one from the
+stable start) were recomputed once boost-runner-up ranked only decided
+nodes: before, they pinned the ``ValueError`` its ranking raised on the
+undecided nodes' negative color.
 
 The main cross covers every registered process × four starts (one already
 in the stable regime) × four adversaries (one windowed) × both backends ×

@@ -1,8 +1,9 @@
 """The study layer's durable writes, pinned.
 
-* Journal lines, store journals and cache entries are byte-for-byte the
-  two-dump encoding (the canonical data, then the ``{"crc", "data"}``
-  envelope encoded around it) that earlier builds wrote.
+* Journal lines, store journals and the cache log's entry lines are
+  byte-for-byte the two-dump encoding (the canonical data, then the
+  ``{"crc", "data"}`` envelope encoded around it) that earlier builds
+  wrote.
 * A compacted store is one unindented line that parses to what the
   indented encoding held; indented stores still load.
 * The fsync points, by the file each one covers: one per ``submit``,
@@ -35,14 +36,23 @@
   decodes only from well-typed fields, to a record that encodes back to
   it, or not at all; and a reader of a journal cut at any byte sees
   exactly its whole lines.
+* The cache log, fuzzed and cut: over entry and recency lines mixed
+  with damaged, cut and glued lines, rows that are no entry and
+  arbitrary bytes, a fresh cache serves each cell its key's latest
+  intact entry or misses, never raising, and ``stats`` and ``gc`` never
+  raise; cut at any byte, it serves the entries that end before the
+  cut, and the two puts after the cut are readable.
 * The append-only cache counters (``stats.jsonl`` plus a legacy
-  ``stats.json``), per-writer cache temp files (counted by ``stats``,
-  collected by ``gc``), and ``/events`` skipping the store reload when
-  its tail streamed every cell.
+  ``stats.json``); threads appending whole lines; an instance whose log
+  another process's ``gc`` replaced appending to the new log; files of
+  the per-entry layout missed, counted by ``stats`` and removed by
+  ``gc``; and ``/events`` skipping the store reload when its tail
+  streamed every cell.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -72,6 +82,7 @@ from repro.study import (
 from repro.study import compile as compile_module
 from repro.study import runner as runner_module
 from repro.study import store as store_module
+from repro.study.cache import cache_key
 from repro.study.runner import run_cells
 from repro.study.store import (
     JournalReader,
@@ -109,6 +120,20 @@ def _finish(manager, job_id, timeout=60.0):
         assert time.monotonic() < deadline, f"job {job_id} never finished"
         time.sleep(0.01)
     return manager.view(job_id)
+
+
+def _entry_line(cache, cell_id, row, stamp=0.0) -> bytes:
+    """A cache entry line for ``cell_id`` holding any ``row``."""
+    key = cache_key(cell_id, cache.package_version)
+    return _journal_line({"key": key, "record": row, "t": stamp})
+
+
+def _write_log(cache, raw: bytes) -> None:
+    """Make ``raw`` the whole of ``cache``'s directory: its entry log."""
+    shutil.rmtree(cache.root, ignore_errors=True)
+    os.makedirs(cache.root)
+    with open(cache.log_path, "wb") as handle:
+        handle.write(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +197,16 @@ def test_store_journal_and_cache_entry_bytes_are_unchanged(record):
             journal = handle.read()
         cache = ResultCache(os.path.join(root, "cache"), package_version="pinned")
         assert cache.put(record)
-        with open(cache.entry_path(record.cell_id), "rb") as handle:
+        with open(cache.log_path, "rb") as handle:
             entry = handle.read()
     row = _encode_record(record)
     assert journal == (
         _two_dump_line(store._journal_header()) + _two_dump_line({"record": row})
     )
     row["cache_hit"] = False
-    assert entry == _two_dump_line(row)
+    key = cache_key(record.cell_id, "pinned")
+    stamp = _parse_journal_line(entry)["t"]
+    assert entry == _two_dump_line({"key": key, "record": row, "t": stamp})
 
 
 def test_compacted_store_is_one_line_with_the_indented_content(tmp_path):
@@ -263,8 +290,10 @@ def _hits_around_a_miss(tmp_path):
               "rng_mode": ["per-replica"]},
     )
     cache = ResultCache(str(tmp_path / "cache"))
-    cold = run_study(spec, cache=cache)
-    os.remove(cache.entry_path(cold.records()[2].cell_id))
+    cold = run_study(spec)
+    for record in cold.records():
+        if record.index != 2:
+            cache.put(record)
     return spec, cache, cold
 
 
@@ -895,10 +924,9 @@ def test_a_line_nested_past_the_recursion_limit_is_a_cache_miss(tmp_path):
     line = b'{"crc":%d,"data":%s}\n' % (zlib.crc32(data), data)
     assert _parse_journal_line(line) is None
     cache = ResultCache(str(tmp_path / "cache"), package_version="deep")
-    path = cache.entry_path("c" * 16)
-    os.makedirs(os.path.dirname(path))
-    with open(path, "wb") as handle:
-        handle.write(line)
+    key = cache_key("c" * 16, "deep").encode()
+    data = b'{"key":"%s","record":%s,"t":0}' % (key, data)
+    _write_log(cache, b'{"crc":%d,"data":%s}\n' % (zlib.crc32(data), data))
     with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
         assert cache.get("c" * 16) is None
     assert (cache.hits, cache.misses) == (0, 1)
@@ -926,10 +954,7 @@ def test_a_crc_valid_row_with_any_field_never_raises(
     _header, records, end = _walk_journal(raw, "repro-study-journal")
     assert (end, len(records)) in ((len(_HEADER), 0), (len(raw), 1))
     cache = ResultCache(str(tmp_path_factory.getbasetemp() / "fuzz"))
-    path = cache.entry_path(_ROW["cell_id"])
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.write(_journal_line(row))
+    _write_log(cache, _entry_line(cache, _ROW["cell_id"], row))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         cache.get(_ROW["cell_id"])
@@ -998,10 +1023,7 @@ def test_a_record_row_decodes_strictly_or_not_at_all(
     polled = reader.poll()
     if record is None:
         cache = ResultCache(str(root / "cache"))
-        entry = cache.entry_path("c" * 16)
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        with open(entry, "wb") as handle:
-            handle.write(_journal_line(data))
+        _write_log(cache, _entry_line(cache, "c" * 16, data))
         with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
             assert cache.get("c" * 16) is None
         assert (end, records, polled) == (len(_HEADER), [], [])
@@ -1014,6 +1036,162 @@ def test_a_record_row_decodes_strictly_or_not_at_all(
     assert json.dumps(encoded, sort_keys=True) == json.dumps(expected, sort_keys=True)
     again = _encode_record(store_module._decode_record(encoded))
     assert json.dumps(again, sort_keys=True) == json.dumps(encoded, sort_keys=True)
+
+
+#: Three small cached cells, and the strategies of a damaged cache log.
+_LOG_RECORDS = [
+    RunRecord(f"{i:016x}", i, i, {}, "counts", "rounds",
+              np.arange(2, dtype=np.int64), np.ones(2, bool))
+    for i in range(3)
+]
+_LOG_ROWS = [{**_encode_record(r), "cache_hit": False} for r in _LOG_RECORDS]
+_LOG_KEYS = [cache_key(r.cell_id, "log") for r in _LOG_RECORDS]
+_CELL = st.integers(0, 2)
+_LOG_PIECES = st.one_of(
+    st.tuples(st.just("entry"), _CELL),
+    st.tuples(st.just("used"), st.lists(_CELL, max_size=3)),
+    st.tuples(st.just("damaged"), _CELL, st.integers(0, 10**4),
+              st.integers(1, 255)),
+    st.tuples(st.just("cut"), _CELL, st.integers(0, 10**4)),
+    st.tuples(st.just("glued"), _CELL, _CELL),
+    st.tuples(st.just("list"), st.lists(_JSON, max_size=3)),
+    st.tuples(st.just("field"), _CELL, st.sampled_from(sorted(_ROW)), _JSON),
+    st.tuples(st.just("deep"), _CELL),
+    st.tuples(st.just("bytes"), st.binary(max_size=40)),
+)
+
+
+def _log_entry(cell, row=None, stamp=1.0) -> bytes:
+    row = _LOG_ROWS[cell] if row is None else row
+    return _journal_line({"key": _LOG_KEYS[cell], "record": row, "t": stamp})
+
+
+def _log_piece(piece) -> bytes:
+    kind, *args = piece
+    if kind == "entry":
+        return _log_entry(args[0])
+    if kind == "used":
+        return _journal_line({"t": 2.0, "used": [_LOG_KEYS[c] for c in args[0]]})
+    if kind == "damaged":
+        line = bytearray(_log_entry(args[0]))
+        line[args[1] % (len(line) - 1)] ^= args[2]
+        return bytes(line)
+    if kind == "cut":  # a torn write: no newline, so it glues to what follows
+        line = _log_entry(args[0])
+        return line[: args[1] % len(line)]
+    if kind == "glued":
+        return _log_entry(args[0])[:-1] + _log_entry(args[1])
+    if kind == "list":
+        return _journal_line(args[0])
+    if kind == "field":
+        cell, column, value = args
+        return _log_entry(cell, {**_LOG_ROWS[cell], column: value})
+    if kind == "deep":
+        depth = 10 * sys.getrecursionlimit()
+        data = b'{"key":"%s","record":%s,"t":1}' % (
+            _LOG_KEYS[args[0]].encode(), b"[" * depth + b"]" * depth
+        )
+        return b'{"crc":%d,"data":%s}\n' % (zlib.crc32(data), data)
+    return args[0]
+
+
+def _expected_hits(raw: bytes) -> list:
+    """What a lookup of each cell must give: the record its key's latest
+    intact entry line (CRC-valid, its data led by that key) decodes to,
+    when that is the cell's, else ``None``."""
+    latest = {}
+    for line in raw.split(b"\n")[:-1]:
+        data = store_module._line_data(line + b"\n")
+        for key in _LOG_KEYS:
+            if data is not None and data.startswith(b'{"key":"%s",' % key.encode()):
+                latest[key] = data
+    expected = []
+    for key, record in zip(_LOG_KEYS, _LOG_RECORDS):
+        try:
+            decoded = store_module._decode_record(json.loads(latest[key])["record"])
+        except (RecursionError, *store_module._UNDECODABLE):
+            decoded = None
+        if decoded is not None and decoded.cell_id != record.cell_id:
+            decoded = None
+        expected.append(decoded)
+    return expected
+
+
+def _lookups(root) -> list:
+    cache = ResultCache(root, package_version="log")
+    got = [cache.get(record.cell_id) for record in _LOG_RECORDS]
+    cache.close()
+    return [None if r is None else json.dumps(_encode_record(r), sort_keys=True)
+            for r in got]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_LOG_PIECES, max_size=8))
+@example([("entry", 0), ("damaged", 0, 5, 1), ("cut", 1, 40), ("entry", 1),
+          ("glued", 2, 2), ("used", [0, 1])])
+@example([("entry", 0), ("deep", 0), ("entry", 1), ("field", 1, "times", [1.5]),
+          ("entry", 2), ("list", [1, 2]), ("field", 2, "cell_id", "x")])
+def test_a_damaged_cache_log_serves_each_cells_latest_intact_entry(
+    tmp_path_factory, pieces
+):
+    """A log of entry and recency lines mixed with damaged, cut and glued
+    lines, CRC-valid rows that are no entry, rows nested past the
+    recursion limit and arbitrary bytes: a fresh cache returns, for each
+    cell, the record its key's latest intact line decodes to when that
+    is the cell's, and ``None`` otherwise.  It may warn, never raise;
+    ``stats`` counts the keys whose latest line decodes, ``gc`` rewrites
+    the log as one intact line per such key, and every lookup then gives
+    what it gave before."""
+    raw = b"".join(_log_piece(piece) for piece in pieces)
+    root = str(tmp_path_factory.getbasetemp() / "log")
+    _write_log(ResultCache(root, package_version="log"), raw)
+    expected = [
+        None if r is None else json.dumps(_encode_record(r), sort_keys=True)
+        for r in _expected_hits(raw)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _lookups(root) == expected
+        cache = ResultCache(root, package_version="log")
+        entries = cache.stats()["entries"]
+        assert entries >= sum(hit is not None for hit in expected)
+        report = cache.gc()
+        assert report["entries"] == entries and report["removed"] == 0
+        with open(cache.log_path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        assert len(lines) == entries  # one intact line per entry, no damage
+        assert all(_parse_journal_line(line) is not None for line in lines)
+        assert _lookups(root) == expected
+        assert ResultCache(root, package_version="log").stats()["entries"] == entries
+
+
+def test_a_cache_log_cut_at_any_byte_serves_the_lines_before_the_cut(tmp_path):
+    """Cut a log of three entries at every byte: a fresh cache hits
+    exactly the entries whose lines end at or before the cut, without a
+    warning.  It then puts two more records; a put ends a torn tail with
+    a newline first, so both are readable by a fresh cache."""
+    raw = b"".join(_log_entry(cell) for cell in range(3))
+    ends = np.cumsum([len(_log_entry(cell)) for cell in range(3)])
+    more = [
+        RunRecord(f"{i:016x}", i, i, {}, "counts", "rounds",
+                  np.arange(2, dtype=np.int64), np.ones(2, bool))
+        for i in (3, 4)
+    ]
+    root = str(tmp_path / "cache")
+    for cut in range(len(raw) + 1):
+        cache = ResultCache(root, package_version="log")
+        _write_log(cache, raw[:cut])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = [cache.get(r.cell_id) is not None for r in _LOG_RECORDS]
+        assert hits == [end <= cut for end in ends], cut
+        assert all(cache.put(record) for record in more), cut
+        cache.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the torn line
+            fresh = ResultCache(root, package_version="log")
+            assert all(fresh.get(r.cell_id) is not None for r in more), cut
+            fresh.close()
 
 
 #: The columns each older store format lacks (upgraded on load).
@@ -1116,7 +1294,7 @@ def test_a_reader_sees_exactly_the_lines_that_end_before_a_cut(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The result cache: counters and temp files
+# The result cache: counters, concurrent writers, the old layout
 # ---------------------------------------------------------------------------
 
 
@@ -1151,30 +1329,50 @@ def test_counters_append_lines_and_gc_clears_the_legacy_file(
     assert (stats["hits"], stats["misses"]) == (0, 0)
 
 
-def test_threads_putting_one_cell_never_share_a_temp_file(tmp_path):
-    cache = ResultCache(str(tmp_path / "cache"), package_version="threads")
+def test_threads_putting_one_cell_each_append_a_whole_line(tmp_path):
+    """Four threads put one cell 300 times each, two through a shared
+    instance and two through their own: every put lands as a whole
+    line, the cell hits without a warning, and the directory holds the
+    log alone."""
+    root = str(tmp_path / "cache")
+    shared = ResultCache(root, package_version="threads")
     (record, *_rest) = run_study(_spec(n=(24,))).records()
     errors = []
 
-    def put_many():
+    def put_many(cache):
         try:
             for _ in range(300):
-                cache.put(record)
+                assert cache.put(record)
         except Exception as exc:  # the test's verdict, re-checked below
             errors.append(exc)
 
-    threads = [threading.Thread(target=put_many) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    caches = [shared, shared] + [
+        ResultCache(root, package_version="threads") for _ in range(2)
+    ]
+    threads = [threading.Thread(target=put_many, args=(c,)) for c in caches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside each put
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+    with open(shared.log_path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    # A put that saw another's line half written ends it with a newline
+    # of its own: an empty line, which readers skip.
+    lines = [line for line in lines if line != b"\n"]
+    assert len(lines) == 1200
+    assert all(_parse_journal_line(line) is not None for line in lines)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a half-written entry would warn
-        cached = cache.get(record.cell_id)
+        cached = ResultCache(root, package_version="threads").get(record.cell_id)
     assert cached is not None and cached.same_results(record)
-    entry = cache.entry_path(record.cell_id)
-    assert os.listdir(os.path.dirname(entry)) == [os.path.basename(entry)]
+    assert os.listdir(root) == ["entries.jsonl"]
 
 
 @pytest.mark.parametrize("kill", ["before the write", "after the write"])
@@ -1208,45 +1406,65 @@ def test_a_kill_at_the_first_put_resumes_to_a_wholly_cached_rename(
     assert [r.cache_hit for r in renamed.records()] == [True, True, True]
 
 
-def test_gc_and_stats_collect_an_orphaned_put_temp_file(tmp_path, monkeypatch):
-    cache = ResultCache(str(tmp_path / "cache"), package_version="orphans")
-    (record, *_rest) = run_study(_spec(n=(24,))).records()
+def test_old_layout_files_miss_count_and_are_collected(tmp_path):
+    """A directory of the per-entry layout (``<xx>/<key>.json`` files and
+    a ``*.json.tmp.*`` a killed put left): every lookup misses, ``stats``
+    counts the files' bytes, and ``gc(max_age_s=0)`` removes them, with
+    no warning and no exception."""
+    root = str(tmp_path / "cache")
+    records = run_study(_spec()).records()
+    sizes = 0
+    for record in records:
+        key = cache_key(record.cell_id, "old")
+        os.makedirs(os.path.join(root, key[:2]), exist_ok=True)
+        path = os.path.join(root, key[:2], f"{key}.json")
+        with open(path, "wb") as handle:
+            handle.write(_journal_line(_encode_record(record)))
+        sizes += os.path.getsize(path)
+    with open(f"{path}.tmp.1.2", "wb") as handle:
+        handle.write(b"half an entr")
+    sizes += 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ResultCache(root, package_version="old")
+        assert all(cache.get(r.cell_id) is None for r in records)
+        stats = cache.stats()
+        assert (stats["entries"], stats["bytes"]) == (0, sizes)
+        assert cache.gc(max_age_s=0) == {
+            "removed": len(records) + 1, "entries": 0, "bytes": 0,
+        }
+    assert os.listdir(root) == []
 
-    def killed_before_the_rename(src, dst):
-        raise OSError("killed before the rename")
 
-    monkeypatch.setattr(os, "replace", killed_before_the_rename)
-    with pytest.raises(OSError, match="killed"):
-        cache.put(record)
-    monkeypatch.undo()
-    entry_dir = os.path.dirname(cache.entry_path(record.cell_id))
-    (orphan,) = os.listdir(entry_dir)
-    assert ".json.tmp." in orphan
-    stats = cache.stats()
-    size = os.path.getsize(os.path.join(entry_dir, orphan))
-    assert (stats["entries"], stats["bytes"]) == (0, size)
-    assert cache.gc(max_age_s=0, max_bytes=0) == {
-        "removed": 1, "entries": 0, "bytes": 0,
-    }
-    assert os.listdir(entry_dir) == []
-
-
-def test_a_put_whose_temp_file_was_collected_is_not_cached(
-    tmp_path, monkeypatch
-):
-    cache = ResultCache(str(tmp_path / "cache"), package_version="collected")
-    (record, *_rest) = run_study(_spec(n=(24,))).records()
-    real_replace = os.replace
-
-    def collected_before_the_rename(src, dst):
-        os.remove(src)  # a concurrent gc got to the temp file first
-        return real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", collected_before_the_rename)
-    assert cache.put(record) is False
-    monkeypatch.undo()
-    assert cache.get(record.cell_id) is None
-    assert cache.stats()["entries"] == 0
+def test_a_put_after_another_process_gc_lands_in_the_new_log(tmp_path):
+    """An instance keeps the log open while another process's ``gc``
+    rewrites it, byte for byte, into a new file: the instance notices
+    the new inode, so its next put lands in the new log, where a fresh
+    instance hits it along with the two entries gc kept."""
+    root = str(tmp_path / "cache")
+    records = run_study(_spec()).records()
+    cache = ResultCache(root)
+    assert cache.put(records[0]) and cache.put(records[1])
+    assert cache.get(records[0].cell_id) is not None  # the log is open, indexed
+    with open(cache.log_path, "rb") as handle:
+        before = handle.read()
+    inode = os.stat(cache.log_path).st_ino
+    swept = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from repro.study import ResultCache\n"
+         "print(ResultCache(sys.argv[1]).gc()['entries'])\n",
+         root],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(repro.__path__[0])},
+    )
+    assert swept.stdout.split() == ["2"], swept.stderr
+    with open(cache.log_path, "rb") as handle:
+        assert handle.read() == before  # the same bytes...
+    assert os.stat(cache.log_path).st_ino != inode  # ...in another file
+    assert cache.put(records[2])
+    fresh = ResultCache(root)
+    assert all(fresh.get(r.cell_id).same_results(r) for r in records)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.study import (
     spec_hash,
 )
 from repro.study import runner as runner_module
+from repro.study.cache import cache_key
 from repro.study.scheduler import CellScheduler
 
 
@@ -277,6 +279,14 @@ class TestParallelEquality:
 # ---------------------------------------------------------------------------
 
 
+def _line_start(cache, cell_id):
+    """The offset of ``cell_id``'s latest entry line in the cache's log."""
+    with open(cache.log_path, "rb") as handle:
+        raw = handle.read()
+    at = raw.rindex(cache_key(cell_id, cache.package_version).encode())
+    return raw.rfind(b"\n", 0, at) + 1
+
+
 class TestResultCache:
     def test_second_run_is_all_cache_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -323,30 +333,64 @@ class TestResultCache:
         run_study(grid_spec(), cache=cache_dir)
         cache = ResultCache(cache_dir)
         victim = compile_study(grid_spec())[0]
-        path = cache.entry_path(victim.cell_id)
-        with open(path, "r+b") as handle:
+        start = _line_start(cache, victim.cell_id)
+        with open(cache.log_path, "r+b") as handle:
+            handle.seek(start)
             handle.write(b"garbage")
-        with pytest.warns(RuntimeWarning, match="cache"):
+        with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
             store = run_study(grid_spec(), cache=cache_dir)
         by_id = {r.cell_id: r for r in store.records()}
         assert not by_id[victim.cell_id].cache_hit  # recomputed
         hits = [r for r in store.records() if r.cache_hit]
         assert len(hits) == 3, "the other entries must still replay"
-        assert not os.path.exists(path) or cache.get(victim.cell_id) is not None
+        # The fresh line supersedes the damaged one, which gc drops.
+        with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
+            assert ResultCache(cache_dir).get(victim.cell_id) is not None
+        cache.gc()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ResultCache(cache_dir).get(victim.cell_id) is not None
 
     def test_non_object_entry_is_warned_and_missed(self, tmp_path):
         from repro.study.store import _journal_line
 
         cache = ResultCache(str(tmp_path / "cache"))
         cell = compile_study(grid_spec())[0]
-        path = cache.entry_path(cell.cell_id)
-        os.makedirs(os.path.dirname(path))
-        with open(path, "wb") as handle:
-            handle.write(_journal_line([1, 2]))  # CRC-valid, not a record
+        key = cache_key(cell.cell_id, cache.package_version)
+        os.makedirs(cache.root)
+        with open(cache.log_path, "wb") as handle:  # CRC-valid, no record
+            handle.write(_journal_line({"key": key, "record": [1, 2], "t": 0}))
         with pytest.warns(RuntimeWarning, match="corrupt result-cache entry"):
             assert cache.get(cell.cell_id) is None
         assert (cache.hits, cache.misses) == (0, 1)
-        assert not os.path.exists(path)
+        with warnings.catch_warnings():  # dropped from the index: one warning
+            warnings.simplefilter("error")
+            assert cache.get(cell.cell_id) is None
+        assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_the_cache_is_one_log_and_a_hit_opens_no_entry_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold run leaves the log and the counters, nothing else; a
+        warm run's hits open the log once and touch no mtime."""
+        import builtins
+
+        cache_dir = str(tmp_path / "cache")
+        cold = run_study(grid_spec(), cache=cache_dir)
+        assert sorted(os.listdir(cache_dir)) == ["entries.jsonl", "stats.jsonl"]
+        opened, touched = [], []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            if str(file).startswith(cache_dir):
+                opened.append(os.path.basename(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(os, "utime", lambda *args, **kwargs: touched.append(args))
+        warm = run_study(grid_spec(), cache=cache_dir)
+        assert all(r.cache_hit for r in warm.records()) and warm.results_equal(cold)
+        assert opened == ["entries.jsonl", "stats.jsonl"] and touched == []
 
     def test_failed_records_are_never_cached(self, tmp_path, monkeypatch):
         def fail_small(plan):
